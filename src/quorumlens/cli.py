@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -33,6 +32,8 @@ from .instances import (
     slice_addition_instance,
 )
 from .network import (
+    DEFAULT_FORK_MAX_NODES,
+    DEFAULT_STRONG_FORK_MAX_NODES,
     BudgetExceededError,
     ForkWitness,
     NetworkValidationError,
@@ -43,7 +44,12 @@ from .network import (
     network_violations,
 )
 from .netio import NetworkFormatError, load_network, save_network
-from .quorum import check_qi_honest, check_quorum_intersection, minimal_quora
+from .quorum import (
+    DEFAULT_QI_MAX_NODES,
+    check_qi_honest,
+    check_quorum_intersection,
+    minimal_quora,
+)
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -57,12 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the machine report")
     common.add_argument("--quiet", action="store_true", help="suppress the report body")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="worker threads for the subset scan (default: QUORUMLENS_THREADS or 1)",
-    )
 
     parser = argparse.ArgumentParser(
         prog="quorumlens",
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="require an honest node in every pairwise intersection",
     )
-    p.add_argument("--max-nodes", type=int, default=20)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_QI_MAX_NODES)
 
     p = sub.add_parser("fork", parents=[common], help="fork search")
     p.add_argument("file")
@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("influence", parents=[common], help="influence matrix and limits")
     p.add_argument("file")
     p.add_argument("--limit", action="store_true", help="compute the limit of the matrix powers")
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=40)
+    p.add_argument("--tol", type=float, default=influence_mod.DEFAULT_LIMIT_TOL)
+    p.add_argument("--max-iter", type=int, default=influence_mod.DEFAULT_LIMIT_MAX_ITER)
     p.add_argument("--exact", action="store_true", help="print entries as exact rationals")
 
     gen = sub.add_parser("gen", help="instance generators")
@@ -122,18 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-o", "--output", required=True)
     return parser
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("QUORUMLENS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise NetworkFormatError(f"QUORUMLENS_THREADS={env!r} is not an integer") from None
-    return 1
 
 
 def _node_sort_key(net):
@@ -186,7 +174,7 @@ def _run_check(args):
 def _run_qi(args):
     net = load_network(args.file)
     checker = check_qi_honest if args.honest else check_quorum_intersection
-    report = checker(net, max_nodes=args.max_nodes, threads=_threads(args))
+    report = checker(net, max_nodes=args.max_nodes)
     minimal = None
     if len(net.nodes) <= MINIMAL_QUORA_DISPLAY_LIMIT:
         try:
@@ -213,11 +201,11 @@ def _run_fork(args):
     if args.strong:
         if not isinstance(net, TrustNetwork):
             raise NetworkFormatError("strong-fork search requires a slices network")
-        max_nodes = args.max_nodes if args.max_nodes is not None else 16
+        max_nodes = args.max_nodes if args.max_nodes is not None else DEFAULT_STRONG_FORK_MAX_NODES
         witness = find_strong_fork(net, max_nodes=max_nodes)
         safe_verdict, found_verdict = "weakly-safe", "strongly-forked"
     else:
-        max_nodes = args.max_nodes if args.max_nodes is not None else 20
+        max_nodes = args.max_nodes if args.max_nodes is not None else DEFAULT_FORK_MAX_NODES
         witness = find_fork(net, max_nodes=max_nodes)
         safe_verdict, found_verdict = "safe", "forked"
     tables = {"strong": bool(args.strong), "max_nodes": max_nodes}

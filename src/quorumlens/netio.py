@@ -6,14 +6,18 @@ One network per file. Top-level keys:
 * ``byzantine``: array of labels, default empty.
 * ``kind``: ``"slices"`` or ``"quota"`` (required).
 * slices kind: ``slices`` maps each honest label to an array of arrays of
-  labels; a node's trust set is the union of its slices.
+  labels; a node's trust set is the union of its slices (and, for the
+  ``slice_addition`` node, of the candidate slice too).
 * quota kind: ``trust`` maps each honest label to an array of labels,
-  plus exactly one of ``quota_uniform`` (number) or ``quota`` (object
-  label to number); optionally one of ``byz_fraction_uniform`` or
-  ``byz_fraction`` in the same two shapes.
+  plus exactly one of ``quota_uniform`` (a rational) or ``quota`` (object
+  label to rational); optionally one of ``byz_fraction_uniform`` or
+  ``byz_fraction`` in the same two shapes. A rational is a ``"p/q"``
+  string, which is what :func:`network_document` writes, or a JSON number.
 * ``vetoed``: boolean, default false.
-* ``slice_addition``: optional generator metadata, an object with
-  ``node`` and ``slice`` describing a candidate slice to add.
+* ``slice_addition``: optional generator metadata for a slices network, an
+  object with ``node`` (an honest label) and ``slice`` describing a
+  candidate slice to add. The slice is drawn from the node's trust set,
+  so its members join that trust set.
 
 Unknown keys are rejected, every referenced label must appear in
 ``nodes``, and the parsed network must pass full validation.
@@ -78,9 +82,16 @@ def _label_list(value, key: str, known: set[str] | None = None) -> list[str]:
 
 
 def _number(value, key: str) -> Fraction:
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            raise NetworkFormatError(
+                f'key {key!r}: {value!r} is not a rational such as "3/4"'
+            ) from None
     _expect(
         isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"key {key!r}: expected a number",
+        f'key {key!r}: expected a number or a "p/q" string',
     )
     return as_fraction(value)
 
@@ -102,6 +113,24 @@ def parse_network_document(doc) -> LoadedNetwork:
     _expect(kind in ("slices", "quota"), f'key "kind": {kind!r} is not "slices" or "quota"')
     vetoed = doc.get("vetoed", False)
     _expect(isinstance(vetoed, bool), 'key "vetoed": expected a boolean')
+
+    addition = None
+    if "slice_addition" in doc:
+        _expect(kind == "slices", 'key "slice_addition" requires a slices network')
+        meta = doc["slice_addition"]
+        _expect(isinstance(meta, dict), 'key "slice_addition": expected an object')
+        _expect(
+            set(meta) == {"node", "slice"},
+            'key "slice_addition": expected exactly the keys "node" and "slice"',
+        )
+        target = meta["node"]
+        _expect(
+            isinstance(target, str) and target in honest,
+            'key "slice_addition": "node" must name an honest node',
+        )
+        members = frozenset(_label_list(meta["slice"], 'slice_addition "slice"', node_set))
+        _expect(bool(members), 'key "slice_addition": empty slice')
+        addition = (target, members)
 
     if kind == "slices":
         for forbidden in ("trust", "quota", "quota_uniform", "byz_fraction", "byz_fraction_uniform"):
@@ -125,6 +154,8 @@ def parse_network_document(doc) -> LoadedNetwork:
                 _expect(bool(members), f"slices[{label!r}][{k}]: empty coalition")
                 parsed.append(members)
                 union |= members
+            if addition is not None and addition[0] == label:
+                union |= addition[1]
             slices[label] = tuple(parsed)
             trust[label] = frozenset(union)
         net: Network = TrustNetwork(tuple(nodes), byzantine, trust, slices, vetoed)
@@ -172,24 +203,6 @@ def parse_network_document(doc) -> LoadedNetwork:
                 'key "vetoed": quota network does not induce veto slices (thresholds above 1)'
             )
 
-    addition = None
-    if "slice_addition" in doc:
-        _expect(kind == "slices", 'key "slice_addition" requires a slices network')
-        meta = doc["slice_addition"]
-        _expect(isinstance(meta, dict), 'key "slice_addition": expected an object')
-        _expect(
-            set(meta) == {"node", "slice"},
-            'key "slice_addition": expected exactly the keys "node" and "slice"',
-        )
-        target = meta["node"]
-        _expect(
-            isinstance(target, str) and target in node_set,
-            'key "slice_addition": "node" must name a declared node',
-        )
-        members = frozenset(_label_list(meta["slice"], 'slice_addition "slice"', node_set))
-        _expect(bool(members), 'key "slice_addition": empty slice')
-        addition = (target, members)
-
     validate_network(net)
     return LoadedNetwork(net, addition)
 
@@ -233,16 +246,16 @@ def network_document(
         doc["trust"] = {i: ordered(net.trust[i]) for i in net.honest}
         quotas = {net.quota[i] for i in net.honest}
         if len(quotas) == 1:
-            doc["quota_uniform"] = float(next(iter(quotas)))
+            doc["quota_uniform"] = str(next(iter(quotas)))
         else:
-            doc["quota"] = {i: float(net.quota[i]) for i in net.honest}
+            doc["quota"] = {i: str(net.quota[i]) for i in net.honest}
         defaults = all(net.byz_fraction[i] == 1 - net.quota[i] for i in net.honest)
         if not defaults:
             fractions = {net.byz_fraction[i] for i in net.honest}
             if len(fractions) == 1:
-                doc["byz_fraction_uniform"] = float(next(iter(fractions)))
+                doc["byz_fraction_uniform"] = str(next(iter(fractions)))
             else:
-                doc["byz_fraction"] = {i: float(net.byz_fraction[i]) for i in net.honest}
+                doc["byz_fraction"] = {i: str(net.byz_fraction[i]) for i in net.honest}
     if slice_addition is not None:
         node, members = slice_addition
         doc["slice_addition"] = {"node": node, "slice": ordered(members)}

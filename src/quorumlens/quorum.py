@@ -8,9 +8,11 @@ exact searches behind explicit budgets:
 
 * explicit-slice networks use memoized closure of slice choices, which
   enumerates a superset of the inclusion-minimal quora and tests each
-  against the largest quorum of its complement;
-* quota networks use a pivot-fixed scan over candidate splits, pruned by
-  the greatest-fixpoint operator :func:`max_quorum_within`.
+  against the largest quorum of its complement; the full checks stop
+  growing candidates at half the size of the largest quorum;
+* quota networks use a pivot-fixed scan over candidate splits, which
+  runs the greatest-fixpoint operator of :func:`max_quorum_within` on
+  thousands of splits at once with numpy.
 
 Both report a witness pair of quora whenever intersection fails, and a
 budget overrun is always a distinct outcome, never a verdict.
@@ -18,8 +20,9 @@ budget overrun is always a distinct outcome, never a verdict.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+
+import numpy as np
 
 from .network import (
     BudgetExceededError,
@@ -127,17 +130,13 @@ class _Masks:
         return True
 
 
-def _masks(net: Network) -> _Masks:
-    return _Masks(net)
-
-
 def is_quorum(net: Network, q) -> bool:
     """True when ``q`` is non-empty and self-supporting inside itself."""
     members = frozenset(q)
     unknown = sorted(members - set(net.nodes))
     if unknown:
         raise ValueError(f"unknown nodes in candidate quorum: {', '.join(unknown)}")
-    masks = _masks(net)
+    masks = _Masks(net)
     return masks.is_quorum(masks._mask(members))
 
 
@@ -147,7 +146,7 @@ def max_quorum_within(net: Network, s) -> frozenset[NodeId]:
     unknown = sorted(members - set(net.nodes))
     if unknown:
         raise ValueError(f"unknown nodes in candidate set: {', '.join(unknown)}")
-    masks = _masks(net)
+    masks = _Masks(net)
     return masks.labels(masks.max_quorum(masks._mask(members)))
 
 
@@ -160,13 +159,17 @@ def _iter_generated_quora(
     universe: int,
     seeds: list[int],
     max_states: int = DEFAULT_MAX_SEARCH_STATES,
+    counted: int = -1,
+    max_size: int | None = None,
 ):
     """Yield quorum masks grown from ``seeds`` by closing slice choices.
 
     Every inclusion-minimal quorum inside ``universe`` that contains one
-    of the seed sets is produced: from any partial set, the first member
-    still lacking a contained coalition branches over its coalitions.
-    States are memoized, so each partial set expands once.
+    of the seed sets, and has at most ``max_size`` members of ``counted``,
+    is produced: from any partial set, the first member still lacking a
+    contained coalition branches over its coalitions. States are
+    memoized, so each partial set expands once; states with more than
+    ``max_size`` counted members are dropped unexpanded.
     """
     visited: set[int] = set()
     completed: set[int] = set()
@@ -177,6 +180,8 @@ def _iter_generated_quora(
         while stack:
             q = stack.pop()
             if q in visited:
+                continue
+            if max_size is not None and (q & counted).bit_count() > max_size:
                 continue
             visited.add(q)
             if len(visited) > max_states:
@@ -221,7 +226,7 @@ def minimal_quora(
         raise BudgetExceededError(
             f"{len(net.nodes)} nodes exceeds the minimal-quora budget of {max_nodes}"
         )
-    masks = _masks(net)
+    masks = _Masks(net)
     top = masks.max_quorum(masks.full)
     candidates: list[int] = []
     if isinstance(net, TrustNetwork):
@@ -257,54 +262,125 @@ def minimal_quora(
 # ---------------------------------------------------------------------------
 # Quorum-intersection checks
 
+_SPLIT_CHUNK_FIRST = 64
+_SPLIT_CHUNK_MAX = 4096
 
-def _scan_split(
-    masks: _Masks,
-    pool_bits: list[int],
-    pivot_bit: int,
-    base_mask: int,
-    accept,
-    threads: int,
-) -> tuple[int, tuple[int, int] | None]:
-    """Scan splits of ``pool_bits``; side one always holds the pivot.
 
-    ``accept(q1, q2)`` decides whether a candidate pair is a violation.
-    Returns (splits examined, first witness in lexicographic split order).
+def _scan_split(masks: _Masks, pool: int, base: int) -> tuple[int, tuple[int, int] | None]:
+    """Scan the splits of ``pool`` for two disjoint quora (quota networks).
+
+    The lowest pool node (the pivot) always sits on side one; split code
+    ``c`` puts the k-th other pool node on side one when bit k of ``c`` is
+    set and on side two otherwise. Each side also holds ``base``, a set of
+    Byzantine nodes that every candidate keeps, so ``base`` is folded into
+    the pool nodes' thresholds. Codes are scanned in increasing order in
+    chunks, and each chunk runs the greatest fixpoint on all of its splits
+    at once over the pool's bits compacted into one ``uint64``.
+
+    Returns (splits examined, first witness in split-code order): the
+    witness is the largest quorum of each side for the lowest code where
+    both of them keep a pool node, and the count stops at that code.
     """
-    free = [b for b in pool_bits if b != pivot_bit]
-    total = 1 << len(free)
+    bits = [k for k in range(len(masks.order)) if (pool >> k) & 1]
+    if len(bits) > 64:
+        raise BudgetExceededError(
+            f"a split scan over {len(bits)} nodes exceeds 2**63 splits"
+        )
+    # (bit, trustees, need) over compacted bits, for each pool node that
+    # base alone does not satisfy.
+    checks = []
+    for k, b in enumerate(bits):
+        tmask, need = masks.quota_req[b]
+        need -= (tmask & base).bit_count()
+        if need > 0:
+            trust = sum(1 << j for j, c in enumerate(bits) if (tmask >> c) & 1)
+            checks.append((np.uint64(1 << k), np.uint64(trust), need))
 
-    def scan(lo: int, hi: int):
-        for code in range(lo, hi):
-            side = 1 << pivot_bit
-            rest = 0
-            for k, b in enumerate(free):
-                if (code >> k) & 1:
-                    side |= 1 << b
-                else:
-                    rest |= 1 << b
-            q1 = masks.max_quorum(side | base_mask)
-            if not q1:
-                continue
-            q2 = masks.max_quorum(rest | base_mask)
-            if not q2:
-                continue
-            if accept(q1, q2):
-                return code, (q1, q2)
-        return None, None
+    def fixpoint(cur):
+        while True:
+            before = cur
+            for bit, trust, need in checks:
+                cur = np.where(np.bitwise_count(cur & trust) < need, cur & ~bit, cur)
+            if np.array_equal(cur, before):
+                return cur
 
-    if threads <= 1 or total < 1 << 12:
-        code, witness = scan(0, total)
-        return total, witness
-    chunk = (total + threads - 1) // threads
-    ranges = [(k * chunk, min(total, (k + 1) * chunk)) for k in range(threads)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(lambda r: scan(*r), ranges))
-    hits = [(code, w) for code, w in results if w is not None]
-    if not hits:
-        return total, None
-    _, witness = min(hits, key=lambda cw: cw[0])
-    return total, witness
+    def expand(cmask) -> int:
+        out = base
+        for k, b in enumerate(bits):
+            if (cmask >> k) & 1:
+                out |= 1 << b
+        return out
+
+    total = 1 << (len(bits) - 1)
+    full = np.uint64((1 << len(bits)) - 1)
+    lo, size = 0, _SPLIT_CHUNK_FIRST
+    while lo < total:
+        hi = min(total, lo + size)
+        side = (np.arange(lo, hi, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
+        q1 = fixpoint(side)
+        live = np.flatnonzero(q1)
+        if live.size:
+            q2 = fixpoint(side[live] ^ full)
+            hits = np.flatnonzero(q2)
+            if hits.size:
+                j = live[hits[0]]
+                return lo + int(j) + 1, (expand(int(q1[j])), expand(int(q2[hits[0]])))
+        lo, size = hi, min(2 * size, _SPLIT_CHUNK_MAX)
+    return total, None
+
+
+def _first_disjoint(
+    masks: _Masks,
+    top: int,
+    seeds: list[int],
+    counted: int,
+    max_states: int,
+    max_size: int | None = None,
+) -> QuorumReport:
+    """Grow quora from ``seeds`` until one leaves room for a counted-disjoint quorum.
+
+    For each generated quorum ``q`` the largest quorum avoiding the
+    ``counted`` members of ``q`` is computed; when it holds a counted
+    node, the pair is a witness.
+    """
+    examined = 0
+    for q in _iter_generated_quora(masks, top, seeds, max_states, counted, max_size):
+        examined += 1
+        other = masks.max_quorum(top & ~(q & counted))
+        if other & counted:
+            return QuorumReport(False, (masks.labels(q), masks.labels(other)), examined)
+    return QuorumReport(True, None, examined)
+
+
+def _check_qi(net: Network, honest: bool, max_nodes: int, max_states: int) -> QuorumReport:
+    if len(net.nodes) > max_nodes:
+        raise BudgetExceededError(
+            f"{len(net.nodes)} nodes exceeds the quorum-intersection budget of {max_nodes}"
+        )
+    masks = _Masks(net)
+    top = masks.max_quorum(masks.full)
+    counted = masks.honest_mask if honest else masks.full
+    if not (top & counted):
+        return QuorumReport(True, None, 0)
+
+    if isinstance(net, TrustNetwork):
+        # Of two quora whose counted parts are disjoint, one has at most
+        # half of top's counted nodes, and every state on the way to it
+        # is one of its subsets: larger states need no expansion.
+        inside = top & counted
+        seeds = [1 << k for k in range(len(masks.order)) if (inside >> k) & 1]
+        return _first_disjoint(masks, top, seeds, counted, max_states, inside.bit_count() // 2)
+
+    if honest:
+        # Every honest node is split; the Byzantine members of top join
+        # both sides, which keeps only the honest parts disjoint.
+        examined, witness = _scan_split(masks, masks.honest_mask, top & masks.byz_mask)
+    else:
+        examined, witness = _scan_split(masks, top, 0)
+    if witness is None:
+        return QuorumReport(True, None, examined)
+    q1, q2 = witness
+    return QuorumReport(False, (masks.labels(q1), masks.labels(q2)), examined)
 
 
 def check_quorum_intersection(
@@ -312,45 +388,13 @@ def check_quorum_intersection(
     *,
     max_nodes: int = DEFAULT_QI_MAX_NODES,
     max_states: int = DEFAULT_MAX_SEARCH_STATES,
-    threads: int = 1,
 ) -> QuorumReport:
     """Decide whether every two quora of ``net`` intersect.
 
     Exact and witness-producing: a ``holds=False`` report carries a
     disjoint quorum pair. Budget overruns raise instead of guessing.
     """
-    if len(net.nodes) > max_nodes:
-        raise BudgetExceededError(
-            f"{len(net.nodes)} nodes exceeds the quorum-intersection budget of {max_nodes}"
-        )
-    masks = _masks(net)
-    top = masks.max_quorum(masks.full)
-    if not top:
-        return QuorumReport(True, None, 0)
-
-    if isinstance(net, TrustNetwork):
-        examined = 0
-        seeds = [1 << k for k in range(len(masks.order)) if (top >> k) & 1]
-        for q in _iter_generated_quora(masks, top, seeds, max_states):
-            examined += 1
-            other = masks.max_quorum(top & ~q)
-            if other:
-                return QuorumReport(False, (masks.labels(q), masks.labels(other)), examined)
-        return QuorumReport(True, None, examined)
-
-    bits = [k for k in range(len(masks.order)) if (top >> k) & 1]
-    examined, witness = _scan_split(
-        masks,
-        bits,
-        bits[0],
-        0,
-        lambda q1, q2: not (q1 & q2),
-        threads,
-    )
-    if witness is None:
-        return QuorumReport(True, None, examined)
-    q1, q2 = witness
-    return QuorumReport(False, (masks.labels(q1), masks.labels(q2)), examined)
+    return _check_qi(net, False, max_nodes, max_states)
 
 
 def check_qi_honest(
@@ -358,7 +402,6 @@ def check_qi_honest(
     *,
     max_nodes: int = DEFAULT_QI_MAX_NODES,
     max_states: int = DEFAULT_MAX_SEARCH_STATES,
-    threads: int = 1,
 ) -> QuorumReport:
     """Decide whether every two quora share at least one honest node.
 
@@ -367,47 +410,7 @@ def check_qi_honest(
     settle on opposite values, so this check reports weak safety of a
     vetoed network. Purely Byzantine quora can never witness a violation.
     """
-    if len(net.nodes) > max_nodes:
-        raise BudgetExceededError(
-            f"{len(net.nodes)} nodes exceeds the quorum-intersection budget of {max_nodes}"
-        )
-    masks = _masks(net)
-    top = masks.max_quorum(masks.full)
-    if not (top & masks.honest_mask):
-        return QuorumReport(True, None, 0)
-
-    if isinstance(net, TrustNetwork):
-        examined = 0
-        seeds = [
-            1 << k
-            for k in range(len(masks.order))
-            if (top >> k) & 1 and (masks.honest_mask >> k) & 1
-        ]
-        for q in _iter_generated_quora(masks, top, seeds, max_states):
-            examined += 1
-            other = masks.max_quorum(top & ~(q & masks.honest_mask))
-            if other & masks.honest_mask and not (other & q & masks.honest_mask):
-                return QuorumReport(False, (masks.labels(q), masks.labels(other)), examined)
-        return QuorumReport(True, None, examined)
-
-    honest_bits = [
-        k for k in range(len(masks.order)) if (masks.honest_mask >> k) & 1
-    ]
-    byz_in_top = top & masks.byz_mask
-    examined, witness = _scan_split(
-        masks,
-        honest_bits,
-        honest_bits[0],
-        byz_in_top,
-        lambda q1, q2: bool(q1 & masks.honest_mask)
-        and bool(q2 & masks.honest_mask)
-        and not (q1 & q2 & masks.honest_mask),
-        threads,
-    )
-    if witness is None:
-        return QuorumReport(True, None, examined)
-    q1, q2 = witness
-    return QuorumReport(False, (masks.labels(q1), masks.labels(q2)), examined)
+    return _check_qi(net, True, max_nodes, max_states)
 
 
 def check_slice_addition(
@@ -450,15 +453,9 @@ def check_slice_addition(
     slices[node] = slices[node] + (slice_set,)
     extended = TrustNetwork(base.nodes, base.byzantine, base.trust, slices, base.vetoed)
 
-    masks = _masks(extended)
+    masks = _Masks(extended)
     top = masks.max_quorum(masks.full)
     anchor = masks._mask(slice_set | {node})
     if anchor & ~top:
         return QuorumReport(True, None, 0)
-    examined = 0
-    for q in _iter_generated_quora(masks, top, [anchor], max_states):
-        examined += 1
-        other = masks.max_quorum(top & ~q)
-        if other:
-            return QuorumReport(False, (masks.labels(q), masks.labels(other)), examined)
-    return QuorumReport(True, None, examined)
+    return _first_disjoint(masks, top, [anchor], masks.full, max_states)

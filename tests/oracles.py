@@ -141,6 +141,47 @@ def qi_honest_by_pair_enumeration(net) -> bool:
     return True
 
 
+def largest_quorum_within(net, members) -> frozenset:
+    """Greatest fixpoint: drop members without a winning coalition until stable."""
+    current = frozenset(members)
+    while True:
+        kept = frozenset(n for n in current if n in net.byzantine or wins(net, n, current))
+        if kept == current:
+            return current
+        current = kept
+
+
+def first_split_witness(net, honest: bool = False):
+    """The scalar split scan: (splits examined, first witness in split order).
+
+    ``top`` is the largest quorum. The plain scan splits top's nodes; the
+    honest scan splits every honest node and puts top's Byzantine nodes on
+    both sides. The first pool node (network order) stays on side one, and
+    split code ``c`` puts the k-th other pool node on side one when bit k
+    of ``c`` is set. A code is a witness when the largest quorum of each
+    side holds a member (an honest member, for ``honest``) and the two
+    share none. The scan stops at the first witness.
+    """
+    byz = net.byzantine
+    counted = frozenset(n for n in net.nodes if n not in byz) if honest else frozenset(net.nodes)
+    top = largest_quorum_within(net, net.nodes)
+    if not (top & counted):
+        return 0, None
+    if honest:
+        pool, base = [n for n in net.nodes if n not in byz], top & byz
+    else:
+        pool, base = [n for n in net.nodes if n in top], frozenset()
+    pivot, free = pool[0], pool[1:]
+    for code in range(2 ** len(free)):
+        side = {pivot} | {n for k, n in enumerate(free) if (code >> k) & 1}
+        rest = set(free) - side
+        q1 = largest_quorum_within(net, side | base)
+        q2 = largest_quorum_within(net, rest | base)
+        if q1 & counted and q2 & counted and not (q1 & q2 & counted):
+            return code + 1, (q1, q2)
+    return 2 ** len(free), None
+
+
 def banzhaf_raw_global(net, i, j) -> Fraction:
     """Raw pivot index of j in i's game, enumerating coalitions over all nodes."""
     others = [n for n in net.nodes if n != j]

@@ -14,10 +14,14 @@ from quorumlens import (
     NetworkValidationError,
     QuotaNetwork,
     TrustNetwork,
+    check_slice_addition,
     load_network,
     load_network_file,
     network_document,
+    parse_dimacs,
     save_network,
+    slice_addition_instance,
+    threshold,
 )
 from quorumlens.cli import run
 
@@ -108,8 +112,48 @@ class TestNetworkFiles:
     def test_document_shape(self):
         doc = network_document(nets.shared_five())
         assert doc["kind"] == "quota"
-        assert doc["quota_uniform"] == 0.8
+        assert doc["quota_uniform"] == "4/5"
         assert "byz_fraction" not in doc and "byz_fraction_uniform" not in doc
+
+    def test_roundtrip_keeps_exact_thresholds(self, tmp_path):
+        # 5/6 of six trustees needs 5; as a float, 5/6 came back above 5/6
+        # and needed 6.
+        trust = {n: frozenset("123456") for n in "123456"}
+        net = QuotaNetwork(
+            tuple("123456"),
+            frozenset(),
+            trust,
+            {n: Fraction(5, 6) for n in "123456"},
+            {n: Fraction(1, 7) for n in "123456"},
+        )
+        path = tmp_path / "q.json"
+        save_network(net, path)
+        doc = json.loads(path.read_text())
+        assert doc["quota_uniform"] == "5/6" and doc["byz_fraction_uniform"] == "1/7"
+        back = load_network(path)
+        assert back == net
+        assert all(threshold(back, i) == threshold(net, i) == 5 for i in net.honest)
+
+    def test_rationals_as_strings_or_numbers(self, tmp_path):
+        doc = shared_five_doc()
+        doc["quota_uniform"] = "4/5"
+        assert load_network(write(tmp_path, "s.json", doc)) == load_network(
+            write(tmp_path, "n.json", shared_five_doc())
+        )
+        for bad in ("four fifths", "1/0", True):
+            doc["quota_uniform"] = bad
+            with pytest.raises(NetworkFormatError, match="quota_uniform"):
+                load_network(write(tmp_path, "bad.json", doc))
+
+    def test_slice_addition_joins_the_trust_set(self, tmp_path):
+        doc = triangles_doc()
+        doc["slice_addition"] = {"node": "3", "slice": ["3", "4"]}
+        loaded = load_network_file(write(tmp_path, "meta.json", doc))
+        assert loaded.network.trust["3"] == frozenset("1234")
+        assert loaded.network.slices["3"] == (frozenset("123"),)
+        doc["slice_addition"] = {"node": "9", "slice": ["3"]}
+        with pytest.raises(NetworkFormatError, match="honest node"):
+            load_network_file(write(tmp_path, "bad.json", doc))
 
 
 class TestCliContract:
@@ -243,6 +287,21 @@ class TestGenerators:
         assert loaded.slice_addition == ("y1", frozenset({"y1", "n1"}))
         assert run(["qi", str(out), "--max-nodes", "32"]) == 0
 
+    def test_gen_sat_slice_addition_round_trip(self, tmp_path, capsys):
+        text = "p cnf 2 2\n1 2 0\n1 -2 0\n"
+        cnf_path = tmp_path / "f.cnf"
+        cnf_path.write_text(text)
+        out = tmp_path / "base.json"
+        assert run(["gen", "sat", "--dimacs", str(cnf_path), "--slice-addition", "-o", str(out)]) == 0
+        base, node, members = slice_addition_instance(parse_dimacs(text))
+        loaded = load_network_file(out)
+        assert loaded.network == base
+        assert loaded.slice_addition == (node, members)
+        from_file = check_slice_addition(loaded.network, *loaded.slice_addition, max_nodes=32)
+        in_memory = check_slice_addition(base, node, members, max_nodes=32)
+        assert not in_memory.holds
+        assert from_file == in_memory
+
     def test_gen_sat_bad_premise_exit_two(self, tmp_path, capsys):
         cnf = tmp_path / "f.cnf"
         cnf.write_text("p cnf 1 1\n-1 0\n")
@@ -300,15 +359,6 @@ class TestReportDiscipline:
             doc["timing_ms"] = None
             outputs.append(json.dumps(doc, sort_keys=True))
         assert outputs[0] == outputs[1]
-
-    def test_threads_env_and_flag(self, tmp_path, capsys, monkeypatch):
-        path = write(tmp_path, "q.json", shared_five_doc())
-        monkeypatch.setenv("QUORUMLENS_THREADS", "2")
-        assert run(["qi", path]) == 0
-        monkeypatch.setenv("QUORUMLENS_THREADS", "bogus")
-        assert run(["qi", path]) == 2
-        # The flag wins over the environment.
-        assert run(["qi", path, "--threads", "1"]) == 0
 
     def test_module_entry_point(self, tmp_path):
         path = write(tmp_path, "fig.json", triangles_doc())

@@ -1,0 +1,115 @@
+"""Property checks: the exact quorum-intersection searches against oracles.
+
+Quota networks must reproduce the scalar split scan of
+``oracles.first_split_witness`` exactly: verdict, witness and splits
+examined. Explicit-slice networks must agree with it and with pair
+enumeration on the verdict, and every witness must be two quora that
+share no node (no honest node, for the honest check).
+"""
+
+import random
+from fractions import Fraction
+
+import oracles
+from quorumlens import (
+    GenParams,
+    check_qi_honest,
+    check_quorum_intersection,
+    random_quota_network,
+)
+
+QUOTAS = (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(1))
+TOPOLOGIES = ("clique", "overlapping-groups", "centralised")
+
+
+def quota_nets(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        if rng.random() < 0.5:
+            yield oracles.random_uniform_quota_net(
+                rng,
+                rng.randint(2, 9),
+                rng.choice((Fraction(1, 2),) + QUOTAS),
+                byz_count=rng.randint(0, 2),
+                min_trust=1,
+            )
+        else:
+            nodes = rng.randint(3, 9)
+            params = GenParams(
+                nodes,
+                rng.randint(2, nodes),
+                rng.choice(QUOTAS),
+                rng.randint(0, 2),
+                rng.randrange(10**6),
+                rng.choice(TOPOLOGIES),
+            )
+            try:
+                net = random_quota_network(params)
+            except ValueError:
+                continue  # infeasible combination, such as a core too large
+            yield net
+
+
+def slice_nets(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield oracles.random_explicit_net(
+            rng,
+            rng.randint(2, 9),
+            max_slices=rng.randint(1, 4),
+            max_slice_size=rng.randint(1, 4),
+            byz_count=rng.randint(0, 2),
+            vetoed=rng.random() < 0.2,
+        )
+
+
+def assert_witness(net, report, honest: bool):
+    if report.holds:
+        assert report.witness is None
+        return
+    q_a, q_b = report.witness
+    assert oracles.largest_quorum_within(net, q_a) == q_a and q_a
+    assert oracles.largest_quorum_within(net, q_b) == q_b and q_b
+    shared = q_a & q_b
+    if honest:
+        assert q_a - net.byzantine and q_b - net.byzantine
+        assert shared <= net.byzantine
+    else:
+        assert not shared
+
+
+def test_quota_searches_match_the_scalar_scan_and_pair_enumeration():
+    seen = {False: [0, 0], True: [0, 0]}
+    for net in quota_nets(83, 120):
+        for honest, check, by_pairs in (
+            (False, check_quorum_intersection, oracles.qi_by_pair_enumeration),
+            (True, check_qi_honest, oracles.qi_honest_by_pair_enumeration),
+        ):
+            report = check(net)
+            examined, witness = oracles.first_split_witness(net, honest)
+            assert (report.holds, report.witness, report.quora_examined) == (
+                witness is None,
+                witness,
+                examined,
+            ), net
+            assert report.holds == by_pairs(net), net
+            assert_witness(net, report, honest)
+            seen[honest][report.holds] += 1
+    # Both verdicts occur often enough for the comparison to mean something.
+    assert min(seen[False] + seen[True]) >= 10, seen
+
+
+def test_slice_searches_match_the_oracles():
+    seen = {False: [0, 0], True: [0, 0]}
+    for net in slice_nets(89, 150):
+        for honest, check, by_pairs in (
+            (False, check_quorum_intersection, oracles.qi_by_pair_enumeration),
+            (True, check_qi_honest, oracles.qi_honest_by_pair_enumeration),
+        ):
+            report = check(net)
+            expected = by_pairs(net)
+            assert report.holds == expected, net
+            assert (oracles.first_split_witness(net, honest)[1] is None) == expected, net
+            assert_witness(net, report, honest)
+            seen[honest][report.holds] += 1
+    assert min(seen[False] + seen[True]) >= 10, seen

@@ -9,6 +9,7 @@ import nets
 import oracles
 from quorumlens import (
     BudgetExceededError,
+    QuotaNetwork,
     check_qi_honest,
     check_quorum_intersection,
     check_slice_addition,
@@ -155,11 +156,28 @@ class TestQuorumIntersection:
         with pytest.raises(BudgetExceededError):
             check_quorum_intersection(nets.two_triangles(), max_nodes=5)
 
-    def test_threads_do_not_change_the_answer(self):
-        net = nets.shared_five()
-        solo = check_quorum_intersection(net, threads=1)
-        multi = check_quorum_intersection(net, threads=4)
-        assert solo.holds == multi.holds and solo.witness == multi.witness
+
+    def test_examined_stops_at_the_witness_split(self):
+        # Two unanimous triples: of the 32 splits, code 3 (nodes 2 and 3 on
+        # the pivot's side) is the first with a quorum on both sides.
+        groups = {n: frozenset("123") if n in "123" else frozenset("456") for n in "123456"}
+        net = QuotaNetwork(tuple("123456"), frozenset(), groups, {n: Fraction(1) for n in groups})
+        report = check_quorum_intersection(net)
+        assert not report.holds
+        assert report.witness == (frozenset("123"), frozenset("456"))
+        assert report.quora_examined == 4
+        assert (report.quora_examined, report.witness) == oracles.first_split_witness(net)
+        holds = check_quorum_intersection(nets.shared_five())
+        assert holds.holds and holds.quora_examined == 2 ** 5
+
+    def test_split_pool_above_64_nodes_is_a_budget_overrun(self):
+        labels = tuple(f"n{k}" for k in range(65))
+        everyone = frozenset(labels)
+        net = QuotaNetwork(
+            labels, frozenset(), {n: everyone for n in labels}, {n: Fraction(3, 4) for n in labels}
+        )
+        with pytest.raises(BudgetExceededError, match="splits"):
+            check_quorum_intersection(net, max_nodes=100)
 
 
 class TestHonestIntersection:
