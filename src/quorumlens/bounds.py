@@ -224,7 +224,4 @@ def expand_quota_network(
                 f"node {i}: {count} minimal coalitions exceeds the budget of {max_slices_per_node}"
             )
         slices[i] = tuple(frozenset(c) for c in combinations(t, need))
-    vetoed = all(
-        threshold(net, i) == 1 and i in net.trust[i] for i in net.honest
-    )
-    return TrustNetwork(net.nodes, net.byzantine, dict(net.trust), slices, vetoed)
+    return TrustNetwork(net.nodes, net.byzantine, dict(net.trust), slices, net.vetoed)

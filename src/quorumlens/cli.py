@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -59,6 +60,20 @@ EXIT_BUDGET = 3
 MINIMAL_QUORA_DISPLAY_LIMIT = 14
 
 
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
+    return value
+
+
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of 1 or more, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the machine report")
@@ -92,9 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("influence", parents=[common], help="influence matrix and limits")
     p.add_argument("file")
-    p.add_argument("--limit", action="store_true", help="compute the limit of the matrix powers")
-    p.add_argument("--tol", type=float, default=influence_mod.DEFAULT_LIMIT_TOL)
-    p.add_argument("--max-iter", type=int, default=influence_mod.DEFAULT_LIMIT_MAX_ITER)
+    p.add_argument("--limit", action="store_true", help="report the limit of the matrix powers")
+    p.add_argument("--tol", type=_positive_finite, default=influence_mod.DEFAULT_LIMIT_TOL)
+    p.add_argument("--max-iter", type=_at_least_one, default=influence_mod.DEFAULT_LIMIT_MAX_ITER)
     p.add_argument("--exact", action="store_true", help="print entries as exact rationals")
 
     gen = sub.add_parser("gen", help="instance generators")
@@ -276,12 +291,20 @@ def _run_safety(args):
 
 def _run_influence(args):
     net = load_network(args.file)
-    matrix = influence_mod.influence_matrix(net)
+    central = None
+    if bounds_mod.common_trust_set(net):
+        central = influence_mod.centralization_limit_report(
+            net, tol=args.tol, max_iter=args.max_iter
+        )
+        matrix, report = central.matrix, central.limit
+    else:
+        matrix = influence_mod.influence_matrix(net)
+        report = influence_mod.limit_matrix(matrix, tol=args.tol, max_iter=args.max_iter)
     if args.exact:
         rows = [[str(x) for x in row] for row in matrix.entries]
     else:
         rows = [[float(x) for x in row] for row in matrix.entries]
-    graph = influence_mod.analyze_graph(matrix)
+    graph = report.graph
     tables: dict = {
         "order": list(matrix.order),
         "matrix": rows,
@@ -298,18 +321,13 @@ def _run_influence(args):
         },
     }
     if args.limit:
-        report = influence_mod.limit_matrix(matrix, tol=args.tol, max_iter=args.max_iter)
         tables["limit"] = {
             "classification": report.classification,
             "iterations": report.iterations,
             "error_bound": report.error_bound,
             "matrix": None if report.limit is None else [list(map(float, row)) for row in report.limit],
         }
-    common = bounds_mod.common_trust_set(net)
-    if common:
-        central = influence_mod.centralization_limit_report(
-            net, tol=args.tol, max_iter=args.max_iter
-        )
+    if central is not None:
         tables["centralization"] = {
             "common_trust": _set_list(net, central.common_trust),
             "classification": central.classification,

@@ -266,30 +266,23 @@ def analyze_graph(m: InfluenceMatrix) -> InfluenceGraph:
     """Component structure of the influence digraph of ``m``."""
     n = len(m.order)
     successors: list[list[int]] = [[] for _ in range(n)]
-    edges = set()
     for i in range(n):
         for j in range(n):
             if m.entries[i][j] > 0:
                 successors[j].append(i)
-                edges.add((m.order[j], m.order[i]))
     comps = _tarjan(n, successors)
-    member_comp = {}
-    for k, comp in enumerate(comps):
-        for v in comp:
-            member_comp[v] = k
-    closed = []
-    for k, comp in enumerate(comps):
-        inside = set(comp)
-        has_outside_influence = any(
-            member_comp[src] != k
-            for v in comp
-            for src in range(n)
-            if m.entries[v][src] > 0 and src not in inside
-        )
-        closed.append(not has_outside_influence)
-    periods = [_component_period(comp, successors) for comp in comps]
+    member_comp = {v: k for k, comp in enumerate(comps) for v in comp}
+    influenced = {
+        member_comp[w]
+        for v in range(n)
+        for w in successors[v]
+        if member_comp[w] != member_comp[v]
+    }
+    closed = tuple(k not in influenced for k in range(len(comps)))
+    edges = frozenset((m.order[v], m.order[w]) for v in range(n) for w in successors[v])
+    periods = tuple(_component_period(comp, successors) for comp in comps)
     sccs = tuple(frozenset(m.order[v] for v in comp) for comp in comps)
-    return InfluenceGraph(m.order, frozenset(edges), sccs, tuple(closed), tuple(periods))
+    return InfluenceGraph(m.order, edges, sccs, closed, periods)
 
 
 @dataclass(frozen=True)
@@ -364,8 +357,8 @@ def limit_matrix(
     image until the max-norm change drops below ``tol``. Entries outside
     the influence basins of closed components are forced to exact zero.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be a positive finite number")
     graph = analyze_graph(m)
     closed_periods = [p for p, c in zip(graph.periods, graph.closed) if c]
     if any(p != 1 for p in closed_periods):

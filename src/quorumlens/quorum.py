@@ -49,7 +49,6 @@ class QuorumReport:
     holds: bool
     witness: tuple[frozenset[NodeId], frozenset[NodeId]] | None
     quora_examined: int
-    minimal_quora: tuple[frozenset[NodeId], ...] | None = None
 
 
 class _Masks:

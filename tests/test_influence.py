@@ -1,5 +1,6 @@
 """Influence matrices, graph analysis, limits, and the centralization claims."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -231,6 +232,12 @@ class TestLimitMatrix:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             limit_matrix(influence_matrix(nets.shared_five()), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance(self, tol):
+        # An infinite tolerance would accept the first squaring as the limit.
+        with pytest.raises(ValueError):
+            limit_matrix(influence_matrix(nets.shared_five()), tol=tol)
 
 
 class TestCentralizationReport:

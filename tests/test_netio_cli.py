@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import nets
+import quorumlens.influence as influence_mod
 from quorumlens import (
     NetworkFormatError,
     NetworkValidationError,
@@ -260,6 +261,79 @@ class TestCliContract:
         path = write(tmp_path, "fig.json", triangles_doc())
         assert run(["qi", path, "--quiet"]) == 1
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--tol", "0"],
+            ["--tol", "-0.5"],
+            ["--tol", "inf"],
+            ["--tol", "nan"],
+            ["--max-iter", "0"],
+            ["--max-iter", "-2"],
+        ],
+    )
+    def test_bad_limit_parameters_exit_two(self, tmp_path, capsys, bad):
+        path = write(tmp_path, "q.json", shared_five_doc())
+        assert run(["influence", path, "--limit", "--json", *bad]) == 2
+        assert capsys.readouterr().out == ""
+
+
+def periodic_cycle() -> TrustNetwork:
+    """Three nodes, each settled by the next: one closed component of period 3."""
+    succ = {"a": "b", "b": "c", "c": "a"}
+    return TrustNetwork(
+        nodes=tuple(succ),
+        byzantine=frozenset(),
+        trust={a: frozenset(b) for a, b in succ.items()},
+        slices={a: (frozenset(b),) for a, b in succ.items()},
+    )
+
+
+class TestInfluenceBuildsOnce:
+    """One ``influence`` command builds each artefact exactly once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for name in ("influence_matrix", "analyze_graph", "limit_matrix"):
+            original = getattr(influence_mod, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(influence_mod, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("limit", [[], ["--limit"]])
+    @pytest.mark.parametrize("make", [nets.shared_five, nets.two_triangles])
+    def test_each_artefact_once(self, tmp_path, capsys, calls, make, limit):
+        path = tmp_path / "net.json"
+        save_network(make(), path)
+        assert run(["influence", str(path), "--json", *limit]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert ("centralization" in report["tables"]) == (make is nets.shared_five)
+        assert calls == {"influence_matrix": 1, "analyze_graph": 1, "limit_matrix": 1}
+
+    def test_components_of_a_not_regular_network(self, tmp_path, capsys):
+        net = periodic_cycle()
+        path = tmp_path / "cycle.json"
+        save_network(net, path)
+        assert run(["influence", str(path), "--limit", "--json"]) == 0
+        tables = json.loads(capsys.readouterr().out)["tables"]
+        assert tables["limit"]["classification"] == "not-regular"
+        graph = influence_mod.analyze_graph(influence_mod.influence_matrix(net))
+        assert tables["graph"] == {
+            "edges": len(graph.edges),
+            "components": [
+                {"members": sorted(scc, key=net.nodes.index), "closed": closed, "period": period}
+                for scc, closed, period in zip(graph.sccs, graph.closed, graph.periods)
+            ],
+        }
+        assert tables["graph"]["components"] == [
+            {"members": ["a", "b", "c"], "closed": True, "period": 3}
+        ]
 
 
 class TestGenerators:
