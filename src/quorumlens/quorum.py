@@ -9,7 +9,10 @@ exact searches behind explicit budgets:
 * explicit-slice networks use memoized closure of slice choices, which
   enumerates a superset of the inclusion-minimal quora and tests each
   against the largest quorum of its complement; the full checks stop
-  growing candidates at half the size of the largest quorum;
+  growing candidates at half the size of the largest quorum. Both loops
+  are incremental: the largest quorum is a worklist fixpoint that
+  re-checks only the nodes depending on a removed member, and a grown
+  candidate skips the members its parent already found satisfied;
 * quota networks use a pivot-fixed scan over candidate splits, which
   runs the greatest-fixpoint operator of :func:`max_quorum_within` on
   thousands of splits at once with numpy.
@@ -21,6 +24,7 @@ budget overrun is always a distinct outcome, never a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -77,6 +81,20 @@ class _Masks:
                     self.quota_req.append((1 << self.index[n], 1))
                 else:
                     self.quota_req.append((self._mask(net.trust[n]), threshold(net, n)))
+        # users[k]: the nodes whose coalitions can use node k, i.e. those
+        # that may lose their last coalition when k leaves a set.
+        self.users = [0] * len(self.order)
+        for i, n in enumerate(self.order):
+            if self.quota_req is None:
+                deps = 0
+                for s in self.slice_masks[i]:
+                    deps |= s
+            else:
+                deps = self.quota_req[i][0]
+            while deps:
+                low = deps & -deps
+                deps ^= low
+                self.users[low.bit_length() - 1] |= 1 << i
 
     def _mask(self, labels) -> int:
         m = 0
@@ -99,22 +117,30 @@ class _Masks:
     def max_quorum(self, within: int) -> int:
         """Largest quorum contained in ``within`` (0 when none exists).
 
-        Computed by deleting members with no coalition inside the
-        surviving set until stable; the fixpoint contains every quorum
-        that fits in ``within``.
+        A worklist greatest fixpoint: every member is checked once, and a
+        member with no coalition inside the surviving set is removed,
+        which re-queues only its surviving users. Every unqueued survivor
+        keeps a coalition, so the result is the unique fixpoint, and it
+        contains every quorum that fits in ``within``.
         """
-        current = within
-        changed = True
-        while changed and current:
-            changed = False
-            m = current
-            while m:
-                low = m & -m
-                m ^= low
-                idx = low.bit_length() - 1
-                if not self.satisfied(idx, current):
+        current = queue = within
+        slices, quota, users = self.slice_masks, self.quota_req, self.users
+        while queue:
+            low = queue & -queue
+            queue ^= low
+            idx = low.bit_length() - 1
+            if quota is None:
+                for s in slices[idx]:
+                    if s & current == s:
+                        break
+                else:
                     current ^= low
-                    changed = True
+                    queue |= users[idx] & current
+            else:
+                tmask, need = quota[idx]
+                if (tmask & current).bit_count() < need:
+                    current ^= low
+                    queue |= users[idx] & current
         return current
 
     def is_quorum(self, members: int) -> bool:
@@ -168,16 +194,19 @@ def _iter_generated_quora(
     is produced: from any partial set, the first member still lacking a
     contained coalition branches over its coalitions. States are
     memoized, so each partial set expands once; states with more than
-    ``max_size`` counted members are dropped unexpanded.
+    ``max_size`` counted members are dropped unexpanded. Growing a set
+    keeps its members' coalitions, so each child carries the parent's
+    members below the branching one as ``known`` and skips them when it
+    looks for its own first lacking member.
     """
+    slices = masks.slice_masks
     visited: set[int] = set()
-    completed: set[int] = set()
     for seed in seeds:
         if seed & ~universe:
             continue
-        stack = [seed]
+        stack = [(seed, 0)]
         while stack:
-            q = stack.pop()
+            q, known = stack.pop()
             if q in visited:
                 continue
             if max_size is not None and (q & counted).bit_count() > max_size:
@@ -187,26 +216,27 @@ def _iter_generated_quora(
                 raise BudgetExceededError(
                     f"quorum search exceeded {max_states} states"
                 )
-            unsat = -1
-            m = q
+            unsat = 0
+            m = q & ~known
             while m:
                 low = m & -m
                 m ^= low
-                idx = low.bit_length() - 1
-                if not masks.satisfied(idx, q):
-                    unsat = idx
+                for s in slices[low.bit_length() - 1]:
+                    if s & q == s:
+                        break
+                else:
+                    unsat = low
                     break
-            if unsat < 0:
-                if q not in completed:
-                    completed.add(q)
-                    yield q
+            if not unsat:
+                yield q
                 continue
-            for smask in masks.slice_masks[unsat]:
+            known = q & (unsat - 1)
+            for smask in slices[unsat.bit_length() - 1]:
                 child = q | smask
                 if child & ~universe:
                     continue
                 if child not in visited:
-                    stack.append(child)
+                    stack.append((child, known))
 
 
 def minimal_quora(
@@ -236,8 +266,6 @@ def minimal_quora(
         # Increasing-size scan; supersets of a known quorum are skipped.
         found: list[int] = []
         for size in range(1, len(bits) + 1):
-            from itertools import combinations
-
             for combo in combinations(bits, size):
                 m = 0
                 for k in combo:

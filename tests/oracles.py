@@ -182,6 +182,64 @@ def first_split_witness(net, honest: bool = False):
     return 2 ** len(free), None
 
 
+def first_generated_witness(net, honest: bool = False, anchor=None):
+    """The scalar generated-quorum search: (holds, witness, examined, states).
+
+    Without ``anchor``, quora grow from the singletons of top's counted
+    nodes (honest ones for ``honest``) in network order, and states with
+    more than half of top's counted nodes are dropped unexpanded. With
+    ``anchor``, they grow from that one set, unbounded, and every node
+    counts. A depth-first stack expands each state once: the first member
+    (network order) lacking a coalition inside the state branches over
+    its coalitions, pushed in slice order; a state whose every member has
+    one is a quorum, examined against the largest quorum of top without
+    its counted members. Every membership test is rescanned from scratch
+    on plain frozensets. ``states`` counts the distinct states expanded
+    up to the witness, or in all, so a state budget below it is exceeded.
+    """
+    families = slice_families(net)
+    position = {n: k for k, n in enumerate(net.nodes)}
+    everyone = frozenset(net.nodes)
+    counted = everyone - net.byzantine if honest else everyone
+    top = largest_quorum_within(net, net.nodes)
+    if anchor is None:
+        inside = sorted(top & counted, key=position.__getitem__)
+        seeds = [frozenset({n}) for n in inside]
+        bound = len(inside) // 2
+    else:
+        seeds = [frozenset(anchor)]
+        bound = None
+    visited = set()
+    examined = 0
+    for seed in seeds:
+        if not seed <= top:
+            continue
+        stack = [seed]
+        while stack:
+            q = stack.pop()
+            if q in visited:
+                continue
+            if bound is not None and len(q & counted) > bound:
+                continue
+            visited.add(q)
+            lacking = [
+                n
+                for n in sorted(q, key=position.__getitem__)
+                if not any(s <= q for s in families[n])
+            ]
+            if lacking:
+                for s in families[lacking[0]]:
+                    child = q | s
+                    if child <= top and child not in visited:
+                        stack.append(child)
+                continue
+            examined += 1
+            other = largest_quorum_within(net, top - (q & counted))
+            if other & counted:
+                return False, (q, other), examined, len(visited)
+    return True, None, examined, len(visited)
+
+
 def banzhaf_raw_global(net, i, j) -> Fraction:
     """Raw pivot index of j in i's game, enumerating coalitions over all nodes."""
     others = [n for n in net.nodes if n != j]

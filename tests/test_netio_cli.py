@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from quorumlens import (
     NetworkFormatError,
     NetworkValidationError,
     QuotaNetwork,
+    QuotaRangeWarning,
     TrustNetwork,
     check_slice_addition,
     load_network,
@@ -179,6 +181,15 @@ class TestCliContract:
         doc["slices"]["2"] = []  # an empty family is not
         bad = write(tmp_path, "bad.json", doc)
         assert run(["check", bad]) == 2
+
+    def test_check_warns_once_per_quota_out_of_range(self, tmp_path, capsys):
+        path = str(tmp_path / "split.json")
+        save_network(nets.split_quota(), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["check", path]) == 0
+        quota = [str(w.message) for w in caught if issubclass(w.category, QuotaRangeWarning)]
+        assert len(quota) == len(set(quota)) == 8
 
     def test_fork_exit_codes(self, tmp_path, capsys):
         split = {

@@ -4,18 +4,30 @@ Quota networks must reproduce the scalar split scan of
 ``oracles.first_split_witness`` exactly: verdict, witness and splits
 examined. Explicit-slice networks must agree with it and with pair
 enumeration on the verdict, and every witness must be two quora that
-share no node (no honest node, for the honest check).
+share no node (no honest node, for the honest check). They must also
+reproduce the scalar generated-quorum search of
+``oracles.first_generated_witness`` exactly: verdict, witness, quora
+examined and the state budget at which the search gives up.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import oracles
+import pytest
 from quorumlens import (
+    BudgetExceededError,
     GenParams,
+    QuotaNetwork,
+    TrustNetwork,
     check_qi_honest,
     check_quorum_intersection,
+    check_slice_addition,
+    cnf_to_network,
+    max_quorum_within,
     random_quota_network,
+    slice_addition_instance,
 )
 
 QUOTAS = (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(1))
@@ -113,3 +125,71 @@ def test_slice_searches_match_the_oracles():
             assert_witness(net, report, honest)
             seen[honest][report.holds] += 1
     assert min(seen[False] + seen[True]) >= 10, seen
+
+
+def cnfs(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        num_vars = rng.randint(3, 5)
+        yield oracles.random_cnf(rng, num_vars, round(4.26 * num_vars))
+
+
+def assert_same_search(run, expected):
+    """``run(max_states=...)`` reports ``expected`` and stops at its state count."""
+    holds, witness, examined, states = expected
+    report = run()
+    assert (report.holds, report.witness, report.quora_examined) == (holds, witness, examined)
+    if states:
+        with pytest.raises(BudgetExceededError):
+            run(max_states=states - 1)
+        assert run(max_states=states) == report
+
+
+def test_slice_searches_match_the_scalar_generated_search():
+    nets = list(slice_nets(107, 120)) + [cnf_to_network(cnf) for cnf in cnfs(109, 24)]
+    seen = {False: [0, 0], True: [0, 0]}
+    for net in nets:
+        for honest, check in ((False, check_quorum_intersection), (True, check_qi_honest)):
+            expected = oracles.first_generated_witness(net, honest)
+
+            def run(check=check, net=net, **budget):
+                return check(net, max_nodes=len(net.nodes), **budget)
+
+            assert_same_search(run, expected)
+            seen[honest][expected[0]] += 1
+    assert min(seen[False] + seen[True]) >= 10, seen
+
+
+def test_slice_addition_matches_the_scalar_generated_search():
+    checked = {False: 0, True: 0}
+    for cnf in cnfs(113, 40):
+        try:
+            base, node, new_slice = slice_addition_instance(cnf)
+        except ValueError:
+            continue  # the premise fails: the base lacks quorum intersection
+        slices = dict(base.slices)
+        slices[node] += (new_slice,)
+        extended = TrustNetwork(base.nodes, base.byzantine, base.trust, slices, base.vetoed)
+        holds, witness, examined, states = oracles.first_generated_witness(
+            extended, anchor=new_slice | {node}
+        )
+        # The base check runs first under the same budget.
+        states = max(states, oracles.first_generated_witness(base)[3])
+
+        def run(base=base, node=node, new_slice=new_slice, **budget):
+            return check_slice_addition(base, node, new_slice, max_nodes=len(base.nodes), **budget)
+
+        assert_same_search(run, (holds, witness, examined, states))
+        checked[holds] += 1
+    assert min(checked.values()) >= 3, checked
+
+
+def test_largest_quorum_within_matches_the_oracle():
+    rng = random.Random(127)
+    vetoed = {QuotaNetwork: 0, TrustNetwork: 0}
+    for net in itertools.chain(quota_nets(131, 80), slice_nets(137, 80)):
+        vetoed[type(net)] += net.vetoed
+        for _ in range(6):
+            sample = rng.sample(list(net.nodes), rng.randint(0, len(net.nodes)))
+            assert max_quorum_within(net, sample) == oracles.largest_quorum_within(net, sample), net
+    assert min(vetoed.values()) >= 1, vetoed
