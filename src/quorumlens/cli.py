@@ -7,7 +7,8 @@ and ``gen`` (reduction and random instance generators).
 
 Exit codes: 0 when the checked property holds or the command succeeded,
 1 when the property is violated (a witness is emitted), 2 on input
-errors, 3 when a resource budget was exceeded. Reports have a machine
+errors and on a ``qi`` witness that fails its re-check, 3 when a
+resource budget was exceeded. Reports have a machine
 form (``--json``) and a human form rendered from the same document; with
 a fixed command line and input files the JSON form is byte-identical
 across runs except for the ``timing_ms`` field.
@@ -49,6 +50,7 @@ from .network import (
 from .netio import NetworkFormatError, load_network, save_network
 from .quorum import (
     DEFAULT_QI_MAX_NODES,
+    _Masks,
     check_qi_honest,
     check_quorum_intersection,
     minimal_quora,
@@ -60,6 +62,10 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 
 MINIMAL_QUORA_DISPLAY_LIMIT = 14
+
+
+class WitnessCheckError(Exception):
+    """A witness failed its re-check before printing: an internal error."""
 
 
 def _positive_finite(text: str) -> float:
@@ -97,12 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="require an honest node in every pairwise intersection",
     )
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_QI_MAX_NODES)
+    p.add_argument("--max-nodes", type=_at_least_one, default=DEFAULT_QI_MAX_NODES)
 
     p = sub.add_parser("fork", parents=[common], help="fork search")
     p.add_argument("file")
     p.add_argument("--strong", action="store_true", help="strong-fork search (vetoed networks)")
-    p.add_argument("--max-nodes", type=int, default=None)
+    p.add_argument("--max-nodes", type=_at_least_one, default=None)
 
     p = sub.add_parser("safety", parents=[common], help="quota safety bound tables")
     p.add_argument("file")
@@ -213,8 +219,26 @@ def _run_qi(args):
     if report.holds:
         return "holds", None, tables, EXIT_OK
     q_a, q_b = report.witness
+    _recheck_qi_witness(net, q_a, q_b, args.honest)
     witness = {"quorum_a": _set_list(net, q_a), "quorum_b": _set_list(net, q_b)}
     return "violated", witness, tables, EXIT_VIOLATED
+
+
+def _recheck_qi_witness(net, q_a, q_b, honest: bool) -> None:
+    """Raise unless both sides are quora that share no node.
+
+    For ``honest``, each side must hold an honest node and they may share
+    only Byzantine ones.
+    """
+    masks = _Masks(net)
+    a, b = masks._mask(q_a), masks._mask(q_b)
+    if not (masks.is_quorum(a) and masks.is_quorum(b)):
+        raise WitnessCheckError("a side of the quorum-intersection witness is not a quorum")
+    if honest:
+        if not (a & masks.honest_mask and b & masks.honest_mask) or a & b & masks.honest_mask:
+            raise WitnessCheckError("the witness quora do not split the honest nodes")
+    elif a & b:
+        raise WitnessCheckError("the witness quora share a node")
 
 
 def _run_fork(args):
@@ -499,6 +523,9 @@ def run(argv: list[str]) -> int:
         verdict, witness, tables, code = handler(args)
     except (NetworkFormatError, NetworkValidationError, DimacsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except WitnessCheckError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExceededError as exc:
         verdict, witness, tables, code = (

@@ -9,13 +9,20 @@ exact searches behind explicit budgets:
 * explicit-slice networks use memoized closure of slice choices, which
   enumerates a superset of the inclusion-minimal quora and tests each
   against the largest quorum of its complement; the full checks stop
-  growing candidates at half the size of the largest quorum. Both loops
-  are incremental: the largest quorum is a worklist fixpoint that
-  re-checks only the nodes depending on a removed member, and a grown
-  candidate skips the members its parent already found satisfied;
+  growing candidates at half the size of the largest quorum. Candidates
+  are grown incrementally (a grown candidate skips the members its
+  parent already found satisfied) and judged in chunks: one numpy
+  greatest fixpoint finds the largest quorum of every complement in the
+  chunk at once, over masks of ``ceil(n/64)`` ``uint64`` words. A budget
+  overrun while a chunk fills still judges the candidates already drawn,
+  so the search stops exactly where a one-at-a-time loop would;
 * quota networks use a pivot-fixed scan over candidate splits, which
   runs the greatest-fixpoint operator of :func:`max_quorum_within` on
   thousands of splits at once with numpy.
+
+Single sets (the largest quorum, :func:`max_quorum_within`,
+:func:`minimal_quora`) use a scalar worklist fixpoint that re-checks
+only the nodes depending on a removed member.
 
 Both report a witness pair of quora whenever intersection fails, and a
 budget overrun is always a distinct outcome, never a verdict.
@@ -289,8 +296,16 @@ def minimal_quora(
 # ---------------------------------------------------------------------------
 # Quorum-intersection checks
 
+# Both batch searches judge candidates in chunks that start small, so an
+# early witness costs little, and double up to a cap. A split chunk pays
+# a numpy call per pool node and fixpoint round, so it starts at 64; a
+# slices chunk pays for every quorum generated past the witness, so it
+# starts at 16, and it holds a (chunk, coalitions) temporary per round,
+# so it stops at 256.
 _SPLIT_CHUNK_FIRST = 64
 _SPLIT_CHUNK_MAX = 4096
+_SLICES_CHUNK_FIRST = 16
+_SLICES_CHUNK_MAX = 256
 
 
 def _scan_split(masks: _Masks, pool: int, base: int) -> tuple[int, tuple[int, int] | None]:
@@ -356,6 +371,16 @@ def _scan_split(masks: _Masks, pool: int, base: int) -> tuple[int, tuple[int, in
     return total, None
 
 
+def _to_words(masks: list[int], width: int) -> np.ndarray:
+    """One row of ``width`` little-endian ``uint64`` words per mask."""
+    raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), width).copy()
+
+
+def _from_words(row: np.ndarray) -> int:
+    return int.from_bytes(row.astype("<u8").tobytes(), "little")
+
+
 def _first_disjoint(
     masks: _Masks,
     top: int,
@@ -368,15 +393,77 @@ def _first_disjoint(
 
     For each generated quorum ``q`` the largest quorum avoiding the
     ``counted`` members of ``q`` is computed; when it holds a counted
-    node, the pair is a witness.
+    node, the pair is a witness, and ``quora_examined`` is the index of
+    ``q`` in generation order + 1.
+
+    Generated quora are judged in chunks of ``_SLICES_CHUNK_FIRST``
+    doubling up to ``_SLICES_CHUNK_MAX``. Each chunk runs one greatest
+    fixpoint on all of its complements ``top & ~(q & counted)`` at once:
+    masks are rows of ``ceil(n/64)`` ``uint64`` words, and each round
+    keeps the members that still hold a coalition inside their row, read
+    off a flat table of the coalitions inside top and their owners, until
+    no row changes.
+
+    When the state budget trips while a chunk fills, the quora already
+    drawn are judged first: a witness among them is returned, and only
+    otherwise does the overrun propagate, so the budget trips exactly
+    when a one-at-a-time search would.
     """
-    examined = 0
-    for q in _iter_generated_quora(masks, top, seeds, max_states, counted, max_size):
-        examined += 1
-        other = masks.max_quorum(top & ~(q & counted))
-        if other & counted:
-            return QuorumReport(False, (masks.labels(q), masks.labels(other)), examined)
-    return QuorumReport(True, None, examined)
+    width = (len(masks.order) + 63) // 64
+    coalitions, owners = [], []
+    for k in range(len(masks.order)):
+        if (top >> k) & 1:
+            for s in masks.slice_masks[k]:
+                if not s & ~top:
+                    coalitions.append(s)
+                    owners.append(k)
+    need = _to_words(coalitions, width)
+    # owned[c, k] = 1 when coalition c belongs to node k; a product with
+    # it counts, per bit position, the node's coalitions inside a set. It
+    # is float32 so the product runs in BLAS; the counts stay exact.
+    owned = np.zeros((len(coalitions), 64 * width), dtype=np.float32)
+    owned[np.arange(len(coalitions)), owners] = 1
+
+    def largest_quora(cur):
+        live = np.arange(len(cur))
+        while live.size:
+            rows = cur[live]
+            missing = need[:, 0] & ~rows[:, 0, None]
+            for w in range(1, width):
+                missing |= need[:, w] & ~rows[:, w, None]
+            held = (missing == 0).astype(np.float32) @ owned > 0
+            shrunk = rows & np.packbits(held, axis=1, bitorder="little").view("<u8")
+            moved = (shrunk != rows).any(axis=1)
+            live = live[moved]
+            cur[live] = shrunk[moved]
+        return cur
+
+    counted_words = _to_words([counted], width)
+    quora = _iter_generated_quora(masks, top, seeds, max_states, counted, max_size)
+    examined, size = 0, _SLICES_CHUNK_FIRST
+    while True:
+        chunk, overrun = [], None
+        try:
+            for q in quora:
+                chunk.append(q)
+                if len(chunk) == size:
+                    break
+        except BudgetExceededError as exc:
+            overrun = exc
+        if chunk:
+            rest = largest_quora(_to_words([top & ~(q & counted) for q in chunk], width))
+            hits = np.flatnonzero((rest & counted_words).any(axis=1))
+            if hits.size:
+                j = int(hits[0])
+                other = _from_words(rest[j])
+                witness = (masks.labels(chunk[j]), masks.labels(other))
+                return QuorumReport(False, witness, examined + j + 1)
+        if overrun is not None:
+            raise overrun
+        examined += len(chunk)
+        if len(chunk) < size:
+            return QuorumReport(True, None, examined)
+        size = min(2 * size, _SLICES_CHUNK_MAX)
 
 
 def _check_qi(net: Network, honest: bool, max_nodes: int, max_states: int) -> QuorumReport:

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 import nets
+import quorumlens.cli as cli_mod
 import quorumlens.influence as influence_mod
 from quorumlens import (
     NetworkFormatError,
     NetworkValidationError,
+    QuorumReport,
     QuotaNetwork,
     QuotaRangeWarning,
     TrustNetwork,
@@ -288,6 +290,42 @@ class TestCliContract:
         path = write(tmp_path, "q.json", shared_five_doc())
         assert run(["influence", path, "--limit", "--json", *bad]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "command, value",
+        [("qi", "0"), ("qi", "-3"), ("qi", "2.5"), ("fork", "0"), ("fork", "-3"), ("fork", "x")],
+    )
+    def test_bad_max_nodes_exit_two(self, tmp_path, capsys, command, value):
+        path = write(tmp_path, "q.json", shared_five_doc())
+        assert run([command, path, "--json", "--max-nodes", value]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "honest, pair",
+        [
+            (False, ("123", "123")),  # both sides quora, but they intersect
+            (False, ("12", "456")),  # {1, 2} is not a quorum
+            (True, ("123", "1234")),  # an honest node on both sides
+            (True, ("4", "123")),  # the Byzantine singleton holds no honest node
+        ],
+    )
+    def test_qi_witness_failing_its_recheck_exits_two(
+        self, tmp_path, capsys, monkeypatch, honest, pair
+    ):
+        doc = triangles_doc()
+        doc["byzantine"] = ["4"]
+        del doc["slices"]["4"]
+        path = write(tmp_path, "fig.json", doc)
+        name = "check_qi_honest" if honest else "check_quorum_intersection"
+        bad = QuorumReport(False, tuple(frozenset(side) for side in pair), 1)
+        monkeypatch.setattr(cli_mod, name, lambda net, **kwargs: bad)
+        argv = ["qi", path, "--json"] + (["--honest"] if honest else [])
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "internal error" in err
+        monkeypatch.undo()
+        assert run(argv) == 1  # the real witness passes the re-check
 
 
 def periodic_cycle() -> TrustNetwork:

@@ -7,7 +7,10 @@ enumeration on the verdict, and every witness must be two quora that
 share no node (no honest node, for the honest check). They must also
 reproduce the scalar generated-quorum search of
 ``oracles.first_generated_witness`` exactly: verdict, witness, quora
-examined and the state budget at which the search gives up.
+examined and the state budget at which the search gives up. The library
+judges generated quora in chunks over masks of 64-bit words, so those
+inputs include witnesses on and next to a chunk boundary and networks
+of more than 64 nodes.
 """
 
 import itertools
@@ -29,6 +32,7 @@ from quorumlens import (
     random_quota_network,
     slice_addition_instance,
 )
+from quorumlens.quorum import _SLICES_CHUNK_FIRST as FIRST_CHUNK
 
 QUOTAS = (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(1))
 TOPOLOGIES = ("clique", "overlapping-groups", "centralised")
@@ -134,8 +138,29 @@ def cnfs(seed: int, count: int):
         yield oracles.random_cnf(rng, num_vars, round(4.26 * num_vars))
 
 
+def fixed_cnfs(picks):
+    """``random_cnf(Random(seed), v, round(4.26 v))`` for each (v, seed) in ``picks``."""
+    return [oracles.random_cnf(random.Random(seed), v, round(4.26 * v)) for v, seed in picks]
+
+
+# Reductions whose witness is the 15th, 16th or 17th generated quorum:
+# the last rows of the first chunk and the first row of the second.
+BOUNDARY_CNFS = ((4, 26), (4, 36), (5, 30))
+# 11 and 12 variables give 82 and 89 nodes (two words per mask); each
+# of these is satisfiable with a witness within the first 200 quora.
+WIDE_CNFS = ((11, 7), (11, 10), (11, 34), (12, 7), (12, 25))
+# Slice additions whose anchored search examines 16 or 17 quora, ending
+# in a witness or exhausting the search.
+ADDITION_CNFS = ((4, 14), (4, 48), (4, 212), (4, 354))
+
+
 def assert_same_search(run, expected):
-    """``run(max_states=...)`` reports ``expected`` and stops at its state count."""
+    """``run(max_states=...)`` reports ``expected`` and stops at its state count.
+
+    A budget of exactly the witness's state count trips at the next new
+    state, while the witness's chunk is still filling unless the witness
+    ends it; the quora already drawn must still be judged.
+    """
     holds, witness, examined, states = expected
     report = run()
     assert (report.holds, report.witness, report.quora_examined) == (holds, witness, examined)
@@ -143,11 +168,16 @@ def assert_same_search(run, expected):
         with pytest.raises(BudgetExceededError):
             run(max_states=states - 1)
         assert run(max_states=states) == report
+        assert run(max_states=states + 1) == report
 
 
 def test_slice_searches_match_the_scalar_generated_search():
-    nets = list(slice_nets(107, 120)) + [cnf_to_network(cnf) for cnf in cnfs(109, 24)]
+    nets = list(slice_nets(107, 120)) + [
+        cnf_to_network(cnf)
+        for cnf in [*cnfs(109, 24), *fixed_cnfs(BOUNDARY_CNFS), *fixed_cnfs(WIDE_CNFS)]
+    ]
     seen = {False: [0, 0], True: [0, 0]}
+    witness_rows = set()
     for net in nets:
         for honest, check in ((False, check_quorum_intersection), (True, check_qi_honest)):
             expected = oracles.first_generated_witness(net, honest)
@@ -157,12 +187,17 @@ def test_slice_searches_match_the_scalar_generated_search():
 
             assert_same_search(run, expected)
             seen[honest][expected[0]] += 1
+            if not expected[0]:
+                witness_rows.add(expected[2])
     assert min(seen[False] + seen[True]) >= 10, seen
+    assert {1, FIRST_CHUNK - 1, FIRST_CHUNK, FIRST_CHUNK + 1} <= witness_rows
+    assert max(len(net.nodes) for net in nets) > 64
 
 
 def test_slice_addition_matches_the_scalar_generated_search():
     checked = {False: 0, True: 0}
-    for cnf in cnfs(113, 40):
+    examined = {False: set(), True: set()}
+    for cnf in [*cnfs(113, 40), *fixed_cnfs(ADDITION_CNFS)]:
         try:
             base, node, new_slice = slice_addition_instance(cnf)
         except ValueError:
@@ -170,7 +205,7 @@ def test_slice_addition_matches_the_scalar_generated_search():
         slices = dict(base.slices)
         slices[node] += (new_slice,)
         extended = TrustNetwork(base.nodes, base.byzantine, base.trust, slices, base.vetoed)
-        holds, witness, examined, states = oracles.first_generated_witness(
+        holds, witness, count, states = oracles.first_generated_witness(
             extended, anchor=new_slice | {node}
         )
         # The base check runs first under the same budget.
@@ -179,9 +214,12 @@ def test_slice_addition_matches_the_scalar_generated_search():
         def run(base=base, node=node, new_slice=new_slice, **budget):
             return check_slice_addition(base, node, new_slice, max_nodes=len(base.nodes), **budget)
 
-        assert_same_search(run, (holds, witness, examined, states))
+        assert_same_search(run, (holds, witness, count, states))
         checked[holds] += 1
+        examined[holds].add(count)
     assert min(checked.values()) >= 3, checked
+    for counts in examined.values():
+        assert {FIRST_CHUNK, FIRST_CHUNK + 1} <= counts, examined
 
 
 def test_largest_quorum_within_matches_the_oracle():
