@@ -7,7 +7,7 @@ and ``gen`` (reduction and random instance generators).
 
 Exit codes: 0 when the checked property holds or the command succeeded,
 1 when the property is violated (a witness is emitted), 2 on input
-errors and on a ``qi`` witness that fails its re-check, 3 when a
+errors and on a ``qi`` or ``fork`` witness that fails its re-check, 3 when a
 resource budget was exceeded. Reports have a machine
 form (``--json``) and a human form rendered from the same document; with
 a fixed command line and input files the JSON form is byte-identical
@@ -46,6 +46,8 @@ from .network import (
     find_fork,
     find_strong_fork,
     network_violations,
+    profile_violations,
+    validates,
 )
 from .netio import NetworkFormatError, load_network, save_network
 from .quorum import (
@@ -256,7 +258,39 @@ def _run_fork(args):
     tables = {"strong": bool(args.strong), "max_nodes": max_nodes}
     if witness is None:
         return safe_verdict, None, tables, EXIT_OK
+    _recheck_fork_witness(net, witness)
     return found_verdict, _fork_witness_json(net, witness), tables, EXIT_VIOLATED
+
+
+def _recheck_fork_witness(net, witness: ForkWitness) -> None:
+    """Raise unless the witness shows two honest nodes settling apart.
+
+    Every witness needs a well-formed profile, honest ``node_a`` and
+    ``node_b`` and different values. A fork needs each node to validate
+    its value under the profile. A strong fork needs both supporting sets
+    to be quora that share no honest node, each holding its node.
+    """
+    if profile_violations(net, witness.profile):
+        raise WitnessCheckError("the fork witness profile does not fit the network")
+    honest = set(net.honest)
+    if witness.node_a not in honest or witness.node_b not in honest:
+        raise WitnessCheckError("a fork witness node is not honest")
+    if witness.value_a == witness.value_b:
+        raise WitnessCheckError("the fork witness nodes settle on the same value")
+    if witness.kind == "strong-fork":
+        masks = _Masks(net)
+        a, b = masks._mask(witness.supporting_a), masks._mask(witness.supporting_b)
+        if not (masks.is_quorum(a) and masks.is_quorum(b)):
+            raise WitnessCheckError("a side of the strong-fork witness is not a quorum")
+        if a & b & masks.honest_mask:
+            raise WitnessCheckError("the strong-fork witness quora share an honest node")
+        if witness.node_a not in witness.supporting_a or witness.node_b not in witness.supporting_b:
+            raise WitnessCheckError("a strong-fork witness node is outside its quorum")
+    elif not (
+        validates(net, witness.profile, witness.node_a, witness.value_a)
+        and validates(net, witness.profile, witness.node_b, witness.value_b)
+    ):
+        raise WitnessCheckError("a side of the fork witness does not validate its value")
 
 
 def _run_safety(args):

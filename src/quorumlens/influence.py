@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bounds import common_trust_set
+from .graphs import component_period, strongly_connected_components
 from .network import (
     BudgetExceededError,
     Network,
@@ -73,25 +74,32 @@ def is_idempotent_exact(m: InfluenceMatrix) -> bool:
     return multiply_exact(m, m).entries == m.entries
 
 
-def _winning_table(net: Network, i: NodeId, members: list[NodeId]) -> bytearray:
-    """Win flag for every coalition mask over ``members`` (i's trust set)."""
-    size = 1 << len(members)
-    table = bytearray(size)
+def _winning_table(net: Network, i: NodeId, members: list[NodeId]) -> bytes:
+    """Win flag (0 or 1) of every coalition mask over ``members``, i's trust set.
+
+    Bit ``b`` of a mask stands for ``members[b]``. Both branches take
+    ``len(members)`` numpy passes over a ``2 ** len(members)``-byte array,
+    whatever the threshold or the number of slices, and never hold an
+    integer array of the masks. A quota table compares each mask's
+    popcount, built by doubling a ``uint8`` array, with the threshold. A
+    slices table is the upward closure of the slice masks (the superset
+    zeta transform over OR): for each bit, every mask with the bit clear
+    passes its flag to the same mask with the bit set.
+    """
+    k = len(members)
     if isinstance(net, QuotaNetwork):
-        need = threshold(net, i)
-        for mask in range(size):
-            table[mask] = mask.bit_count() >= need
-        return table
-    index = {n: k for k, n in enumerate(members)}
-    slice_masks = []
+        count = np.zeros(1, dtype=np.uint8)
+        for _ in range(k):
+            count = np.concatenate((count, count + 1))
+        return (count >= threshold(net, i)).tobytes()
+    index = {n: b for b, n in enumerate(members)}
+    table = np.zeros(1 << k, dtype=bool)
     for s in net.slices[i]:
-        m = 0
-        for n in s:
-            m |= 1 << index[n]
-        slice_masks.append(m)
-    for mask in range(size):
-        table[mask] = any(sm & mask == sm for sm in slice_masks)
-    return table
+        table[sum(1 << index[n] for n in s)] = True
+    for b in range(k):
+        view = table.reshape(-1, 2, 1 << b)
+        view[:, 1, :] |= view[:, 0, :]
+    return table.tobytes()
 
 
 def banzhaf_raw_row(
@@ -104,6 +112,11 @@ def banzhaf_raw_row(
     count of such coalitions, ``2 ** (|T_i| - 1)``. Untrusted nodes are
     dummies and get exactly zero; enumerating over all nodes instead of
     the trust set would double both the pivot count and the denominator.
+
+    A row costs a ``2 ** |T_i|``-byte winning table from
+    :func:`_winning_table`, for quota and slices nodes alike and for any
+    number of slices, plus ``|T_i| * 2 ** |T_i|`` pivot checks in Python.
+    ``max_trust`` is checked before the table is built.
 
     Raises:
         BudgetExceededError: when the trust set exceeds ``max_trust``.
@@ -189,79 +202,6 @@ class InfluenceGraph:
         return tuple(s for s, c in zip(self.sccs, self.closed) if c)
 
 
-def _tarjan(n: int, successors: list[list[int]]) -> list[list[int]]:
-    """Iterative Tarjan strongly-connected components, deterministic order."""
-    preorder: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: dict[int, bool] = {}
-    component: list[list[int]] = []
-    stack: list[int] = []
-    counter = 0
-    for root in range(n):
-        if root in preorder:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if v not in preorder:
-                preorder[v] = counter
-                lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for k in range(pi, len(successors[v])):
-                w = successors[v][k]
-                if w not in preorder:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack.get(w):
-                    lowlink[v] = min(lowlink[v], preorder[w])
-            if recurse:
-                continue
-            work.pop()
-            if lowlink[v] == preorder[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                component.append(sorted(comp))
-            if work:
-                u, _ = work[-1]
-                lowlink[u] = min(lowlink[u], lowlink[v])
-    return component
-
-
-def _component_period(members: list[int], successors: list[list[int]]) -> int:
-    inside = set(members)
-    internal = {
-        u: [w for w in successors[u] if w in inside] for u in members
-    }
-    if all(not nbrs for nbrs in internal.values()):
-        return 0
-    root = members[0]
-    level = {root: 0}
-    frontier = [root]
-    g = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in internal[u]:
-                if w not in level:
-                    level[w] = level[u] + 1
-                    nxt.append(w)
-        frontier = nxt
-    for u in members:
-        for w in internal[u]:
-            g = math.gcd(g, level[u] + 1 - level[w])
-    return abs(g)
-
-
 def analyze_graph(m: InfluenceMatrix) -> InfluenceGraph:
     """Component structure of the influence digraph of ``m``."""
     n = len(m.order)
@@ -270,7 +210,7 @@ def analyze_graph(m: InfluenceMatrix) -> InfluenceGraph:
         for j in range(n):
             if m.entries[i][j] > 0:
                 successors[j].append(i)
-    comps = _tarjan(n, successors)
+    comps = strongly_connected_components(n, successors)
     member_comp = {v: k for k, comp in enumerate(comps) for v in comp}
     influenced = {
         member_comp[w]
@@ -280,7 +220,7 @@ def analyze_graph(m: InfluenceMatrix) -> InfluenceGraph:
     }
     closed = tuple(k not in influenced for k in range(len(comps)))
     edges = frozenset((m.order[v], m.order[w]) for v in range(n) for w in successors[v])
-    periods = tuple(_component_period(comp, successors) for comp in comps)
+    periods = tuple(component_period(comp, successors) for comp in comps)
     sccs = tuple(frozenset(m.order[v] for v in comp) for comp in comps)
     return InfluenceGraph(m.order, edges, sccs, closed, periods)
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,12 +20,27 @@ from quorumlens import (
     banzhaf_raw_row,
     banzhaf_row,
     centralization_limit_report,
+    expand_quota_network,
     influence_matrix,
     is_idempotent_exact,
     limit_matrix,
     multiply_exact,
     random_quota_network,
+    threshold,
 )
+from quorumlens.influence import _winning_table
+
+
+def quota_clique(size: int, byz: int = 0) -> QuotaNetwork:
+    """``size`` nodes that all trust all, quota 4/5; the last ``byz`` are Byzantine."""
+    nodes = tuple(f"x{k}" for k in range(size))
+    honest = nodes[: size - byz]
+    return QuotaNetwork(
+        nodes=nodes,
+        byzantine=frozenset(nodes[size - byz :]),
+        trust={n: frozenset(nodes) for n in honest},
+        quota={n: Fraction(4, 5) for n in honest},
+    )
 
 
 def dictator_net():
@@ -75,14 +91,56 @@ class TestBanzhafRow:
 
     def test_matches_global_enumeration(self):
         # Enumerating coalitions over every node doubles pivots and
-        # denominator alike, so the raw indices agree exactly.
+        # denominator alike, so the raw indices agree exactly. Plain
+        # networks, then singleton vetoes, owners inside every coalition
+        # and Byzantine trustees.
         rng = random.Random(11)
-        for trial in range(12):
-            net = oracles.random_explicit_net(rng, rng.randint(2, 8))
+        variants = [{}] * 12 + [
+            kwargs
+            for kwargs in ({"vetoed": True}, {"self_in_slices": True}, {"byz_count": 2})
+            for _ in range(8)
+        ]
+        for kwargs in variants:
+            net = oracles.random_explicit_net(rng, rng.randint(2, 8), **kwargs)
             for i in net.honest:
                 raw = banzhaf_raw_row(net, i)
                 for j, value in zip(net.nodes, raw):
                     assert value == oracles.banzhaf_raw_global(net, i, j), (net, i, j)
+
+    @pytest.mark.parametrize("size", [14, 16])
+    @pytest.mark.parametrize("byz", [0, 2])
+    def test_expanded_quota_rows_match_the_closed_form(self, size, byz):
+        # Beyond the global oracle's reach: a quota game is symmetric in its
+        # trustees, so each raw index is C(s - 1, t - 1) / 2 ** (s - 1).
+        net = quota_clique(size, byz)
+        expanded = expand_quota_network(net)
+        t = threshold(net, "x0")
+        assert len(expanded.slices["x0"]) == math.comb(size, t)
+        closed = Fraction(math.comb(size - 1, t - 1), 2 ** (size - 1))
+        raw = banzhaf_raw_row(net, "x0")
+        assert raw == (closed,) * size
+        assert banzhaf_raw_row(expanded, "x0") == raw
+
+    @pytest.mark.parametrize("kind", ["quota", "slices"])
+    def test_winning_table_memory(self, kind):
+        # One byte per coalition and a few passes over it; an int64 array
+        # of the 2 ** k masks alone would take 8 bytes per coalition.
+        k = 20
+        if kind == "quota":
+            net = quota_clique(k)
+        else:
+            trustees = [f"y{b}" for b in range(k)]
+            slices = {"x0": tuple(frozenset(trustees[b : b + 5]) for b in range(0, k, 3))}
+            net = TrustNetwork(("x0", *trustees), frozenset(trustees), {"x0": frozenset(trustees)}, slices)
+        members = sorted(net.trust["x0"], key=net.nodes.index)
+        tracemalloc.start()
+        try:
+            table = _winning_table(net, "x0", members)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 1 << k
+        assert peak < 4 * (1 << k)
 
     def test_budget(self):
         net = QuotaNetwork(

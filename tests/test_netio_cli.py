@@ -1,5 +1,6 @@
 """Network file format and the command-line contract."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -20,6 +21,8 @@ from quorumlens import (
     QuotaRangeWarning,
     TrustNetwork,
     check_slice_addition,
+    find_fork,
+    find_strong_fork,
     load_network,
     load_network_file,
     network_document,
@@ -320,6 +323,31 @@ class TestCliContract:
         bad = QuorumReport(False, tuple(frozenset(side) for side in pair), 1)
         monkeypatch.setattr(cli_mod, name, lambda net, **kwargs: bad)
         argv = ["qi", path, "--json"] + (["--honest"] if honest else [])
+        assert run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "internal error" in err
+        monkeypatch.undo()
+        assert run(argv) == 1  # the real witness passes the re-check
+
+    @pytest.mark.parametrize(
+        "strong, change",
+        [
+            (False, {"node_b": "2", "value_b": 1}),  # both nodes validate 1
+            (False, {"value_a": 0, "value_b": 1}),  # node 1 sees only 1s, so 0 does not validate
+            (True, {"supporting_a": frozenset("12")}),  # {1, 2} is not a quorum
+            (True, {"supporting_b": frozenset("123456")}),  # a quorum, but it holds 1, 2 and 3
+        ],
+    )
+    def test_fork_witness_failing_its_recheck_exits_two(
+        self, tmp_path, capsys, monkeypatch, strong, change
+    ):
+        path = write(tmp_path, "fig.json", triangles_doc())
+        finder = find_strong_fork if strong else find_fork
+        bad = dataclasses.replace(finder(load_network(path)), **change)
+        name = "find_strong_fork" if strong else "find_fork"
+        monkeypatch.setattr(cli_mod, name, lambda net, **kwargs: bad)
+        argv = ["fork", path, "--json"] + (["--strong"] if strong else [])
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
