@@ -39,7 +39,6 @@ from .influence import (
     influence_matrix,
     is_idempotent_exact,
     limit_matrix,
-    multiply_exact,
 )
 from .instances import (
     Cnf,
@@ -74,10 +73,6 @@ from .network import (
     QuotaRangeWarning,
     TrustNetwork,
     as_fraction,
-    closure_fixpoint,
-    closure_step,
-    enumerate_profiles,
-    enumerate_selectors,
     find_fork,
     find_strong_fork,
     network_violations,
@@ -132,13 +127,9 @@ __all__ = [
     "check_qi_honest",
     "check_quorum_intersection",
     "check_slice_addition",
-    "closure_fixpoint",
-    "closure_step",
     "cnf_to_network",
     "common_trust_set",
     "decode_qi_witness",
-    "enumerate_profiles",
-    "enumerate_selectors",
     "expand_quota_network",
     "find_fork",
     "find_strong_fork",
@@ -150,7 +141,6 @@ __all__ = [
     "load_network_file",
     "max_quorum_within",
     "minimal_quora",
-    "multiply_exact",
     "network_document",
     "network_violations",
     "observation_bounds",

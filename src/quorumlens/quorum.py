@@ -20,6 +20,17 @@ exact searches behind explicit budgets:
   runs the greatest-fixpoint operator of :func:`max_quorum_within` on
   thousands of splits at once with numpy.
 
+Quota searches work up to twin symmetry. Twins are nodes whose swap maps
+the network onto itself (:meth:`_Masks.twin_classes`, O(n²) over the
+masks), so a split or a quorum is decided by its count of side-one
+members or members in each twin class. The split scan judges one
+canonical split per count vector, about ∏(|class| + 1) of them, but
+still walks all 2^(|pool| - 1) split codes to pick them out, so a pool
+over 64 nodes still exceeds the budget; witnesses and counts are those
+of the full scan. :func:`minimal_quora` tests one quorum per count vector
+and then lists every member choice. A network without twins takes the
+plain scans.
+
 Single sets (the largest quorum, :func:`max_quorum_within`,
 :func:`minimal_quora`) use a scalar worklist fixpoint that re-checks
 only the nodes depending on a removed member.
@@ -31,7 +42,7 @@ budget overrun is always a distinct outcome, never a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -150,6 +161,39 @@ class _Masks:
                     queue |= users[idx] & current
         return current
 
+    def twin_classes(self) -> list[list[int]]:
+        """Bit positions of each twin class of a quota network, lowest first.
+
+        Nodes ``a`` and ``b`` are twins when swapping them maps the network
+        onto itself: they share Byzantine status and threshold, their trust
+        sets match up to the swap, and every other node trusts both or
+        neither. A composition of swaps is again an automorphism, so being
+        twins is an equivalence and one comparison with the first member of
+        each class suffices: at most O(n²) mask tests. Every permutation
+        inside the classes maps the network, its largest quorum and its
+        Byzantine set onto themselves, so a set and its image under one are
+        quora alike.
+        """
+        # Twins agree on this key, so only classes sharing it are compared.
+        buckets: dict[tuple[int, int, int, int], list[list[int]]] = {}
+        classes: list[list[int]] = []
+        for b, (tb, need) in enumerate(self.quota_req):
+            key = (need, (self.byz_mask >> b) & 1, tb.bit_count(), self.users[b].bit_count())
+            bucket = buckets.setdefault(key, [])
+            for members in bucket:
+                a = members[0]
+                ta = self.quota_req[a][0]
+                pair = (1 << a) | (1 << b)
+                moved = ((ta >> a) ^ (ta >> b)) & 1
+                swapped = ta ^ (moved << a | moved << b)
+                if swapped == tb and (self.users[a] ^ self.users[b]) & ~pair == 0:
+                    members.append(b)
+                    break
+            else:
+                bucket.append([b])
+                classes.append(bucket[-1])
+        return classes
+
     def is_quorum(self, members: int) -> bool:
         if not members:
             return False
@@ -246,6 +290,61 @@ def _iter_generated_quora(
                     stack.append((child, known))
 
 
+def _minimal_quota_quora(masks: _Masks, top: int) -> list[int]:
+    """Every inclusion-minimal quorum of a quota network, as masks.
+
+    A permutation inside the twin classes maps quora onto quora, so a
+    quorum is known up to its count vector: how many members it takes
+    from each class. Vectors are scanned by increasing size, as the
+    product over multi-member classes of their counts times the
+    combinations of the singletons, and each is judged on one
+    representative that takes the lowest positions of each class. Those
+    representatives are nested, so a vector that dominates a quorum
+    vector found earlier is skipped by a mask test. Every member choice of
+    each minimal vector is then listed. Without twins this is the scan of
+    every subset of ``top`` by increasing size.
+    """
+    classes = [members for members in masks.twin_classes() if (top >> members[0]) & 1]
+    groups = [members for members in classes if len(members) > 1]
+    singles = [members[0] for members in classes if len(members) == 1]
+    # prefixes[g][v]: the lowest v members of group g
+    prefixes = []
+    for members in groups:
+        prefix = [0]
+        for k in members:
+            prefix.append(prefix[-1] | 1 << k)
+        prefixes.append(prefix)
+    by_total: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for vector in product(*(range(len(members) + 1) for members in groups)):
+        rep = 0
+        for prefix, v in zip(prefixes, vector):
+            rep |= prefix[v]
+        by_total.setdefault(sum(vector), []).append((vector, rep))
+    found: list[int] = []
+    minimal: list[tuple[tuple[int, ...], int]] = []
+    for size in range(1, top.bit_count() + 1):
+        for total in range(max(0, size - len(singles)), size + 1):
+            for vector, rep in by_total.get(total, ()):
+                for combo in combinations(singles, size - total):
+                    m = rep
+                    for k in combo:
+                        m |= 1 << k
+                    if any(f & m == f for f in found):
+                        continue
+                    if masks.is_quorum(m):
+                        found.append(m)
+                        minimal.append((vector, m & ~rep))
+    quora = []
+    for vector, chosen in minimal:
+        for parts in product(*(combinations(g, v) for g, v in zip(groups, vector))):
+            m = chosen
+            for part in parts:
+                for k in part:
+                    m |= 1 << k
+            quora.append(m)
+    return quora
+
+
 def minimal_quora(
     net: Network,
     *,
@@ -253,6 +352,13 @@ def minimal_quora(
     max_states: int = DEFAULT_MAX_SEARCH_STATES,
 ) -> tuple[frozenset[NodeId], ...]:
     """All inclusion-minimal quora, sorted by size then node order.
+
+    Explicit-slice networks grow candidates by slice closure and keep the
+    minimal ones. Quota networks scan twin-class count vectors by
+    increasing size (:func:`_minimal_quota_quora`): one quorum test per
+    vector rather than per subset, so a class of ``c`` twins costs ``c +
+    1`` tests where it cost ``2^c``, and every minimal quorum is still
+    listed. The ``max_nodes`` budget applies to both.
 
     Raises:
         BudgetExceededError: when the instance exceeds ``max_nodes`` or the
@@ -264,29 +370,16 @@ def minimal_quora(
         )
     masks = _Masks(net)
     top = masks.max_quorum(masks.full)
-    candidates: list[int] = []
     if isinstance(net, TrustNetwork):
         seeds = [1 << k for k in range(len(masks.order)) if (top >> k) & 1]
         candidates = list(_iter_generated_quora(masks, top, seeds, max_states))
+        minimal = [
+            q
+            for q in candidates
+            if not any(o != q and o & q == o for o in candidates)
+        ]
     else:
-        bits = [k for k in range(len(masks.order)) if (top >> k) & 1]
-        # Increasing-size scan; supersets of a known quorum are skipped.
-        found: list[int] = []
-        for size in range(1, len(bits) + 1):
-            for combo in combinations(bits, size):
-                m = 0
-                for k in combo:
-                    m |= 1 << k
-                if any(f & m == f for f in found):
-                    continue
-                if masks.is_quorum(m):
-                    found.append(m)
-        candidates = found
-    minimal = [
-        q
-        for q in candidates
-        if not any(o != q and o & q == o for o in candidates)
-    ]
+        minimal = _minimal_quota_quora(masks, top)
     as_sets = [masks.labels(q) for q in minimal]
     order_key = {n: k for k, n in enumerate(net.nodes)}
     as_sets.sort(key=lambda s: (len(s), sorted(order_key[n] for n in s)))
@@ -322,12 +415,36 @@ def _scan_split(masks: _Masks, pool: int, base: int) -> tuple[int, tuple[int, in
     Returns (splits examined, first witness in split-code order): the
     witness is the largest quorum of each side for the lowest code where
     both of them keep a pool node, and the count stops at that code.
+
+    Twins (:meth:`_Masks.twin_classes`) make most splits redundant: a
+    permutation inside the classes maps a split onto one with the same
+    verdict. So only canonical splits are judged, those whose side-one
+    members of each class sit at the class's lowest pool positions. Every
+    split shares its verdict with its canonical form, whose code is no
+    higher, so the first violating code is canonical and the witness and
+    count are those of the full scan. The codes are still walked in
+    order, in chunks, and the canonical ones are pooled into batches of
+    the chunk sizes for the fixpoint: the scan judges about
+    ∏(|class| + 1) splits but walks all 2^(|pool| - 1) codes, and a pool
+    over 64 nodes still exceeds the budget. Without twins every split is
+    canonical and this is the plain chunked scan.
     """
     bits = [k for k in range(len(masks.order)) if (pool >> k) & 1]
     if len(bits) > 64:
         raise BudgetExceededError(
             f"a split scan over {len(bits)} nodes exceeds 2**63 splits"
         )
+    # Each class as code bits. Classes lie wholly inside or outside the
+    # pool, since permutations inside classes keep it. The pivot is its
+    # class's lowest member and always on side one, so the rest of its
+    # class must be a code prefix too, and a class with one code bit
+    # filters nothing.
+    code_bit = {b: k for k, b in enumerate(bits[1:])}
+    groups = []
+    for members in masks.twin_classes():
+        g = sum(1 << code_bit[b] for b in members if b in code_bit)
+        if g.bit_count() > 1:
+            groups.append(np.uint64(g))
     # (bit, trustees, need) over compacted bits, for each pool node that
     # base alone does not satisfy.
     checks = []
@@ -353,12 +470,21 @@ def _scan_split(masks: _Masks, pool: int, base: int) -> tuple[int, tuple[int, in
                 out |= 1 << b
         return out
 
-    total = 1 << (len(bits) - 1)
+    one = np.uint64(1)
     full = np.uint64((1 << len(bits)) - 1)
-    lo, size = 0, _SPLIT_CHUNK_FIRST
-    while lo < total:
-        hi = min(total, lo + size)
-        side = (np.arange(lo, hi, dtype=np.uint64) << np.uint64(1)) | np.uint64(1)
+
+    def canonical(codes):
+        for g in groups:
+            x = codes & g
+            y = x ^ g
+            # Side-one members sit below every side-two member: x is below
+            # y's lowest bit. That bit minus one wraps to all ones for an
+            # empty side two, which every x passes.
+            codes = codes[((y & (~y + one)) - one) >= x]
+        return codes
+
+    def judge(codes):
+        side = (codes << one) | one
         q1 = fixpoint(side)
         live = np.flatnonzero(q1)
         if live.size:
@@ -366,8 +492,26 @@ def _scan_split(masks: _Masks, pool: int, base: int) -> tuple[int, tuple[int, in
             hits = np.flatnonzero(q2)
             if hits.size:
                 j = live[hits[0]]
-                return lo + int(j) + 1, (expand(int(q1[j])), expand(int(q2[hits[0]])))
+                return int(codes[j]) + 1, (expand(int(q1[j])), expand(int(q2[hits[0]])))
+        return None
+
+    total = 1 << (len(bits) - 1)
+    pending = np.empty(0, dtype=np.uint64)
+    lo, size, batch = 0, _SPLIT_CHUNK_FIRST, _SPLIT_CHUNK_FIRST
+    while lo < total:
+        hi = min(total, lo + size)
+        codes = canonical(np.arange(lo, hi, dtype=np.uint64))
         lo, size = hi, min(2 * size, _SPLIT_CHUNK_MAX)
+        # Judge full batches of canonical codes, and what is left at the end.
+        last = lo == total
+        while pending.size + codes.size >= (1 if last else batch):
+            take = batch - pending.size
+            found = judge(np.concatenate((pending, codes[:take])))
+            if found is not None:
+                return found
+            pending, codes = pending[:0], codes[take:]
+            batch = min(2 * batch, _SPLIT_CHUNK_MAX)
+        pending = np.concatenate((pending, codes))
     return total, None
 
 

@@ -55,7 +55,7 @@ def node_validates(net, profile, i, x) -> bool:
 
 def forked_by_profile_enumeration(net) -> bool:
     """Exhaustive profile search for two honest nodes validating opposite values."""
-    from quorumlens import enumerate_profiles
+    from quorumlens.network import enumerate_profiles
 
     honest = net.honest
     for profile in enumerate_profiles(net):
@@ -105,16 +105,42 @@ def strong_forked_by_selector_enumeration(net: TrustNetwork) -> bool:
 
 
 def all_quora(net) -> list[frozenset]:
-    """Every quorum, by direct check of all non-empty subsets."""
-    families = slice_families(net)
+    """Every quorum, by direct check of all non-empty subsets.
+
+    The list runs by size, then in lexicographic order of network
+    positions, which is the order ``minimal_quora`` reports.
+    """
     quora = []
     nodes = list(net.nodes)
     for size in range(1, len(nodes) + 1):
         for combo in itertools.combinations(nodes, size):
             q = frozenset(combo)
-            if all(any(s <= q for s in families[n]) for n in q):
+            if all(n in net.byzantine or wins(net, n, q) for n in q):
                 quora.append(q)
     return quora
+
+
+def swap_is_automorphism(net: QuotaNetwork, a, b) -> bool:
+    """Does exchanging nodes ``a`` and ``b`` map the quota network onto itself?
+
+    The image of every node must keep its Byzantine status, and an honest
+    image must have the swapped trust set and the same threshold.
+    """
+
+    def image(x):
+        return b if x == a else a if x == b else x
+
+    for x in net.nodes:
+        y = image(x)
+        if (x in net.byzantine) != (y in net.byzantine):
+            return False
+        if x in net.byzantine:
+            continue
+        if frozenset(map(image, net.trust[x])) != net.trust[y]:
+            return False
+        if math.ceil(net.quota[x] * len(net.trust[x])) != math.ceil(net.quota[y] * len(net.trust[y])):
+            return False
+    return True
 
 
 def qi_by_pair_enumeration(net) -> bool:

@@ -27,7 +27,6 @@ from quorumlens import (
     common_trust_set,
     centralization_limit_report,
     decode_qi_witness,
-    enumerate_profiles,
     expand_quota_network,
     find_fork,
     find_strong_fork,
@@ -44,6 +43,7 @@ from quorumlens import (
     slice_addition_instance,
 )
 from quorumlens.cli import run
+from quorumlens.network import enumerate_profiles
 
 
 def _report(n, name, started):

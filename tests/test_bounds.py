@@ -15,7 +15,6 @@ from quorumlens import (
     check_overlap_bounds,
     check_quorum_intersection,
     common_trust_set,
-    enumerate_profiles,
     expand_quota_network,
     find_fork,
     observation_bounds,
@@ -23,6 +22,7 @@ from quorumlens import (
     respects_failure_model,
     shared_byzantine_bound,
 )
+from quorumlens.network import enumerate_profiles
 
 
 def make_uniform(trust, quota, byz_fraction=None):

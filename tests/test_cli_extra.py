@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import nets
-from quorumlens import enumerate_selectors, closure_step, save_network
+from quorumlens import save_network
 from quorumlens.cli import render_human, run
+from quorumlens.network import closure_step, enumerate_selectors
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -24,11 +24,10 @@ from quorumlens import (
     influence_matrix,
     is_idempotent_exact,
     limit_matrix,
-    multiply_exact,
     random_quota_network,
     threshold,
 )
-from quorumlens.influence import _winning_table
+from quorumlens.influence import _winning_table, multiply_exact
 
 
 def quota_clique(size: int, byz: int = 0) -> QuotaNetwork:

@@ -14,9 +14,6 @@ from quorumlens import (
     QuotaNetwork,
     QuotaRangeWarning,
     TrustNetwork,
-    closure_fixpoint,
-    closure_step,
-    enumerate_profiles,
     find_fork,
     find_strong_fork,
     network_violations,
@@ -27,6 +24,7 @@ from quorumlens import (
     validates,
     with_veto_slices,
 )
+from quorumlens.network import closure_fixpoint, closure_step, enumerate_profiles
 
 
 class TestValidation:

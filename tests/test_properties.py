@@ -15,6 +15,7 @@ from quorumlens import (
     TrustNetwork,
     banzhaf_raw_row,
     check_quorum_intersection,
+    find_fork,
     network_document,
     parse_network_document,
     threshold,
@@ -27,15 +28,15 @@ QUOTAS = [Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fracti
 
 
 @st.composite
-def labels_and_byzantine(draw):
-    labels = [f"n{k}" for k in range(1, draw(st.integers(1, 6)) + 1)]
+def labels_and_byzantine(draw, max_nodes=6):
+    labels = [f"n{k}" for k in range(1, draw(st.integers(1, max_nodes)) + 1)]
     byzantine = draw(st.sets(st.sampled_from(labels), max_size=len(labels) - 1))
     return labels, frozenset(byzantine), [n for n in labels if n not in byzantine]
 
 
 @st.composite
-def quota_networks(draw):
-    labels, byzantine, honest = draw(labels_and_byzantine())
+def quota_networks(draw, max_nodes=6):
+    labels, byzantine, honest = draw(labels_and_byzantine(max_nodes))
     nodes = st.sampled_from(labels)
     trust = {i: frozenset(draw(st.sets(nodes, min_size=1))) for i in honest}
     quota = {i: draw(st.sampled_from(QUOTAS)) for i in honest}
@@ -43,8 +44,8 @@ def quota_networks(draw):
 
 
 @st.composite
-def slices_networks(draw):
-    labels, byzantine, honest = draw(labels_and_byzantine())
+def slices_networks(draw, max_nodes=6):
+    labels, byzantine, honest = draw(labels_and_byzantine(max_nodes))
     vetoed = draw(st.booleans())
     coalitions = st.frozensets(st.sampled_from(labels), min_size=1, max_size=4)
     slices = {}
@@ -87,3 +88,13 @@ def test_pivot_rows_match_the_global_enumeration(net):
     for i in net.honest:
         expected = tuple(oracles.banzhaf_raw_global(net, i, j) for j in net.nodes)
         assert banzhaf_raw_row(net, i) == expected
+
+
+# Profile enumeration is exponential in the honest nodes and in the
+# observers of each Byzantine node, so these networks stop at five nodes.
+@pytest.mark.parametrize("kind", [quota_networks, slices_networks])
+@PROPERTY
+@given(st.data())
+def test_find_fork_matches_profile_enumeration(kind, data):
+    net = data.draw(kind(max_nodes=5))
+    assert (find_fork(net) is not None) == oracles.forked_by_profile_enumeration(net)

@@ -11,6 +11,11 @@ examined and the state budget at which the search gives up. The library
 judges generated quora in chunks over masks of 64-bit words, so those
 inputs include witnesses on and next to a chunk boundary and networks
 of more than 64 nodes.
+
+The quota searches work up to twin symmetry, so they are also checked on
+networks with large twin classes: the twin classes against brute-force
+swaps, ``minimal_quora`` against the minimal sets of every quorum, and
+the split scan against the scalar scan.
 """
 
 import itertools
@@ -29,10 +34,12 @@ from quorumlens import (
     check_slice_addition,
     cnf_to_network,
     max_quorum_within,
+    minimal_quora,
     random_quota_network,
     slice_addition_instance,
 )
 from quorumlens.quorum import _SLICES_CHUNK_FIRST as FIRST_CHUNK
+from quorumlens.quorum import _SPLIT_CHUNK_FIRST, _Masks
 
 QUOTAS = (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(1))
 TOPOLOGIES = ("clique", "overlapping-groups", "centralised")
@@ -94,6 +101,18 @@ def assert_witness(net, report, honest: bool):
         assert not shared
 
 
+def assert_same_split_scan(net, honest: bool, check):
+    """``check(net)`` reports the verdict, witness and count of the scalar scan."""
+    report = check(net)
+    examined, witness = oracles.first_split_witness(net, honest)
+    assert (report.holds, report.witness, report.quora_examined) == (
+        witness is None,
+        witness,
+        examined,
+    ), net
+    return report
+
+
 def test_quota_searches_match_the_scalar_scan_and_pair_enumeration():
     seen = {False: [0, 0], True: [0, 0]}
     for net in quota_nets(83, 120):
@@ -101,13 +120,7 @@ def test_quota_searches_match_the_scalar_scan_and_pair_enumeration():
             (False, check_quorum_intersection, oracles.qi_by_pair_enumeration),
             (True, check_qi_honest, oracles.qi_honest_by_pair_enumeration),
         ):
-            report = check(net)
-            examined, witness = oracles.first_split_witness(net, honest)
-            assert (report.holds, report.witness, report.quora_examined) == (
-                witness is None,
-                witness,
-                examined,
-            ), net
+            report = assert_same_split_scan(net, honest, check)
             assert report.holds == by_pairs(net), net
             assert_witness(net, report, honest)
             seen[honest][report.holds] += 1
@@ -231,3 +244,128 @@ def test_largest_quorum_within_matches_the_oracle():
             sample = rng.sample(list(net.nodes), rng.randint(0, len(net.nodes)))
             assert max_quorum_within(net, sample) == oracles.largest_quorum_within(net, sample), net
     assert min(vetoed.values()) >= 1, vetoed
+
+
+# ---------------------------------------------------------------------------
+# Twin classes: the quota scans judge one split or one quorum per class count
+
+
+def planted_twin_nets(seed: int, count: int, max_nodes: int):
+    """Quota networks whose nodes come in copies, in shuffled network order.
+
+    Each node of a small random base network becomes a class of 1 to 5
+    copies. A copy trusts every copy of what its original trusts, with the
+    same quota, so the copies of one node are twins.
+    """
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        base = oracles.random_uniform_quota_net(
+            rng,
+            rng.randint(2, 5),
+            rng.choice(QUOTAS),
+            byz_count=rng.randint(0, 2),
+            min_trust=1,
+        )
+        copies = {b: [f"{b}.{c}" for c in range(rng.randint(1, 5))] for b in base.nodes}
+        nodes = [x for b in base.nodes for x in copies[b]]
+        if len(nodes) > max_nodes:
+            continue
+        rng.shuffle(nodes)
+        honest = [(b, x) for b in base.honest for x in copies[b]]
+        made += 1
+        yield QuotaNetwork(
+            tuple(nodes),
+            frozenset(x for b in base.byzantine for x in copies[b]),
+            {x: frozenset(y for t in base.trust[b] for y in copies[t]) for b, x in honest},
+            {x: base.quota[b] for b, x in honest},
+        )
+
+
+def generated_nets(seed: int, count: int, min_nodes: int, max_nodes: int, topologies=TOPOLOGIES):
+    """``random_quota_network`` instances with 0 to 2 Byzantine nodes."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        nodes = rng.randint(min_nodes, max_nodes)
+        params = GenParams(
+            nodes,
+            rng.randint(2, nodes),
+            rng.choice(QUOTAS),
+            rng.randint(0, 2),
+            rng.randrange(10**6),
+            rng.choice(topologies),
+        )
+        try:
+            net = random_quota_network(params)
+        except ValueError:
+            continue  # infeasible combination, such as a core too large
+        made += 1
+        yield net
+
+
+def largest_class(net) -> int:
+    return max(len(members) for members in _Masks(net).twin_classes())
+
+
+def test_twin_classes_are_exactly_the_swaps():
+    rng = random.Random(139)
+    nets = [
+        *planted_twin_nets(149, 40, 8),
+        *generated_nets(151, 40, 3, 8),
+        *(
+            oracles.random_uniform_quota_net(
+                rng, rng.randint(2, 8), rng.choice(QUOTAS), byz_count=rng.randint(0, 2), min_trust=1
+            )
+            for _ in range(40)
+        ),
+    ]
+    merged = 0
+    for net in nets:
+        classes = _Masks(net).twin_classes()
+        assert sorted(k for members in classes for k in members) == list(range(len(net.nodes)))
+        assert all(members == sorted(members) for members in classes)
+        assert [members[0] for members in classes] == sorted(members[0] for members in classes)
+        label = {k: n for k, n in enumerate(net.nodes)}
+        same = {frozenset({label[a], label[b]}) for members in classes for a in members for b in members}
+        for a, b in itertools.combinations(net.nodes, 2):
+            assert oracles.swap_is_automorphism(net, a, b) == (frozenset({a, b}) in same), (net, a, b)
+        merged += len(classes) < len(net.nodes)
+    assert merged >= 40, merged
+
+
+def test_minimal_quora_of_quota_networks_match_all_quora():
+    rng = random.Random(157)
+    nets = [
+        *planted_twin_nets(163, 40, 12),
+        *generated_nets(167, 40, 5, 12),
+        *(
+            oracles.random_uniform_quota_net(
+                rng, rng.randint(2, 10), rng.choice(QUOTAS), byz_count=rng.randint(0, 2), min_trust=1
+            )
+            for _ in range(20)
+        ),
+    ]
+    for net in nets:
+        quora = oracles.all_quora(net)
+        expected = tuple(q for q in quora if not any(o < q for o in quora))
+        assert minimal_quora(net) == expected, net
+    assert sum(largest_class(net) >= 4 for net in nets) >= 20
+    assert {len(net.byzantine) for net in nets} >= {0, 1, 2}
+
+
+def test_quota_scan_matches_the_scalar_scan_on_large_classes():
+    nets = [
+        *planted_twin_nets(173, 14, 14),
+        *generated_nets(179, 14, 9, 14, ("clique", "overlapping-groups")),
+    ]
+    seen = {False: [0, 0], True: [0, 0]}
+    deep = 0
+    for net in nets:
+        for honest, check in ((False, check_quorum_intersection), (True, check_qi_honest)):
+            report = assert_same_split_scan(net, honest, check)
+            seen[honest][report.holds] += 1
+            deep += not report.holds and report.quora_examined > _SPLIT_CHUNK_FIRST
+    assert min(seen[False] + seen[True]) >= 3, seen
+    assert deep >= 3, deep
+    assert sum(largest_class(net) >= 6 for net in nets) >= 10
