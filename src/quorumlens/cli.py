@@ -84,6 +84,13 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer of 0 or more, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the machine report")
@@ -135,10 +142,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
 
     p = gen_sub.add_parser("random", parents=[common], help="seeded random quota network")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--trust", type=int, required=True)
+    p.add_argument("--nodes", type=_at_least_one, required=True)
+    p.add_argument("--trust", type=_at_least_one, required=True)
     p.add_argument("--quota", type=str, required=True)
-    p.add_argument("--byz", type=int, default=0)
+    p.add_argument("--byz", type=_non_negative, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--topology",

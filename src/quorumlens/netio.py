@@ -26,6 +26,7 @@ Unknown keys are rejected, every referenced label must appear in
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -92,6 +93,10 @@ def _number(value, key: str) -> Fraction:
     _expect(
         isinstance(value, (int, float)) and not isinstance(value, bool),
         f'key {key!r}: expected a number or a "p/q" string',
+    )
+    _expect(
+        isinstance(value, int) or math.isfinite(value),
+        f"key {key!r}: {value!r} is not a finite number",
     )
     return as_fraction(value)
 

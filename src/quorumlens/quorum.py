@@ -20,16 +20,18 @@ exact searches behind explicit budgets:
   runs the greatest-fixpoint operator of :func:`max_quorum_within` on
   thousands of splits at once with numpy.
 
-Quota searches work up to twin symmetry. Twins are nodes whose swap maps
-the network onto itself (:meth:`_Masks.twin_classes`, O(n²) over the
-masks), so a split or a quorum is decided by its count of side-one
-members or members in each twin class. The split scan judges one
-canonical split per count vector, about ∏(|class| + 1) of them, but
-still walks all 2^(|pool| - 1) split codes to pick them out, so a pool
-over 64 nodes still exceeds the budget; witnesses and counts are those
-of the full scan. :func:`minimal_quora` tests one quorum per count vector
-and then lists every member choice. A network without twins takes the
-plain scans.
+The quota split scan works up to twin symmetry. Twins are nodes whose
+swap maps the network onto itself (:meth:`_Masks.twin_classes`, O(n²)
+over the masks), so a split is decided by its count of side-one members
+in each twin class. The scan judges one canonical split per count
+vector, about ∏(|class| + 1) of them, but still walks all
+2^(|pool| - 1) split codes to pick them out, so a pool over 64 nodes
+still exceeds the budget; witnesses and counts are those of the full
+scan. A network without twins takes the plain scan.
+
+:func:`minimal_quora` of a quota network uses no twins: it flags every
+subset of the largest quorum's honest members in one numpy table, a bit
+per subset (:func:`_minimal_quota_quora`).
 
 Single sets (the largest quorum, :func:`max_quorum_within`,
 :func:`minimal_quora`) use a scalar worklist fixpoint that re-checks
@@ -42,7 +44,7 @@ budget overrun is always a distinct outcome, never a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import compress
 
 import numpy as np
 
@@ -290,59 +292,124 @@ def _iter_generated_quora(
                     stack.append((child, known))
 
 
-def _minimal_quota_quora(masks: _Masks, top: int) -> list[int]:
-    """Every inclusion-minimal quorum of a quota network, as masks.
+def _in_byte_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables for the three low code bits of a packed subset table.
 
-    A permutation inside the twin classes maps quora onto quora, so a
-    quorum is known up to its count vector: how many members it takes
-    from each class. Vectors are scanned by increasing size, as the
-    product over multi-member classes of their counts times the
-    combinations of the singletons, and each is judged on one
-    representative that takes the lowest positions of each class. Those
-    representatives are nested, so a vector that dominates a quorum
-    vector found earlier is skipped by a mask test. Every member choice of
-    each minimal vector is then listed. Without twins this is the scan of
-    every subset of ``top`` by increasing size.
+    Bit ``c`` of byte ``c // 8`` stands for code ``c``, so the codes in one
+    byte differ only in those bits. ``close[x]`` is byte ``x`` closed
+    downward over them: each flag copied onto every code above it in the
+    byte. ``below[x]`` flags the codes with a one-member removal flagged
+    in ``x``.
     """
-    classes = [members for members in masks.twin_classes() if (top >> members[0]) & 1]
-    groups = [members for members in classes if len(members) > 1]
-    singles = [members[0] for members in classes if len(members) == 1]
-    # prefixes[g][v]: the lowest v members of group g
-    prefixes = []
-    for members in groups:
-        prefix = [0]
-        for k in members:
-            prefix.append(prefix[-1] | 1 << k)
-        prefixes.append(prefix)
-    by_total: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for vector in product(*(range(len(members) + 1) for members in groups)):
-        rep = 0
-        for prefix, v in zip(prefixes, vector):
-            rep |= prefix[v]
-        by_total.setdefault(sum(vector), []).append((vector, rep))
-    found: list[int] = []
-    minimal: list[tuple[tuple[int, ...], int]] = []
-    for size in range(1, top.bit_count() + 1):
-        for total in range(max(0, size - len(singles)), size + 1):
-            for vector, rep in by_total.get(total, ()):
-                for combo in combinations(singles, size - total):
-                    m = rep
-                    for k in combo:
-                        m |= 1 << k
-                    if any(f & m == f for f in found):
-                        continue
-                    if masks.is_quorum(m):
-                        found.append(m)
-                        minimal.append((vector, m & ~rep))
-    quora = []
-    for vector, chosen in minimal:
-        for parts in product(*(combinations(g, v) for g, v in zip(groups, vector))):
-            m = chosen
-            for part in parts:
-                for k in part:
-                    m |= 1 << k
-            quora.append(m)
-    return quora
+    x = np.arange(256, dtype=np.uint8)
+    close, below = x.copy(), np.zeros_like(x)
+    for j, with_bit in enumerate((0xAA, 0xCC, 0xF0)):
+        close |= (close << (1 << j)) & with_bit
+        below |= (x << (1 << j)) & with_bit
+    return close, below
+
+
+_CLOSE_IN_BYTE, _BELOW_IN_BYTE = _in_byte_tables()
+
+
+def _quorum_table(masks: _Masks, bits: list[int]) -> np.ndarray:
+    """Packed flags of the quorum codes over honest members ``bits``.
+
+    Code bit ``j`` stands for ``bits[j]``. A code is a quorum when it is
+    non-empty and every member ``i`` finds ``need_i`` of its trustees in
+    it. A code splits into a high and a low half and the trustee count is
+    the sum of the two halves' counts, so each member costs one outer
+    comparison of two ``2^(k/2)`` arrays into a ``2^k``-byte table, which
+    is then packed, one bit per code (at least one byte).
+    """
+    k = len(bits)
+    width = (len(masks.order) + 7) // 8
+    raw = b"".join(masks.quota_req[i][0].to_bytes(width, "little") for i in bits)
+    trusted = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(k, width), axis=1, bitorder="little"
+    )[:, bits]
+    own = (1 << np.arange(k, dtype=np.int64))[:, None]
+    trust = trusted.astype(np.int64) @ own
+    need = np.array([masks.quota_req[i][1] for i in bits], dtype=np.int16)[:, None]
+    split = k // 2
+    low, high = np.arange(1 << split), np.arange(1 << (k - split))
+    # Member i needs need_i trustees in a code that holds it and none in
+    # one that does not. short[i, h]: what it still needs beyond the high
+    # half h; have[i, l]: what the low half l gives it.
+    short = need * np.bitwise_count(high & (own >> split))
+    short -= np.bitwise_count(high & (trust >> split))
+    have = np.bitwise_count(low & trust) - need * np.bitwise_count(low & own)
+    table = np.ones((high.size, low.size), dtype=bool)
+    table[0, 0] = False
+    # Members in groups whose comparisons fill about 64 KB: few numpy calls
+    # for a small table, one member at a time for a large one.
+    step = max(1, min(k, (1 << 16) >> k))
+    scratch = np.empty((step, high.size, low.size), dtype=bool)
+    for r in range(0, k, step):
+        part = scratch[: k - r]
+        np.less_equal(short[r : r + step, :, None], have[r : r + step, None, :], out=part)
+        for row in part:
+            table &= row
+    return np.packbits(table, bitorder="little")
+
+
+def _minimal_quota_quora(masks: _Masks, top: int, max_states: int) -> list[frozenset[NodeId]]:
+    """Every inclusion-minimal quorum of a quota network, sorted as :func:`minimal_quora`.
+
+    A Byzantine member of ``top`` is a quorum alone, so it forms exactly
+    one minimal quorum, and every other one lies among the ``k`` honest
+    members of ``top``. Those come from one table over the ``2^k`` subsets
+    (:func:`_quorum_table`), one bit per subset; no integer array of the
+    subsets is built.
+
+    ``has``, the downward OR-closure of the quorum flags (the superset
+    zeta transform over OR), tells whether a subset contains a quorum: one
+    pass per member, each moving every subset's flag onto the subset with
+    that member added. A quorum is minimal when no one-member removal has
+    a quorum, which is one more pass per member. Testing the removals
+    against the quorum flags alone would miss a quorum two members
+    smaller. The three members that vary inside a byte of the packed
+    table take one lookup for each of the two steps
+    (:func:`_in_byte_tables`); the others take a pass over whole bytes.
+
+    Raises:
+        BudgetExceededError: when the ``2^k`` subsets exceed ``max_states``.
+    """
+    # Code bit j stands for the j-th honest member of top from the highest
+    # network position down, so among sets of one size a higher code sorts
+    # first.
+    inside = top & masks.honest_mask
+    honest = [b for b in reversed(range(len(masks.order))) if (inside >> b) & 1]
+    k = len(honest)
+    if 1 << k > max_states:
+        raise BudgetExceededError(
+            f"a minimal-quora table of 2**{k} subsets exceeds {max_states} states"
+        )
+    quorum = _quorum_table(masks, honest)
+    has = _CLOSE_IN_BYTE[quorum]
+    for j in range(3, k):
+        view = has.reshape(-1, 2, 1 << (j - 3))
+        view[:, 1, :] |= view[:, 0, :]
+    quorum &= ~_BELOW_IN_BYTE[has]
+    for j in range(3, k):
+        without = has.reshape(-1, 2, 1 << (j - 3))[:, 0, :]
+        quorum.reshape(-1, 2, 1 << (j - 3))[:, 1, :] &= ~without
+    codes = np.flatnonzero(np.unpackbits(quorum, count=1 << k, bitorder="little"))[::-1]
+    sizes = np.bitwise_count(codes)
+    codes = codes[np.argsort(sizes, kind="stable")]
+    flags = np.unpackbits(
+        codes.astype("<i8").view(np.uint8).reshape(-1, 8), axis=1, count=k, bitorder="little"
+    )
+    labels = [masks.order[b] for b in honest]
+    quora = [frozenset(compress(labels, row)) for row in flags.tolist()]
+    # Byzantine singletons join the honest ones in network order.
+    ones = int(np.count_nonzero(sizes == 1))
+    byzantine = top & masks.byz_mask
+    singles = quora[:ones] + [
+        masks.labels(1 << b) for b in range(len(masks.order)) if (byzantine >> b) & 1
+    ]
+    singles.sort(key=lambda q: masks.index[next(iter(q))])
+    return singles + quora[ones:]
 
 
 def minimal_quora(
@@ -354,15 +421,16 @@ def minimal_quora(
     """All inclusion-minimal quora, sorted by size then node order.
 
     Explicit-slice networks grow candidates by slice closure and keep the
-    minimal ones. Quota networks scan twin-class count vectors by
-    increasing size (:func:`_minimal_quota_quora`): one quorum test per
-    vector rather than per subset, so a class of ``c`` twins costs ``c +
-    1`` tests where it cost ``2^c``, and every minimal quorum is still
-    listed. The ``max_nodes`` budget applies to both.
+    minimal ones. Quota networks flag every subset of the ``k`` honest
+    members of the largest quorum in one numpy table
+    (:func:`_minimal_quota_quora`): about ``3k`` passes over ``2^k``
+    bytes or bits, with or without twins. The ``max_nodes`` budget
+    applies to both.
 
     Raises:
-        BudgetExceededError: when the instance exceeds ``max_nodes`` or the
-            enumeration exceeds ``max_states``.
+        BudgetExceededError: when the instance exceeds ``max_nodes``, the
+            enumeration exceeds ``max_states``, or the ``2^k`` subsets of
+            the quota table do.
     """
     if len(net.nodes) > max_nodes:
         raise BudgetExceededError(
@@ -379,7 +447,7 @@ def minimal_quora(
             if not any(o != q and o & q == o for o in candidates)
         ]
     else:
-        minimal = _minimal_quota_quora(masks, top)
+        return tuple(_minimal_quota_quora(masks, top, max_states))
     as_sets = [masks.labels(q) for q in minimal]
     order_key = {n: k for k, n in enumerate(net.nodes)}
     as_sets.sort(key=lambda s: (len(s), sorted(order_key[n] for n in s)))

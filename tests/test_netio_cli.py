@@ -27,6 +27,7 @@ from quorumlens import (
     load_network_file,
     network_document,
     parse_dimacs,
+    parse_network_document,
     save_network,
     slice_addition_instance,
     threshold,
@@ -60,6 +61,25 @@ def shared_five_doc():
         "trust": {n: ["1", "2", "3", "4", "5"] for n in "123456"},
         "quota_uniform": 0.8,
     }
+
+
+# JSON number texts that Python's json module reads as non-finite floats.
+NON_FINITE = ("NaN", "Infinity", "-Infinity", "1e400")
+NUMBER_KEYS = ("quota_uniform", "quota", "byz_fraction_uniform", "byz_fraction")
+
+
+def with_number_text(key, text):
+    """JSON text of ``shared_five_doc`` carrying the number ``text`` under ``key``."""
+    doc = shared_five_doc()
+    if key == "quota":
+        del doc["quota_uniform"]
+        doc["quota"] = {n: "4/5" for n in "123456"}
+        doc["quota"]["1"] = "@"
+    elif key == "byz_fraction":
+        doc[key] = {"1": "@"}
+    else:
+        doc[key] = "@"
+    return json.dumps(doc).replace('"@"', text)
 
 
 class TestNetworkFiles:
@@ -152,6 +172,12 @@ class TestNetworkFiles:
             doc["quota_uniform"] = bad
             with pytest.raises(NetworkFormatError, match="quota_uniform"):
                 load_network(write(tmp_path, "bad.json", doc))
+
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
+    @pytest.mark.parametrize("text", NON_FINITE)
+    def test_non_finite_numbers_rejected(self, key, text):
+        with pytest.raises(NetworkFormatError, match=f"key .{key}.*not a finite number"):
+            parse_network_document(json.loads(with_number_text(key, text)))
 
     def test_slice_addition_joins_the_trust_set(self, tmp_path):
         doc = triangles_doc()
@@ -302,6 +328,17 @@ class TestCliContract:
         path = write(tmp_path, "q.json", shared_five_doc())
         assert run([command, path, "--json", "--max-nodes", value]) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["qi", "check"])
+    @pytest.mark.parametrize("key", NUMBER_KEYS)
+    @pytest.mark.parametrize("text", NON_FINITE)
+    def test_non_finite_numbers_exit_two(self, tmp_path, capsys, command, key, text):
+        path = tmp_path / "bad.json"
+        path.write_text(with_number_text(key, text))
+        assert run([command, str(path), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
 
     @pytest.mark.parametrize(
         "honest, pair",
@@ -468,6 +505,28 @@ class TestGenerators:
         assert a.read_bytes() == b.read_bytes()
         net = load_network(a)
         assert isinstance(net, QuotaNetwork) and len(net.nodes) == 8
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--nodes", "0", "integer of 1 or more, got '0'"),
+            ("--nodes", "-4", "integer of 1 or more, got '-4'"),
+            ("--nodes", "x", "invalid _at_least_one value: 'x'"),
+            ("--trust", "0", "integer of 1 or more, got '0'"),
+            ("--trust", "2.5", "invalid _at_least_one value: '2.5'"),
+            ("--byz", "-1", "integer of 0 or more, got '-1'"),
+            ("--byz", "one", "invalid _non_negative value: 'one'"),
+        ],
+    )
+    def test_gen_random_bad_arguments_exit_two(self, tmp_path, capsys, option, value, message):
+        argv = {"--nodes": "6", "--trust": "4", "--byz": "0"}
+        argv[option] = value
+        out = tmp_path / "x.json"
+        flat = [x for pair in argv.items() for x in pair]
+        assert run(["gen", "random", *flat, "--quota", "0.8", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert f"argument {option}: " in captured.err and message in captured.err
 
     def test_gen_random_infeasible_exit_two(self, tmp_path):
         assert run(["gen", "random", "--nodes", "4", "--trust", "9", "--quota", "0.8",

@@ -12,14 +12,19 @@ judges generated quora in chunks over masks of 64-bit words, so those
 inputs include witnesses on and next to a chunk boundary and networks
 of more than 64 nodes.
 
-The quota searches work up to twin symmetry, so they are also checked on
+The quota split scan works up to twin symmetry, so it is also checked on
 networks with large twin classes: the twin classes against brute-force
-swaps, ``minimal_quora`` against the minimal sets of every quorum, and
-the split scan against the scalar scan.
+swaps and the split scan against the scalar scan. ``minimal_quora`` of a
+quota network reads a numpy table over every subset of the honest
+members of the largest quorum. It is checked against the minimal sets
+of every quorum on networks with and without twins of up to 14 nodes,
+against the closed form of a uniform clique at 16 and 18 nodes, and for
+its memory at 20.
 """
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import oracles
@@ -247,7 +252,8 @@ def test_largest_quorum_within_matches_the_oracle():
 
 
 # ---------------------------------------------------------------------------
-# Twin classes: the quota scans judge one split or one quorum per class count
+# Twin classes: the quota scan judges one split per class count; minimal
+# quora of quota networks, with and without twins
 
 
 def planted_twin_nets(seed: int, count: int, max_nodes: int):
@@ -336,6 +342,9 @@ def test_twin_classes_are_exactly_the_swaps():
 
 def test_minimal_quora_of_quota_networks_match_all_quora():
     rng = random.Random(157)
+    twin_free = [
+        net for net in generated_nets(191, 30, 13, 14, ("centralised",)) if largest_class(net) == 1
+    ]
     nets = [
         *planted_twin_nets(163, 40, 12),
         *generated_nets(167, 40, 5, 12),
@@ -345,6 +354,7 @@ def test_minimal_quora_of_quota_networks_match_all_quora():
             )
             for _ in range(20)
         ),
+        *twin_free,
     ]
     for net in nets:
         quora = oracles.all_quora(net)
@@ -352,6 +362,43 @@ def test_minimal_quora_of_quota_networks_match_all_quora():
         assert minimal_quora(net) == expected, net
     assert sum(largest_class(net) >= 4 for net in nets) >= 20
     assert {len(net.byzantine) for net in nets} >= {0, 1, 2}
+    assert len(twin_free) >= 15 and {len(net.nodes) for net in twin_free} == {13, 14}
+    assert sum(len(quora) > 1 for quora in map(minimal_quora, twin_free)) >= 10
+
+
+def uniform_clique(size: int, quota: Fraction) -> QuotaNetwork:
+    nodes = tuple(f"x{k}" for k in range(size))
+    return QuotaNetwork(
+        nodes, frozenset(), {x: frozenset(nodes) for x in nodes}, {x: quota for x in nodes}
+    )
+
+
+@pytest.mark.parametrize("size, quota", [(16, Fraction(3, 4)), (18, Fraction(2, 3))])
+def test_minimal_quora_of_a_uniform_clique_are_the_threshold_subsets(size, quota):
+    net = uniform_clique(size, quota)
+    need = -(-quota.numerator * size // quota.denominator)
+    assert minimal_quora(net, max_nodes=size) == tuple(
+        frozenset(c) for c in itertools.combinations(net.nodes, need)
+    )
+
+
+def test_minimal_quora_table_memory():
+    # The flags are built at a byte per subset of the 20-node largest
+    # quorum, with a scratch table of the same size, then packed to a bit
+    # per subset; an int64 array of the 2 ** 20 subsets alone would take
+    # 8 bytes per subset.
+    k = 20
+    net = uniform_clique(k, Fraction(1))
+    tracemalloc.start()
+    try:
+        quora = minimal_quora(net, max_nodes=k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert quora == (frozenset(net.nodes),)
+    assert peak < 3 * (1 << k)
+    with pytest.raises(BudgetExceededError, match="2\\*\\*20 subsets"):
+        minimal_quora(net, max_nodes=k, max_states=(1 << k) - 1)
 
 
 def test_quota_scan_matches_the_scalar_scan_on_large_classes():
