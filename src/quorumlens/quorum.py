@@ -16,22 +16,16 @@ exact searches behind explicit budgets:
   chunk at once, over masks of ``ceil(n/64)`` ``uint64`` words. A budget
   overrun while a chunk fills still judges the candidates already drawn,
   so the search stops exactly where a one-at-a-time loop would;
-* quota networks use a pivot-fixed scan over candidate splits, which
-  runs the greatest-fixpoint operator of :func:`max_quorum_within` on
-  thousands of splits at once with numpy.
+* quota networks use a pivot-fixed scan over the splits of a pool of
+  nodes, decided from one numpy table over the count vectors of the
+  pool's twin classes (:func:`_scan_split`). Twins are nodes whose swap
+  maps the network onto itself (:meth:`_Masks.twin_classes`); a node
+  without twins is a class of one. Witnesses and counts are those of a
+  walk over every split code, which the scan never makes.
 
-The quota split scan works up to twin symmetry. Twins are nodes whose
-swap maps the network onto itself (:meth:`_Masks.twin_classes`, O(n²)
-over the masks), so a split is decided by its count of side-one members
-in each twin class. The scan judges one canonical split per count
-vector, about ∏(|class| + 1) of them, but still walks all
-2^(|pool| - 1) split codes to pick them out, so a pool over 64 nodes
-still exceeds the budget; witnesses and counts are those of the full
-scan. A network without twins takes the plain scan.
-
-:func:`minimal_quora` of a quota network uses no twins: it flags every
-subset of the largest quorum's honest members in one numpy table, a bit
-per subset (:func:`_minimal_quota_quora`).
+:func:`minimal_quora` of a quota network uses the same table
+(:func:`_quorum_table`) with a class per member, packed to a bit per
+subset (:func:`_minimal_quota_quora`).
 
 Single sets (the largest quorum, :func:`max_quorum_within`,
 :func:`minimal_quora`) use a scalar worklist fixpoint that re-checks
@@ -45,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
+from math import prod
 
 import numpy as np
 
@@ -67,7 +62,10 @@ class QuorumReport:
 
     When ``holds`` is false, ``witness`` carries two quora whose
     intersection is empty (or contains no honest node, for the honest
-    variant). ``quora_examined`` counts candidate quora or splits tested.
+    variant). ``quora_examined`` counts the candidate quora tested on
+    explicit-slice networks and the splits covered on quota networks: the
+    split code of the witness + 1, or all 2^(|pool| - 1) splits when
+    intersection holds, however few count vectors the scan reads.
     """
 
     holds: bool
@@ -312,45 +310,76 @@ def _in_byte_tables() -> tuple[np.ndarray, np.ndarray]:
 _CLOSE_IN_BYTE, _BELOW_IN_BYTE = _in_byte_tables()
 
 
-def _quorum_table(masks: _Masks, bits: list[int]) -> np.ndarray:
-    """Packed flags of the quorum codes over honest members ``bits``.
+def _quorum_table(masks: _Masks, classes: list[list[int]], base: int = 0) -> np.ndarray:
+    """Flat flags of the quorum count vectors over ``classes``, a byte each.
 
-    Code bit ``j`` stands for ``bits[j]``. A code is a quorum when it is
-    non-empty and every member ``i`` finds ``need_i`` of its trustees in
-    it. A code splits into a high and a low half and the trustee count is
-    the sum of the two halves' counts, so each member costs one outer
-    comparison of two ``2^(k/2)`` arrays into a ``2^k``-byte table, which
-    is then packed, one bit per code (at least one byte).
+    Digit ``j`` of an index counts the members of ``classes[j]`` in a set,
+    lowest first, and digit 0 varies fastest: over classes of one member
+    an index is a code with bit ``j`` for ``classes[j]``. A set is a
+    quorum when it is non-empty and every member finds ``need`` of its
+    trustees in it or in ``base``, Byzantine nodes that every set holds.
+    The classes must be twin classes: members of one class stand or fall
+    together, and each trusts every member of another class or none, and
+    every other member of its own or none, so one member per class is
+    checked against a sum of one term per digit. An index splits into a
+    high and a low half, so each class costs one outer comparison of two
+    arrays of about the square root of the table's size.
     """
-    k = len(bits)
     width = (len(masks.order) + 7) // 8
-    raw = b"".join(masks.quota_req[i][0].to_bytes(width, "little") for i in bits)
+    checks, trusts, needs = [], [], []
+    for j, members in enumerate(classes):
+        tmask, need = masks.quota_req[members[0]]
+        need -= (tmask & base).bit_count()
+        if need > 0:
+            checks.append(j)
+            trusts.append(tmask.to_bytes(width, "little"))
+            needs.append(need)
     trusted = np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8).reshape(k, width), axis=1, bitorder="little"
-    )[:, bits]
-    own = (1 << np.arange(k, dtype=np.int64))[:, None]
-    trust = trusted.astype(np.int64) @ own
-    need = np.array([masks.quota_req[i][1] for i in bits], dtype=np.int16)[:, None]
-    split = k // 2
-    low, high = np.arange(1 << split), np.arange(1 << (k - split))
-    # Member i needs need_i trustees in a code that holds it and none in
-    # one that does not. short[i, h]: what it still needs beyond the high
-    # half h; have[i, l]: what the low half l gives it.
-    short = need * np.bitwise_count(high & (own >> split))
-    short -= np.bitwise_count(high & (trust >> split))
-    have = np.bitwise_count(low & trust) - need * np.bitwise_count(low & own)
-    table = np.ones((high.size, low.size), dtype=bool)
+        np.frombuffer(b"".join(trusts), dtype=np.uint8).reshape(len(checks), width),
+        axis=1,
+        bitorder="little",
+    )
+    # weight[c, d]: what each member of class d adds to the trustee count
+    # of a member of class checks[c]; inside its own class, what another
+    # member adds. own[c, checks[c]] corrects that for the member itself
+    # and subtracts its need, once the class is present.
+    rows = np.arange(len(checks))
+    weight = trusted[:, [members[0] for members in classes]].astype(np.int32)
+    itself = weight[rows, checks]
+    weight[rows, checks] = trusted[rows, [classes[j][-1] for j in checks]]
+    own = np.zeros_like(weight)
+    own[rows, checks] = itself - weight[rows, checks] - np.array(needs, dtype=np.int32)
+    radix = [len(members) + 1 for members in classes]
+    size = prod(radix)
+    split, low = 0, 1
+    while split < len(radix) and (low * radix[split]) ** 2 <= size:
+        low *= radix[split]
+        split += 1
+
+    def terms(digits: range, count: int) -> np.ndarray:
+        # Each checked class's count over these digits, at every index of
+        # their half; a class outside them contributes nothing.
+        x = np.empty((len(digits), count), dtype=np.int32)
+        rest = np.arange(count, dtype=np.int32)
+        for row, d in enumerate(digits):
+            rest, x[row] = np.divmod(rest, radix[d])
+        return weight[:, digits] @ x + own[:, digits] @ (x > 0).astype(np.int32)
+
+    # Class c holds when short[c, h] <= have[c, l] for the halves h and l.
+    have = terms(range(split), low)
+    short = -terms(range(split, len(radix)), size // low)
+    table = np.ones((short.shape[1], low), dtype=bool)
     table[0, 0] = False
-    # Members in groups whose comparisons fill about 64 KB: few numpy calls
-    # for a small table, one member at a time for a large one.
-    step = max(1, min(k, (1 << 16) >> k))
-    scratch = np.empty((step, high.size, low.size), dtype=bool)
-    for r in range(0, k, step):
-        part = scratch[: k - r]
+    # Classes in groups whose comparisons fill about 64 KB: few numpy calls
+    # for a small table, one class at a time for a large one.
+    step = max(1, min(len(checks), (1 << 16) // size))
+    scratch = np.empty((step, *table.shape), dtype=bool)
+    for r in range(0, len(checks), step):
+        part = scratch[: len(checks) - r]
         np.less_equal(short[r : r + step, :, None], have[r : r + step, None, :], out=part)
         for row in part:
             table &= row
-    return np.packbits(table, bitorder="little")
+    return table.reshape(-1)
 
 
 def _minimal_quota_quora(masks: _Masks, top: int, max_states: int) -> list[frozenset[NodeId]]:
@@ -385,7 +414,7 @@ def _minimal_quota_quora(masks: _Masks, top: int, max_states: int) -> list[froze
         raise BudgetExceededError(
             f"a minimal-quora table of 2**{k} subsets exceeds {max_states} states"
         )
-    quorum = _quorum_table(masks, honest)
+    quorum = np.packbits(_quorum_table(masks, [[b] for b in honest]), bitorder="little")
     has = _CLOSE_IN_BYTE[quorum]
     for j in range(3, k):
         view = has.reshape(-1, 2, 1 << (j - 3))
@@ -457,130 +486,78 @@ def minimal_quora(
 # ---------------------------------------------------------------------------
 # Quorum-intersection checks
 
-# Both batch searches judge candidates in chunks that start small, so an
-# early witness costs little, and double up to a cap. A split chunk pays
-# a numpy call per pool node and fixpoint round, so it starts at 64; a
-# slices chunk pays for every quorum generated past the witness, so it
-# starts at 16, and it holds a (chunk, coalitions) temporary per round,
-# so it stops at 256.
-_SPLIT_CHUNK_FIRST = 64
-_SPLIT_CHUNK_MAX = 4096
+# The slices search judges generated quora in chunks that start small, so
+# an early witness costs little, and double up to a cap. A chunk pays for
+# every quorum generated past the witness, so it starts at 16, and it
+# holds a (chunk, coalitions) temporary per round, so it stops at 256.
 _SLICES_CHUNK_FIRST = 16
 _SLICES_CHUNK_MAX = 256
 
 
-def _scan_split(masks: _Masks, pool: int, base: int) -> tuple[int, tuple[int, int] | None]:
-    """Scan the splits of ``pool`` for two disjoint quora (quota networks).
+def _scan_split(
+    masks: _Masks, pool: int, base: int, max_states: int
+) -> tuple[int, tuple[int, int] | None]:
+    """First split of ``pool`` into two disjoint quora (quota networks).
 
     The lowest pool node (the pivot) always sits on side one; split code
     ``c`` puts the k-th other pool node on side one when bit k of ``c`` is
-    set and on side two otherwise. Each side also holds ``base``, a set of
-    Byzantine nodes that every candidate keeps, so ``base`` is folded into
-    the pool nodes' thresholds. Codes are scanned in increasing order in
-    chunks, and each chunk runs the greatest fixpoint on all of its splits
-    at once over the pool's bits compacted into one ``uint64``.
+    set. Each side also holds ``base``, Byzantine nodes that every
+    candidate keeps. Returns (splits covered, witness): the largest quorum
+    of each side for the lowest code where both keep a pool node, and that
+    code + 1, or all 2^(|pool| - 1) splits and no witness.
 
-    Returns (splits examined, first witness in split-code order): the
-    witness is the largest quorum of each side for the lowest code where
-    both of them keep a pool node, and the count stops at that code.
+    A split is decided by its count of side-one members in each twin
+    class, so no code is walked. :func:`_quorum_table` flags the quorum
+    count vectors of the pool's classes; its prefix-OR along each digit
+    (the superset zeta transform) flags the vectors ``has`` that hold a
+    quorum, and the complement of a vector is the flat table read
+    backwards. A split shares its verdict with its canonical form, whose
+    side-one members are each class's lowest and whose code is no higher,
+    so the first violating code is canonical. It is fixed bit by bit from
+    the highest pool position down, narrowing that position's class digit
+    in a view of the violations to keep the bit clear whenever a
+    violation remains.
 
-    Twins (:meth:`_Masks.twin_classes`) make most splits redundant: a
-    permutation inside the classes maps a split onto one with the same
-    verdict. So only canonical splits are judged, those whose side-one
-    members of each class sit at the class's lowest pool positions. Every
-    split shares its verdict with its canonical form, whose code is no
-    higher, so the first violating code is canonical and the witness and
-    count are those of the full scan. The codes are still walked in
-    order, in chunks, and the canonical ones are pooled into batches of
-    the chunk sizes for the fixpoint: the scan judges about
-    ∏(|class| + 1) splits but walks all 2^(|pool| - 1) codes, and a pool
-    over 64 nodes still exceeds the budget. Without twins every split is
-    canonical and this is the plain chunked scan.
+    Raises:
+        BudgetExceededError: when the table exceeds ``max_states`` vectors.
     """
-    bits = [k for k in range(len(masks.order)) if (pool >> k) & 1]
-    if len(bits) > 64:
+    bits = [b for b in range(len(masks.order)) if (pool >> b) & 1]
+    # Classes lie wholly inside or outside the pool, since permutations
+    # inside classes keep it; the first holds the pivot, its lowest member.
+    classes = [members for members in masks.twin_classes() if (pool >> members[0]) & 1]
+    radix = [len(members) + 1 for members in classes]
+    size = prod(radix)
+    if size > max_states:
         raise BudgetExceededError(
-            f"a split scan over {len(bits)} nodes exceeds 2**63 splits"
+            f"a split table of {size} count vectors exceeds {max_states} states"
         )
-    # Each class as code bits. Classes lie wholly inside or outside the
-    # pool, since permutations inside classes keep it. The pivot is its
-    # class's lowest member and always on side one, so the rest of its
-    # class must be a code prefix too, and a class with one code bit
-    # filters nothing.
-    code_bit = {b: k for k, b in enumerate(bits[1:])}
-    groups = []
-    for members in masks.twin_classes():
-        g = sum(1 << code_bit[b] for b in members if b in code_bit)
-        if g.bit_count() > 1:
-            groups.append(np.uint64(g))
-    # (bit, trustees, need) over compacted bits, for each pool node that
-    # base alone does not satisfy.
-    checks = []
-    for k, b in enumerate(bits):
-        tmask, need = masks.quota_req[b]
-        need -= (tmask & base).bit_count()
-        if need > 0:
-            trust = sum(1 << j for j, c in enumerate(bits) if (tmask >> c) & 1)
-            checks.append((np.uint64(1 << k), np.uint64(trust), need))
-
-    def fixpoint(cur):
-        while True:
-            before = cur
-            for bit, trust, need in checks:
-                cur = np.where(np.bitwise_count(cur & trust) < need, cur & ~bit, cur)
-            if np.array_equal(cur, before):
-                return cur
-
-    def expand(cmask) -> int:
-        out = base
-        for k, b in enumerate(bits):
-            if (cmask >> k) & 1:
-                out |= 1 << b
-        return out
-
-    one = np.uint64(1)
-    full = np.uint64((1 << len(bits)) - 1)
-
-    def canonical(codes):
-        for g in groups:
-            x = codes & g
-            y = x ^ g
-            # Side-one members sit below every side-two member: x is below
-            # y's lowest bit. That bit minus one wraps to all ones for an
-            # empty side two, which every x passes.
-            codes = codes[((y & (~y + one)) - one) >= x]
-        return codes
-
-    def judge(codes):
-        side = (codes << one) | one
-        q1 = fixpoint(side)
-        live = np.flatnonzero(q1)
-        if live.size:
-            q2 = fixpoint(side[live] ^ full)
-            hits = np.flatnonzero(q2)
-            if hits.size:
-                j = live[hits[0]]
-                return int(codes[j]) + 1, (expand(int(q1[j])), expand(int(q2[hits[0]])))
-        return None
-
-    total = 1 << (len(bits) - 1)
-    pending = np.empty(0, dtype=np.uint64)
-    lo, size, batch = 0, _SPLIT_CHUNK_FIRST, _SPLIT_CHUNK_FIRST
-    while lo < total:
-        hi = min(total, lo + size)
-        codes = canonical(np.arange(lo, hi, dtype=np.uint64))
-        lo, size = hi, min(2 * size, _SPLIT_CHUNK_MAX)
-        # Judge full batches of canonical codes, and what is left at the end.
-        last = lo == total
-        while pending.size + codes.size >= (1 if last else batch):
-            take = batch - pending.size
-            found = judge(np.concatenate((pending, codes[:take])))
-            if found is not None:
-                return found
-            pending, codes = pending[:0], codes[take:]
-            batch = min(2 * batch, _SPLIT_CHUNK_MAX)
-        pending = np.concatenate((pending, codes))
-    return total, None
+    has = _quorum_table(masks, classes, base)
+    stride = 1
+    for r in radix:
+        view = has.reshape(-1, r, stride)
+        for i in range(1, r):
+            view[:, i] |= view[:, i - 1]
+        stride *= r
+    # Axis -1 - j of the violations is digit j; the pivot's class counts at least 1.
+    view = (has & has[::-1]).reshape(radix[::-1])[..., 1:]
+    if not view.any():
+        return 1 << (len(bits) - 1), None
+    lo = [1] + [0] * (len(classes) - 1)
+    where = {b: (j, r) for j, members in enumerate(classes) for r, b in enumerate(members)}
+    for b in reversed(bits[1:]):
+        j, r = where[b]
+        if r < lo[j]:
+            continue  # bit b is set in every violation left
+        axis = (slice(None),) * (len(classes) - 1 - j)
+        clear = view[(*axis, slice(None, r + 1 - lo[j]))]
+        if clear.any():
+            view = clear
+        else:
+            view = view[(*axis, slice(r + 1 - lo[j], None))]
+            lo[j] = r + 1
+    side = sum(1 << b for j, members in enumerate(classes) for b in members[: lo[j]])
+    code = sum(1 << k for k, b in enumerate(bits[1:]) if (side >> b) & 1)
+    return code + 1, (masks.max_quorum(side | base), masks.max_quorum(pool & ~side | base))
 
 
 def _to_words(masks: list[int], width: int) -> np.ndarray:
@@ -700,9 +677,11 @@ def _check_qi(net: Network, honest: bool, max_nodes: int, max_states: int) -> Qu
     if honest:
         # Every honest node is split; the Byzantine members of top join
         # both sides, which keeps only the honest parts disjoint.
-        examined, witness = _scan_split(masks, masks.honest_mask, top & masks.byz_mask)
+        examined, witness = _scan_split(
+            masks, masks.honest_mask, top & masks.byz_mask, max_states
+        )
     else:
-        examined, witness = _scan_split(masks, top, 0)
+        examined, witness = _scan_split(masks, top, 0, max_states)
     if witness is None:
         return QuorumReport(True, None, examined)
     q1, q2 = witness

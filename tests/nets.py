@@ -104,3 +104,10 @@ def shared_five(byz: str = "") -> QuotaNetwork:
         trust={n: frozenset("12345") for n in honest},
         quota={n: Fraction(4, 5) for n in honest},
     )
+
+
+def ring(size: int, quota: Fraction) -> QuotaNetwork:
+    """Each node trusts itself and its two neighbours: a quota network without twins."""
+    nodes = tuple(f"r{k}" for k in range(size))
+    trust = {x: frozenset({nodes[k - 1], x, nodes[(k + 1) % size]}) for k, x in enumerate(nodes)}
+    return QuotaNetwork(nodes, frozenset(), trust, {x: quota for x in nodes})

@@ -14,7 +14,10 @@ of more than 64 nodes.
 
 The quota split scan works up to twin symmetry, so it is also checked on
 networks with large twin classes: the twin classes against brute-force
-swaps and the split scan against the scalar scan. ``minimal_quora`` of a
+swaps and the split scan against the scalar scan. Twin-free networks
+with witnesses past split code 64 check the scan bit by bit, uniform
+cliques of up to 100 nodes check it against the closed form, and a
+twin-free pool of 20 nodes bounds its memory. ``minimal_quora`` of a
 quota network reads a numpy table over every subset of the honest
 members of the largest quorum. It is checked against the minimal sets
 of every quorum on networks with and without twins of up to 14 nodes,
@@ -27,6 +30,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import nets
 import oracles
 import pytest
 from quorumlens import (
@@ -44,7 +48,7 @@ from quorumlens import (
     slice_addition_instance,
 )
 from quorumlens.quorum import _SLICES_CHUNK_FIRST as FIRST_CHUNK
-from quorumlens.quorum import _SPLIT_CHUNK_FIRST, _Masks
+from quorumlens.quorum import _Masks
 
 QUOTAS = (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(1))
 TOPOLOGIES = ("clique", "overlapping-groups", "centralised")
@@ -366,10 +370,13 @@ def test_minimal_quora_of_quota_networks_match_all_quora():
     assert sum(len(quora) > 1 for quora in map(minimal_quora, twin_free)) >= 10
 
 
-def uniform_clique(size: int, quota: Fraction) -> QuotaNetwork:
+def uniform_clique(size: int, quota: Fraction, byz: int = 0) -> QuotaNetwork:
+    """Every node trusts every node; ``byz`` of them, every third from x1, are Byzantine."""
     nodes = tuple(f"x{k}" for k in range(size))
+    byzantine = frozenset(nodes[1::3][:byz])
+    honest = [x for x in nodes if x not in byzantine]
     return QuotaNetwork(
-        nodes, frozenset(), {x: frozenset(nodes) for x in nodes}, {x: quota for x in nodes}
+        nodes, byzantine, {x: frozenset(nodes) for x in honest}, {x: quota for x in honest}
     )
 
 
@@ -401,6 +408,74 @@ def test_minimal_quora_table_memory():
         minimal_quora(net, max_nodes=k, max_states=(1 << k) - 1)
 
 
+@pytest.mark.parametrize("size", [22, 26, 65, 100])
+@pytest.mark.parametrize("quota", [Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)])
+def test_split_scan_of_a_uniform_clique_has_the_closed_form(size, quota):
+    # A pool of p nodes that each need t of the pool has disjoint quora
+    # exactly when 2t <= p. The first split code that gives side one t
+    # members is 2**(t-1) - 1; otherwise all 2**(p-1) splits are covered.
+    # The honest scan folds the Byzantine members into each need.
+    need = -(-quota.numerator * size // quota.denominator)
+    for check, byz in ((check_quorum_intersection, 0), (check_qi_honest, 0), (check_qi_honest, 5)):
+        net = uniform_clique(size, quota, byz)
+        report = check(net, max_nodes=size)
+        pool, short = size - byz, need - byz
+        if 2 * short > pool:
+            assert (report.holds, report.quora_examined) == (True, 2 ** (pool - 1)), (check, byz)
+            continue
+        honest = [x for x in net.nodes if x not in net.byzantine]
+        side = frozenset(honest[:short]) | net.byzantine
+        rest = frozenset(honest[short:]) | net.byzantine
+        assert (report.holds, report.witness, report.quora_examined) == (
+            False,
+            (side, rest),
+            2 ** (short - 1),
+        ), (check, byz)
+
+
+def test_quota_scan_matches_the_scalar_scan_past_code_64_without_twins():
+    nets = [
+        net for net in generated_nets(192, 12, 13, 16, ("centralised",)) if largest_class(net) == 1
+    ]
+    codes = [
+        assert_same_split_scan(net, False, check_quorum_intersection).quora_examined
+        for net in nets
+    ]
+    assert {len(net.nodes) for net in nets} == {13, 14, 15, 16}
+    assert len(codes) >= 8 and min(codes) > 64, codes
+
+
+def test_honest_scan_when_byzantine_trustees_alone_meet_a_need():
+    # d needs 2 of {d, e, x, y}, and the Byzantine x and y sit in every
+    # honest candidate, so {d, x, y} is a quorum. It leaves a and b on
+    # side one at split code 1, where a and b back each other.
+    trust = {x: frozenset("abc") for x in "abc"}
+    trust.update(d=frozenset("dexy"), e=frozenset("aef"), f=frozenset("aef"))
+    quota = {x: Fraction(2, 3) for x in "abc"}
+    quota.update(d=Fraction(1, 2), e=Fraction(1), f=Fraction(1))
+    net = QuotaNetwork(tuple("axbcdyef"), frozenset("xy"), trust, quota)
+    report = assert_same_split_scan(net, True, check_qi_honest)
+    assert report.witness == (frozenset("abxy"), frozenset("dxy"))
+    assert report.quora_examined == 2
+    assert_witness(net, report, True)
+    assert_same_split_scan(net, False, check_quorum_intersection)
+
+
+def test_split_table_memory():
+    # A twin-free pool of 20 nodes takes a table of 2 ** 20 count vectors
+    # at a byte each, with a scratch table of the same size while it is
+    # built, then the flags of the violating vectors.
+    net = nets.ring(20, Fraction(1))
+    tracemalloc.start()
+    try:
+        report = check_qi_honest(net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds and report.quora_examined == 2 ** 19
+    assert peak < 3 * (1 << 20)
+
+
 def test_quota_scan_matches_the_scalar_scan_on_large_classes():
     nets = [
         *planted_twin_nets(173, 14, 14),
@@ -412,7 +487,7 @@ def test_quota_scan_matches_the_scalar_scan_on_large_classes():
         for honest, check in ((False, check_quorum_intersection), (True, check_qi_honest)):
             report = assert_same_split_scan(net, honest, check)
             seen[honest][report.holds] += 1
-            deep += not report.holds and report.quora_examined > _SPLIT_CHUNK_FIRST
+            deep += not report.holds and report.quora_examined > 64
     assert min(seen[False] + seen[True]) >= 3, seen
     assert deep >= 3, deep
     assert sum(largest_class(net) >= 6 for net in nets) >= 10

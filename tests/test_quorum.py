@@ -170,14 +170,29 @@ class TestQuorumIntersection:
         holds = check_quorum_intersection(nets.shared_five())
         assert holds.holds and holds.quora_examined == 2 ** 5
 
-    def test_split_pool_above_64_nodes_is_a_budget_overrun(self):
+    def test_split_pool_above_64_nodes_holds(self):
+        # One twin class of 65: the scan reads 66 count vectors and covers
+        # all 2**64 splits.
         labels = tuple(f"n{k}" for k in range(65))
         everyone = frozenset(labels)
         net = QuotaNetwork(
             labels, frozenset(), {n: everyone for n in labels}, {n: Fraction(3, 4) for n in labels}
         )
-        with pytest.raises(BudgetExceededError, match="splits"):
-            check_quorum_intersection(net, max_nodes=100)
+        report = check_quorum_intersection(net, max_nodes=100)
+        assert report.holds and report.quora_examined == 2 ** 64
+
+    def test_twin_free_split_table_over_max_states_is_a_budget_overrun(self):
+        # A ring where each node needs 2 of itself and its two neighbours
+        # has no twins, so its 21-node pool takes a table of 2**21 count
+        # vectors, more than the default 2,000,000 states.
+        net = nets.ring(21, Fraction(1, 2))
+        with pytest.raises(BudgetExceededError, match="split table of 2097152"):
+            check_quorum_intersection(net, max_nodes=21)
+        with pytest.raises(BudgetExceededError):
+            check_qi_honest(net, max_nodes=21, max_states=2 ** 21 - 1)
+        report = check_quorum_intersection(net, max_nodes=21, max_states=2 ** 21)
+        assert (report.quora_examined, report.witness) == oracles.first_split_witness(net)
+        assert report.quora_examined == 2
 
 
 class TestHonestIntersection:
