@@ -11,8 +11,6 @@ limit the Byzantine node holds all of it.
 
 from fractions import Fraction
 
-import numpy as np
-
 from quorumlens import (
     QuotaNetwork,
     analyze_graph,
@@ -34,8 +32,8 @@ def shared_five(byzantine=frozenset()):
     )
 
 
-def show(matrix):
-    for node, row in zip(matrix.order, matrix.entries):
+def show(order, rows):
+    for node, row in zip(order, rows):
         print(f"   {node}: [{', '.join(str(x) for x in row)}]")
 
 
@@ -44,24 +42,24 @@ net = shared_five()
 m = influence_matrix(net)
 print("raw pivot indices for node 6's game:", [str(x) for x in banzhaf_raw_row(net, "6")])
 print("influence matrix (normalized rows):")
-show(m)
+show(m.order, m.entries)
 print("idempotent (exact rational square equals itself)?", is_idempotent_exact(m))
 report = limit_matrix(m)
 print("classification:", report.classification)
-print("limit row for node 1:", np.round(report.limit[0], 6))
+print("limit row for node 1:", [str(x) for x in report.limit[0]])
 
 print("\n== node 5 Byzantine ==")
 variant = shared_five(byzantine={"5"})
 mv = influence_matrix(variant)
 print("influence matrix: honest rows unchanged, row 5 degenerate:")
-show(mv)
+show(mv.order, mv.entries)
 graph = analyze_graph(mv)
 for scc, closed, period in zip(graph.sccs, graph.closed, graph.periods):
     print(f"  component {sorted(scc)}: closed={closed}, period={period}")
 reportv = limit_matrix(mv)
 print("classification:", reportv.classification)
-print("limit matrix:")
-print(np.round(reportv.limit, 6))
+print("limit matrix (exact):")
+show(mv.order, reportv.limit)
 print("every unit of limit influence sits on the Byzantine node.")
 
 central = centralization_limit_report(variant)

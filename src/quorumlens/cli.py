@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 import warnings
@@ -42,7 +41,6 @@ from .network import (
     NetworkValidationError,
     QuotaNetwork,
     QuotaRangeWarning,
-    TrustNetwork,
     find_fork,
     find_strong_fork,
     network_violations,
@@ -70,13 +68,6 @@ class WitnessCheckError(Exception):
     """A witness failed its re-check before printing: an internal error."""
 
 
-def _positive_finite(text: str) -> float:
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a positive finite number, got {text!r}")
-    return value
-
-
 def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -89,6 +80,15 @@ def _non_negative(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected an integer of 0 or more, got {text!r}")
     return value
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"expected a rational number such as 4/5 or 0.8, got {text!r}"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,8 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("influence", parents=[common], help="influence matrix and limits")
     p.add_argument("file")
     p.add_argument("--limit", action="store_true", help="report the limit of the matrix powers")
-    p.add_argument("--tol", type=_positive_finite, default=influence_mod.DEFAULT_LIMIT_TOL)
-    p.add_argument("--max-iter", type=_at_least_one, default=influence_mod.DEFAULT_LIMIT_MAX_ITER)
     p.add_argument("--exact", action="store_true", help="print entries as exact rationals")
 
     gen = sub.add_parser("gen", help="instance generators")
@@ -144,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = gen_sub.add_parser("random", parents=[common], help="seeded random quota network")
     p.add_argument("--nodes", type=_at_least_one, required=True)
     p.add_argument("--trust", type=_at_least_one, required=True)
-    p.add_argument("--quota", type=str, required=True)
+    p.add_argument("--quota", type=_rational, required=True)
     p.add_argument("--byz", type=_non_negative, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -253,8 +251,6 @@ def _recheck_qi_witness(net, q_a, q_b, honest: bool) -> None:
 def _run_fork(args):
     net = load_network(args.file)
     if args.strong:
-        if not isinstance(net, TrustNetwork):
-            raise NetworkFormatError("strong-fork search requires a slices network")
         max_nodes = args.max_nodes if args.max_nodes is not None else DEFAULT_STRONG_FORK_MAX_NODES
         witness = find_strong_fork(net, max_nodes=max_nodes)
         safe_verdict, found_verdict = "weakly-safe", "strongly-forked"
@@ -364,21 +360,16 @@ def _run_influence(args):
     net = load_network(args.file)
     central = None
     if bounds_mod.common_trust_set(net):
-        central = influence_mod.centralization_limit_report(
-            net, tol=args.tol, max_iter=args.max_iter
-        )
+        central = influence_mod.centralization_limit_report(net)
         matrix, report = central.matrix, central.limit
     else:
         matrix = influence_mod.influence_matrix(net)
-        report = influence_mod.limit_matrix(matrix, tol=args.tol, max_iter=args.max_iter)
-    if args.exact:
-        rows = [[str(x) for x in row] for row in matrix.entries]
-    else:
-        rows = [[float(x) for x in row] for row in matrix.entries]
+        report = influence_mod.limit_matrix(matrix)
+    entry = str if args.exact else float
     graph = report.graph
     tables: dict = {
         "order": list(matrix.order),
-        "matrix": rows,
+        "matrix": [list(map(entry, row)) for row in matrix.entries],
         "graph": {
             "edges": len(graph.edges),
             "components": [
@@ -394,9 +385,7 @@ def _run_influence(args):
     if args.limit:
         tables["limit"] = {
             "classification": report.classification,
-            "iterations": report.iterations,
-            "error_bound": report.error_bound,
-            "matrix": None if report.limit is None else [list(map(float, row)) for row in report.limit],
+            "matrix": None if report.limit is None else [list(map(entry, row)) for row in report.limit],
         }
     if central is not None:
         tables["centralization"] = {
@@ -445,7 +434,7 @@ def _run_gen_random(args):
         params = GenParams(
             node_count=args.nodes,
             trust_size=args.trust,
-            quota=Fraction(args.quota) if "/" in args.quota else args.quota,
+            quota=args.quota,
             byzantine_count=args.byz,
             seed=args.seed,
             topology=args.topology,
@@ -509,11 +498,9 @@ def render_human(report: dict) -> str:
         lines.extend("  " + r for r in _render_rows(rows))
     if tables.get("limit"):
         limit = tables["limit"]
-        lines.append(
-            f"limit: {limit['classification']} after {limit['iterations']} squarings"
-        )
+        lines.append(f"limit: {limit['classification']}")
         if limit.get("matrix") is not None:
-            rows = [[f"{x:.6g}" for x in row] for row in limit["matrix"]]
+            rows = [[str(x) for x in row] for row in limit["matrix"]]
             lines.extend("  " + r for r in _render_rows(rows))
     if tables.get("overlap_bounds") is not None:
         rows = [["pair", "intersection", "bound", "ok"]]

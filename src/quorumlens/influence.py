@@ -8,7 +8,9 @@ matrix. Powers of the matrix give indirect influence, and the limit of
 those powers, when it exists, gives total influence. Existence of the
 limit is decided structurally from the influence digraph: every closed
 strongly connected component must be aperiodic, and a unique closed
-component makes the limit rows identical.
+component makes the limit rows identical. The limit itself is solved in
+exact rationals from the stationary distributions of the closed
+components and the absorption probabilities of the other nodes.
 """
 
 from __future__ import annotations
@@ -30,8 +32,6 @@ from .network import (
 )
 
 DEFAULT_BANZHAF_MAX_TRUST = 24
-DEFAULT_LIMIT_TOL = 1e-12
-DEFAULT_LIMIT_MAX_ITER = 40  # effective power 2**40
 
 
 @dataclass(frozen=True)
@@ -230,100 +230,115 @@ class LimitReport:
     """Limit of the matrix powers, or the reason it does not exist.
 
     ``classification`` is ``fully-regular`` (limit exists, all rows equal),
-    ``regular`` (limit exists), ``not-regular`` (a closed component is
-    periodic) or ``not-regular-numerically`` (structure admits a limit but
-    squaring failed to converge within the iteration budget).
-    ``structural_zero_mask[i][j]`` marks entries proven zero from the
-    graph alone; those are exact zeros in ``limit``.
+    ``regular`` (limit exists) or ``not-regular`` (a closed component is
+    periodic, so the powers cycle). ``limit`` holds the exact limit as
+    ``Fraction`` rows in the matrix's ``order``. ``structural_zero_mask[i][j]``
+    marks its zero entries: row ``i`` reaches no closed component holding
+    ``order[j]``. Both are ``None`` when the limit does not exist.
     """
 
     classification: str
-    limit: np.ndarray | None
-    error_bound: float | None
-    iterations: int
+    limit: tuple[tuple[Fraction, ...], ...] | None
     structural_zero_mask: tuple[tuple[bool, ...], ...] | None
     graph: InfluenceGraph
 
+    @property
+    def iterations(self) -> int:
+        # The limit is solved, not iterated. perfbench/tracing.py still reads
+        # this for its influence.squarings counter.
+        return 0
 
-def _structural_mask(m: InfluenceMatrix, graph: InfluenceGraph) -> tuple[tuple[bool, ...], ...]:
-    """mask[i][j] is True when the limit entry (i, j) must be zero.
 
-    An entry can be positive only when column ``j`` lies in a closed
-    component and row ``i`` can reach that component through positive
-    influence steps.
+def _solve(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
+    """Exact solution ``X`` of ``A X = B`` by fraction-free (Bareiss) elimination.
+
+    Each of ``rows`` is a row of the square, nonsingular ``A`` followed by
+    the ``width`` entries of the same row of ``B``. Every row is first
+    scaled by the lcm of its denominators, which leaves ``X`` unchanged, so
+    the elimination runs on integers and each of its divisions is exact.
+    With ``d`` the final pivot (the determinant up to sign), ``d * X`` is
+    integral by Cramer's rule, so back substitution stays in integers too.
     """
-    n = len(m.order)
-    index = {x: k for k, x in enumerate(m.order)}
-    closed_of: dict[int, int] = {}
-    for c, (scc, is_closed) in enumerate(zip(graph.sccs, graph.closed)):
-        if is_closed:
-            for label in scc:
-                closed_of[index[label]] = c
-    targets: list[list[int]] = [
-        [j for j in range(n) if m.entries[i][j] > 0] for i in range(n)
-    ]
-    mask_rows = []
-    for i in range(n):
-        reach = {i}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in targets[u]:
-                    if w not in reach:
-                        reach.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        reachable_closed = {closed_of[v] for v in reach if v in closed_of}
-        mask_rows.append(
-            tuple(
-                not (j in closed_of and closed_of[j] in reachable_closed)
-                for j in range(n)
-            )
-        )
-    return tuple(mask_rows)
+    a = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        a.append([x.numerator * (scale // x.denominator) for x in row])
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        p = next(r for r in range(k, n) if a[r][k])
+        a[k], a[p] = a[p], a[k]
+        pivot = a[k]
+        pk = pivot[k]
+        tail = pivot[k + 1 :]
+        for r in range(k + 1, n):
+            row = a[r]
+            f = row[k]
+            row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = pk
+    scaled = [[0] * width for _ in range(n)]
+    for i in reversed(range(n)):
+        row = a[i]
+        for c in range(width):
+            rest = sum(row[j] * scaled[j][c] for j in range(i + 1, n))
+            scaled[i][c] = (prev * row[n + c] - rest) // row[i]
+    return [[Fraction(v, prev) for v in values] for values in scaled]
 
 
-def limit_matrix(
-    m: InfluenceMatrix,
-    *,
-    tol: float = DEFAULT_LIMIT_TOL,
-    max_iter: int = DEFAULT_LIMIT_MAX_ITER,
-) -> LimitReport:
-    """Classify convergence of the powers of ``m`` and compute their limit.
+def limit_matrix(m: InfluenceMatrix) -> LimitReport:
+    """Classify convergence of the powers of ``m`` and solve for their exact limit.
 
     The limit exists exactly when every closed component of the influence
-    digraph is aperiodic; it is computed by repeated squaring of the float
-    image until the max-norm change drops below ``tol``. Entries outside
-    the influence basins of closed components are forced to exact zero.
+    digraph is aperiodic. Read ``m`` as a Markov chain in which node ``i``
+    moves to ``j`` with probability ``m[i][j]`` (Kemeny and Snell, *Finite
+    Markov Chains*, ch. 3): the closed components are its closed classes.
+    Each class ``C`` has a stationary distribution ``pi_C`` solving
+    ``pi (P_C - I) = 0`` with ``sum(pi) = 1``, and it is the limit row of
+    every member of ``C``; with one closed class it is every row. Otherwise
+    a transient node ``i`` has row ``sum over C of B[i, C] * pi_C``, where
+    the absorption probabilities ``B`` solve ``(I - Q) B = R``: ``Q`` is
+    ``m`` on the transient nodes and ``R[i, C]`` is the mass row ``i``
+    puts on ``C``, one column per class. Every system is solved exactly
+    by :func:`_solve`, so each limit row sums to exactly one.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tolerance must be a positive finite number")
     graph = analyze_graph(m)
-    closed_periods = [p for p, c in zip(graph.periods, graph.closed) if c]
-    if any(p != 1 for p in closed_periods):
-        return LimitReport("not-regular", None, None, 0, None, graph)
-    fully = len(closed_periods) == 1
-
-    power = m.as_float()
-    diff = math.inf
-    iterations = 0
-    for _ in range(max_iter):
-        squared = power @ power
-        diff = float(np.max(np.abs(squared - power)))
-        power = squared
-        iterations += 1
-        if diff < tol:
-            break
-    mask = _structural_mask(m, graph)
-    if diff >= tol:
-        return LimitReport("not-regular-numerically", None, diff, iterations, mask, graph)
-    for i, row in enumerate(mask):
-        for j, zero in enumerate(row):
-            if zero:
-                power[i, j] = 0.0
-    classification = "fully-regular" if fully else "regular"
-    return LimitReport(classification, power, diff, iterations, mask, graph)
+    if any(p != 1 for p, c in zip(graph.periods, graph.closed) if c):
+        return LimitReport("not-regular", None, None, graph)
+    n = len(m.order)
+    index = {x: k for k, x in enumerate(m.order)}
+    classes = [sorted(index[x] for x in scc) for scc in graph.closed_sccs()]
+    entries = m.entries
+    zero = Fraction(0)
+    stationary = []
+    for members in classes:
+        # Columns of P_C - I; the last, implied by the others, becomes sum(pi) = 1.
+        rows = [[entries[s][r] - int(r == s) for s in members] + [zero] for r in members[:-1]]
+        rows.append([Fraction(1)] * (len(members) + 1))
+        pi = dict(zip(members, (x for (x,) in _solve(rows, 1))))
+        stationary.append(tuple(pi.get(j, zero) for j in range(n)))
+    if len(classes) == 1:
+        limit = (stationary[0],) * n
+    else:
+        class_of = {v: c for c, members in enumerate(classes) for v in members}
+        transient = [i for i in range(n) if i not in class_of]
+        rows = [
+            [int(i == j) - entries[i][j] for j in transient]
+            + [sum((entries[i][v] for v in members), zero) for members in classes]
+            for i in transient
+        ]
+        absorbed = dict(zip(transient, _solve(rows, len(classes)))) if transient else {}
+        limit = tuple(
+            stationary[class_of[i]]
+            if i in class_of
+            else tuple(
+                absorbed[i][class_of[j]] * stationary[class_of[j]][j] if j in class_of else zero
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+    mask = tuple(tuple(x == 0 for x in row) for row in limit)
+    classification = "fully-regular" if len(classes) == 1 else "regular"
+    return LimitReport(classification, limit, mask, graph)
 
 
 @dataclass(frozen=True)
@@ -350,11 +365,7 @@ class CentralizationReport:
 
 
 def centralization_limit_report(
-    net: Network,
-    *,
-    tol: float = DEFAULT_LIMIT_TOL,
-    max_iter: int = DEFAULT_LIMIT_MAX_ITER,
-    max_trust: int = DEFAULT_BANZHAF_MAX_TRUST,
+    net: Network, *, max_trust: int = DEFAULT_BANZHAF_MAX_TRUST
 ) -> CentralizationReport:
     """Check the limit-influence structure of a centralised network.
 
@@ -367,7 +378,7 @@ def centralization_limit_report(
     if not common:
         raise ValueError("no node is trusted by every honest node")
     m = influence_matrix(net, max_trust=max_trust)
-    report = limit_matrix(m, tol=tol, max_iter=max_iter)
+    report = limit_matrix(m)
     regular_ok = report.classification in ("regular", "fully-regular")
 
     applicable = len(net.byzantine) <= 1

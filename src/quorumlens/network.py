@@ -578,7 +578,7 @@ def find_fork(
 
 
 def find_strong_fork(
-    net: TrustNetwork,
+    net: Network,
     *,
     max_nodes: int = DEFAULT_STRONG_FORK_MAX_NODES,
 ) -> ForkWitness | None:
@@ -588,17 +588,16 @@ def find_strong_fork(
     down: every member of each side's coalition closure again finds an
     agreeing coalition inside it. That happens exactly when two quora,
     each containing an honest node, intersect in no honest node, so the
-    search reuses the honest quorum-intersection check. The witness
-    carries the two quora and a profile in which each quorum's honest
-    members agree internally.
+    search reuses the honest quorum-intersection check, which decides
+    quota networks without expanding their slices. The witness carries
+    the two quora and a profile in which each quorum's honest members
+    agree internally.
 
     Note that a network whose honest nodes hold singleton veto slices is
     strongly forked as soon as it has two honest nodes: each singleton is
     a self-supporting quorum of its own. The interesting verdicts come
     from networks where every coalition merely contains its owner.
     """
-    if not isinstance(net, TrustNetwork):
-        raise TypeError("strong-fork search expects an explicit-slice network")
     from .quorum import check_qi_honest
 
     report = check_qi_honest(net, max_nodes=max_nodes)

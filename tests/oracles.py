@@ -12,7 +12,14 @@ import math
 import random
 from fractions import Fraction
 
-from quorumlens import Cnf, OpinionProfile, QuotaNetwork, TrustNetwork
+from quorumlens import (
+    Cnf,
+    GenParams,
+    OpinionProfile,
+    QuotaNetwork,
+    TrustNetwork,
+    random_quota_network,
+)
 
 
 def slice_families(net):
@@ -278,6 +285,20 @@ def banzhaf_raw_global(net, i, j) -> Fraction:
     return Fraction(pivots, 2 ** (len(net.nodes) - 1))
 
 
+def limit_by_squaring(m, squarings: int = 16):
+    """Float limit of the powers of influence matrix ``m`` by repeated squaring.
+
+    A fixed number of squarings and no tolerance. Rounding drifts the row
+    sums by about ``2 ** squarings`` machine epsilons (60 squarings can
+    move an entry by 0.1), so the default raises ``m`` to the power 65,536,
+    far past the mixing time of the small networks the suites use.
+    """
+    power = m.as_float()
+    for _ in range(squarings):
+        power = power @ power
+    return power
+
+
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> Cnf:
     clauses = tuple(
         tuple(rng.choice([-1, 1]) * rng.randint(1, num_vars) for _ in range(3))
@@ -342,6 +363,30 @@ def random_uniform_quota_net(
         trust[i] = frozenset(members)
     quota_map = {i: quota for i in honest}
     return QuotaNetwork(tuple(labels), byz, trust, quota_map)
+
+
+def seeded_quota_networks(seed: int, count: int, min_nodes: int = 3, max_nodes: int = 9):
+    """``count`` random quota networks with 0 to 2 Byzantine members.
+
+    About half come from ``random_quota_network`` over its three
+    topologies, the rest from :func:`random_uniform_quota_net`.
+    """
+    rng = random.Random(seed)
+    made = []
+    while len(made) < count:
+        n = rng.randint(min_nodes, max_nodes)
+        quota = rng.choice([Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5)])
+        byz = rng.randint(0, 2)
+        if rng.random() < 0.5:
+            topology = rng.choice(["clique", "overlapping-groups", "centralised"])
+            params = GenParams(n, rng.randint(2, n), quota, byz, rng.randrange(2**32), topology)
+            try:
+                made.append(random_quota_network(params))
+            except ValueError:
+                continue
+        else:
+            made.append(random_uniform_quota_net(rng, n, quota, byz_count=min(byz, n - 1)))
+    return made
 
 
 def admissible_placements(net: QuotaNetwork):

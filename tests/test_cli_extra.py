@@ -3,13 +3,15 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import nets
-from quorumlens import save_network
-from quorumlens.cli import render_human, run
+import oracles
+from quorumlens import QuotaNetwork, expand_quota_network, find_strong_fork, save_network
+from quorumlens.cli import _recheck_fork_witness, render_human, run
 from quorumlens.network import closure_step, enumerate_selectors
 
 REPO = Path(__file__).resolve().parent.parent
@@ -66,10 +68,31 @@ class TestSafetyVariants:
 
 
 class TestStrongForkCli:
-    def test_quota_network_rejected(self, tmp_path, capsys):
+    def test_quota_networks_match_their_expansion(self):
+        forked = 0
+        for net in oracles.seeded_quota_networks(31, 300):
+            witness = find_strong_fork(net)
+            assert (witness is None) == (find_strong_fork(expand_quota_network(net)) is None)
+            if witness is not None:
+                forked += 1
+                _recheck_fork_witness(net, witness)
+        assert forked >= 30
+
+    def test_quota_network_through_the_cli(self, tmp_path, capsys):
         path = save(tmp_path, "q.json", nets.shared_five())
-        assert run(["fork", path, "--strong"]) == 2
-        assert "slices network" in capsys.readouterr().err
+        assert run(["fork", path, "--strong", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "weakly-safe"
+        split = QuotaNetwork(
+            nodes=tuple("abcd"),
+            byzantine=frozenset(),
+            trust={n: frozenset("ab" if n in "ab" else "cd") for n in "abcd"},
+            quota={n: Fraction(1) for n in "abcd"},
+        )
+        path = save(tmp_path, "split.json", split)
+        assert run(["fork", path, "--strong", "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "strongly-forked"
+        assert report["witness"]["supporting_a"] == ["a", "b"]
 
 
 class TestQuotaVetoedFiles:

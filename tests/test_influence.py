@@ -230,20 +230,17 @@ class TestLimitMatrix:
         assert is_idempotent_exact(m)
         report = limit_matrix(m)
         assert report.classification == "fully-regular"
-        assert np.allclose(report.limit, m.as_float(), atol=1e-9)
+        assert report.limit == m.entries
 
     def test_byzantine_variant_limit(self):
         m = influence_matrix(nets.shared_five(byz="5"))
         report = limit_matrix(m)
         assert report.classification == "fully-regular"
-        assert np.allclose(report.limit[:, 4], 1.0, atol=1e-9)
         mask = report.structural_zero_mask
-        order = m.order
-        for a, i in enumerate(order):
-            for b, j in enumerate(order):
-                if j != "5":
-                    assert mask[a][b]
-                    assert report.limit[a, b] == 0.0
+        for a in range(len(m.order)):
+            for b, j in enumerate(m.order):
+                assert report.limit[a][b] == (1 if j == "5" else 0)
+                assert mask[a][b] == (j != "5")
 
     def test_two_cycle_is_not_regular(self):
         m = InfluenceMatrix(
@@ -253,7 +250,7 @@ class TestLimitMatrix:
         )
         report = limit_matrix(m)
         assert report.classification == "not-regular"
-        assert report.limit is None
+        assert report.limit is None and report.structural_zero_mask is None
 
     def test_powers_stay_row_stochastic(self):
         rng = random.Random(17)
@@ -267,34 +264,56 @@ class TestLimitMatrix:
 
     def test_fully_regular_rows_agree(self):
         rng = random.Random(19)
-        tol = 1e-12
         seen = 0
         for trial in range(20):
             net = random_quota_network(
                 GenParams(rng.randint(5, 8), 5, Fraction(4, 5), rng.randint(0, 1), seed=trial, topology="centralised")
             )
-            report = limit_matrix(influence_matrix(net), tol=tol)
+            report = limit_matrix(influence_matrix(net))
             if report.classification != "fully-regular":
                 continue
             seen += 1
-            rows = report.limit
-            spread = np.max(np.abs(rows - rows[0]))
-            assert spread < 10 * tol
+            assert len(set(report.limit)) == 1
         assert seen >= 10
 
     def test_exact_square_of_idempotent(self):
         m = influence_matrix(nets.shared_five())
         assert multiply_exact(m, m).entries == m.entries
 
-    def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            limit_matrix(influence_matrix(nets.shared_five()), tol=0.0)
 
-    @pytest.mark.parametrize("tol", [math.inf, math.nan])
-    def test_non_finite_tolerance(self, tol):
-        # An infinite tolerance would accept the first squaring as the limit.
-        with pytest.raises(ValueError):
-            limit_matrix(influence_matrix(nets.shared_five()), tol=tol)
+
+class TestExactLimit:
+    """The solved limit against its defining equations and the float squaring."""
+
+    def check(self, m: InfluenceMatrix) -> str:
+        report = limit_matrix(m)
+        if report.limit is None:
+            return report.classification
+        limit = InfluenceMatrix(m.order, report.limit, m.byzantine_rows)
+        assert multiply_exact(m, limit).entries == report.limit
+        assert multiply_exact(limit, m).entries == report.limit
+        assert all(sum(row, Fraction(0)) == 1 for row in report.limit)
+        gap = np.max(np.abs(limit.as_float() - oracles.limit_by_squaring(m)))
+        assert gap < 1e-9
+        assert report.structural_zero_mask == tuple(
+            tuple(x == 0 for x in row) for row in report.limit
+        )
+        assert (report.classification == "fully-regular") == (len(set(report.limit)) == 1)
+        return report.classification
+
+    def test_random_explicit_networks(self):
+        rng = random.Random(23)
+        seen = {"fully-regular": 0, "regular": 0, "not-regular": 0}
+        for _ in range(320):
+            net = oracles.random_explicit_net(rng, rng.randint(2, 8), byz_count=rng.randint(0, 2))
+            seen[self.check(influence_matrix(net))] += 1
+        assert seen["fully-regular"] >= 100 and seen["regular"] >= 100
+
+    def test_seeded_quota_networks(self):
+        seen = {"fully-regular": 0, "regular": 0, "not-regular": 0}
+        for net in oracles.seeded_quota_networks(29, 80, max_nodes=10):
+            seen[self.check(influence_matrix(net))] += 1
+        assert seen["fully-regular"] >= 20 and seen["regular"] >= 20
 
 
 class TestCentralizationReport:
@@ -319,7 +338,7 @@ class TestCentralizationReport:
         net = random_quota_network(
             GenParams(8, 6, Fraction(3, 4), byzantine_count=2, seed=5, topology="centralised")
         )
-        report = centralization_limit_report(net, tol=1e-12)
+        report = centralization_limit_report(net)
         assert report.regular_ok
         assert not report.fully_regular_applicable
         assert report.byzantine_reaches_core
@@ -328,7 +347,7 @@ class TestCentralizationReport:
         index = {n: k for k, n in enumerate(report.matrix.order)}
         for i in net.honest:
             for j in net.honest:
-                assert limit[index[i], index[j]] == 0.0
+                assert limit[index[i]][index[j]] == 0
 
     def test_hypothesis_required(self):
         net = QuotaNetwork(

@@ -289,9 +289,20 @@ class TestCliContract:
         report = json.loads(capsys.readouterr().out)
         limit = report["tables"]["limit"]
         assert limit["classification"] == "fully-regular"
+        assert set(limit) == {"classification", "matrix"}
         for row in limit["matrix"]:
-            assert row[5] == 0.0
-            assert all(abs(x - 0.2) < 1e-9 for x in row[:5])
+            assert row == [0.2] * 5 + [0.0]
+
+    def test_influence_exact_limit(self, tmp_path, capsys):
+        path = str(tmp_path / "q.json")
+        save_network(nets.shared_five(byz="5"), path)
+        assert run(["influence", path, "--limit", "--exact", "--json"]) == 0
+        limit = json.loads(capsys.readouterr().out)["tables"]["limit"]
+        assert limit["matrix"] == [["0", "0", "0", "0", "1", "0"]] * 6
+        assert run(["influence", path, "--limit", "--exact"]) == 0
+        out = capsys.readouterr().out
+        assert "limit: fully-regular\n" in out and "squarings" not in out
+        assert "  0  0  0  0  1  0" in out
 
     def test_influence_exact_entries(self, tmp_path, capsys):
         path = write(tmp_path, "q.json", shared_five_doc())
@@ -304,6 +315,8 @@ class TestCliContract:
         assert run(["qi", path, "--quiet"]) == 1
         assert capsys.readouterr().out == ""
 
+    # The limit is solved exactly and takes no parameters: the former
+    # squaring controls are unknown options, refused rather than ignored.
     @pytest.mark.parametrize(
         "bad",
         [
@@ -516,14 +529,17 @@ class TestGenerators:
             ("--trust", "2.5", "invalid _at_least_one value: '2.5'"),
             ("--byz", "-1", "integer of 0 or more, got '-1'"),
             ("--byz", "one", "invalid _non_negative value: 'one'"),
+            ("--quota", "1/0", "a rational number such as 4/5 or 0.8, got '1/0'"),
+            ("--quota", "x", "a rational number such as 4/5 or 0.8, got 'x'"),
+            ("--quota", "nan", "a rational number such as 4/5 or 0.8, got 'nan'"),
         ],
     )
     def test_gen_random_bad_arguments_exit_two(self, tmp_path, capsys, option, value, message):
-        argv = {"--nodes": "6", "--trust": "4", "--byz": "0"}
+        argv = {"--nodes": "6", "--trust": "4", "--byz": "0", "--quota": "0.8"}
         argv[option] = value
         out = tmp_path / "x.json"
         flat = [x for pair in argv.items() for x in pair]
-        assert run(["gen", "random", *flat, "--quota", "0.8", "-o", str(out)]) == 2
+        assert run(["gen", "random", *flat, "-o", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert f"argument {option}: " in captured.err and message in captured.err
