@@ -206,9 +206,10 @@ def analyze_graph(m: InfluenceMatrix) -> InfluenceGraph:
     """Component structure of the influence digraph of ``m``."""
     n = len(m.order)
     successors: list[list[int]] = [[] for _ in range(n)]
+    # Entries are never negative, so a non-zero one is an edge.
     for i in range(n):
         for j in range(n):
-            if m.entries[i][j] > 0:
+            if m.entries[i][j]:
                 successors[j].append(i)
     comps = strongly_connected_components(n, successors)
     member_comp = {v: k for k, comp in enumerate(comps) for v in comp}

@@ -9,20 +9,18 @@ can settle the node's opinion. Two representations exist:
   trust set whose size meets a per-node quota.
 
 On top of the model this module implements opinion profiles, observed
-sets, validation of a value by a node, exact fork search, the one-step
-coalition-closure operator, and strong-fork search for vetoed networks.
-All values are immutable after construction and every operation is a
-pure function.
+sets, validation of a value by a node, exact fork search, and strong-fork
+search for vetoed networks. All values are immutable after construction
+and every operation is a pure function.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 NodeId = str
 
@@ -396,65 +394,6 @@ def validates(net: Network, profile: OpinionProfile, i: NodeId, x: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Coalition closure
-
-
-def _selector_slice(net: Network, selector: Mapping[NodeId, Iterable[NodeId]], node: NodeId) -> frozenset:
-    if node in net.byzantine:
-        chosen = frozenset(selector.get(node, {node}))
-        if chosen != frozenset({node}):
-            raise ValueError(f"byzantine node {node} must select its own singleton")
-        return chosen
-    try:
-        chosen = frozenset(selector[node])
-    except KeyError:
-        raise ValueError(f"selector is missing honest node {node}") from None
-    if isinstance(net, QuotaNetwork):
-        if not chosen <= net.trust[node] or len(chosen) < threshold(net, node):
-            raise ValueError(f"selector picks a non-slice for node {node}")
-    elif chosen not in net.slices[node]:
-        raise ValueError(f"selector picks a non-slice for node {node}")
-    return chosen
-
-
-def closure_step(
-    net: Network,
-    selector: Mapping[NodeId, Iterable[NodeId]],
-    seed: Iterable[NodeId],
-) -> frozenset[NodeId]:
-    """One application of the coalition-closure operator.
-
-    Returns the union, over every node in ``seed``, of the winning
-    coalition the selector picked for it. Iterating from any seed reaches
-    a fixpoint in at most ``len(net.nodes)`` steps.
-    """
-    result: set[NodeId] = set()
-    for node in seed:
-        result |= _selector_slice(net, selector, node)
-    return frozenset(result)
-
-
-def closure_fixpoint(
-    net: Network,
-    selector: Mapping[NodeId, Iterable[NodeId]],
-    seed: Iterable[NodeId],
-) -> frozenset[NodeId]:
-    """Union of all iterates of :func:`closure_step` starting from ``seed``.
-
-    The iterate sequence is eventually periodic, so the union is taken
-    until the current set repeats.
-    """
-    seen: set[frozenset] = set()
-    current = frozenset(seed)
-    union: set[NodeId] = set()
-    while current not in seen:
-        seen.add(current)
-        current = closure_step(net, selector, current)
-        union |= current
-    return frozenset(union)
-
-
-# ---------------------------------------------------------------------------
 # Fork search
 
 
@@ -623,47 +562,6 @@ def find_strong_fork(
         reveals[b] = shown
     profile = OpinionProfile(opinions, reveals)
     return ForkWitness(node_a, node_b, 1, 0, profile, "strong-fork", q_a, q_b)
-
-
-# ---------------------------------------------------------------------------
-# Desk-scale enumeration helpers
-
-
-def enumerate_profiles(net: Network) -> Iterator[OpinionProfile]:
-    """Yield every opinion profile of ``net``.
-
-    Byzantine reveal maps range over all assignments to the honest
-    observers that trust the node. Exponential; intended for small
-    instances and test oracles.
-    """
-    honest = net.honest
-    byz = sorted(net.byzantine)
-    observer_lists = [
-        [o for o in honest if b in net.trust[o]] for b in byz
-    ]
-    for bits in itertools.product((0, 1), repeat=len(honest)):
-        opinions = dict(zip(honest, bits))
-        reveal_choices = [
-            itertools.product((0, 1), repeat=len(obs)) for obs in observer_lists
-        ]
-        for combo in itertools.product(*reveal_choices):
-            reveals = {
-                b: dict(zip(obs, vals))
-                for b, obs, vals in zip(byz, observer_lists, combo)
-            }
-            yield OpinionProfile(opinions, reveals)
-
-
-def enumerate_selectors(net: TrustNetwork) -> Iterator[dict[NodeId, frozenset]]:
-    """Yield every slice-selector function of an explicit-slice network."""
-    if not isinstance(net, TrustNetwork):
-        raise TypeError("selector enumeration expects an explicit-slice network")
-    honest = net.honest
-    for combo in itertools.product(*(net.slices[i] for i in honest)):
-        selector = dict(zip(honest, combo))
-        for b in net.byzantine:
-            selector[b] = frozenset({b})
-        yield selector
 
 
 def with_veto_slices(net: TrustNetwork) -> TrustNetwork:

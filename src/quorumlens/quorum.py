@@ -19,13 +19,13 @@ exact searches behind explicit budgets:
 * quota networks use a pivot-fixed scan over the splits of a pool of
   nodes, decided from one numpy table over the count vectors of the
   pool's twin classes (:func:`_scan_split`). Twins are nodes whose swap
-  maps the network onto itself (:meth:`_Masks.twin_classes`); a node
-  without twins is a class of one. Witnesses and counts are those of a
-  walk over every split code, which the scan never makes.
+  maps the network onto itself (:meth:`_Masks.twin_classes`). Witnesses
+  and counts are those of a walk over every split code, which the scan
+  never makes.
 
-:func:`minimal_quora` of a quota network uses the same table
-(:func:`_quorum_table`) with a class per member, packed to a bit per
-subset (:func:`_minimal_quota_quora`).
+:func:`minimal_quora` of a quota network reads the same table
+(:func:`_quorum_table`), over the twin classes of the honest members of
+the largest quorum, closed upward the same way (:func:`_close_upward`).
 
 Single sets (the largest quorum, :func:`max_quorum_within`,
 :func:`minimal_quora`) use a scalar worklist fixpoint that re-checks
@@ -38,8 +38,8 @@ budget overrun is always a distinct outcome, never a verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from math import prod
+from itertools import chain, combinations, product
+from math import comb, prod
 
 import numpy as np
 
@@ -123,15 +123,6 @@ class _Masks:
     def labels(self, mask: int) -> frozenset[NodeId]:
         return frozenset(self.order[k] for k in range(len(self.order)) if (mask >> k) & 1)
 
-    def satisfied(self, idx: int, members: int) -> bool:
-        """Does node ``idx`` find a winning coalition inside ``members``?"""
-        if (self.byz_mask >> idx) & 1:
-            return True
-        if self.quota_req is not None:
-            tmask, need = self.quota_req[idx]
-            return (tmask & members).bit_count() >= need
-        return any(s & members == s for s in self.slice_masks[idx])
-
     def max_quorum(self, within: int) -> int:
         """Largest quorum contained in ``within`` (0 when none exists).
 
@@ -195,15 +186,8 @@ class _Masks:
         return classes
 
     def is_quorum(self, members: int) -> bool:
-        if not members:
-            return False
-        m = members
-        while m:
-            low = m & -m
-            m ^= low
-            if not self.satisfied(low.bit_length() - 1, members):
-                return False
-        return True
+        """A non-empty set is a quorum when it is its own largest quorum."""
+        return members != 0 and self.max_quorum(members) == members
 
 
 def is_quorum(net: Network, q) -> bool:
@@ -290,34 +274,13 @@ def _iter_generated_quora(
                     stack.append((child, known))
 
 
-def _in_byte_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Lookup tables for the three low code bits of a packed subset table.
-
-    Bit ``c`` of byte ``c // 8`` stands for code ``c``, so the codes in one
-    byte differ only in those bits. ``close[x]`` is byte ``x`` closed
-    downward over them: each flag copied onto every code above it in the
-    byte. ``below[x]`` flags the codes with a one-member removal flagged
-    in ``x``.
-    """
-    x = np.arange(256, dtype=np.uint8)
-    close, below = x.copy(), np.zeros_like(x)
-    for j, with_bit in enumerate((0xAA, 0xCC, 0xF0)):
-        close |= (close << (1 << j)) & with_bit
-        below |= (x << (1 << j)) & with_bit
-    return close, below
-
-
-_CLOSE_IN_BYTE, _BELOW_IN_BYTE = _in_byte_tables()
-
-
 def _quorum_table(masks: _Masks, classes: list[list[int]], base: int = 0) -> np.ndarray:
     """Flat flags of the quorum count vectors over ``classes``, a byte each.
 
     Digit ``j`` of an index counts the members of ``classes[j]`` in a set,
-    lowest first, and digit 0 varies fastest: over classes of one member
-    an index is a code with bit ``j`` for ``classes[j]``. A set is a
-    quorum when it is non-empty and every member finds ``need`` of its
-    trustees in it or in ``base``, Byzantine nodes that every set holds.
+    and digit 0 varies fastest. A set is a quorum when it is non-empty and
+    every member finds ``need`` of its trustees in it or in ``base``,
+    Byzantine nodes that every set holds.
     The classes must be twin classes: members of one class stand or fall
     together, and each trusts every member of another class or none, and
     every other member of its own or none, so one member per class is
@@ -382,63 +345,74 @@ def _quorum_table(masks: _Masks, classes: list[list[int]], base: int = 0) -> np.
     return table.reshape(-1)
 
 
-def _minimal_quota_quora(masks: _Masks, top: int, max_states: int) -> list[frozenset[NodeId]]:
-    """Every inclusion-minimal quorum of a quota network, sorted as :func:`minimal_quora`.
+def _close_upward(table: np.ndarray, radix: list[int]) -> np.ndarray:
+    """Flag, in place, every count vector that holds a flagged one; return ``table``.
+
+    The prefix-OR along each digit of radix ``radix[j]``, digit 0 fastest
+    (the superset zeta transform over OR): a vector ends up flagged when
+    it is at least a flagged vector in every digit.
+    """
+    stride = 1
+    for r in radix:
+        view = table.reshape(-1, r, stride)
+        for i in range(1, r):
+            view[:, i] |= view[:, i - 1]
+        stride *= r
+    return table
+
+
+def _minimal_quota_quora(masks: _Masks, top: int, max_states: int) -> list[tuple[int, ...]]:
+    """Bit positions of every inclusion-minimal quorum of a quota network, unsorted.
 
     A Byzantine member of ``top`` is a quorum alone, so it forms exactly
-    one minimal quorum, and every other one lies among the ``k`` honest
-    members of ``top``. Those come from one table over the ``2^k`` subsets
-    (:func:`_quorum_table`), one bit per subset; no integer array of the
-    subsets is built.
-
-    ``has``, the downward OR-closure of the quorum flags (the superset
-    zeta transform over OR), tells whether a subset contains a quorum: one
-    pass per member, each moving every subset's flag onto the subset with
-    that member added. A quorum is minimal when no one-member removal has
-    a quorum, which is one more pass per member. Testing the removals
-    against the quorum flags alone would miss a quorum two members
-    smaller. The three members that vary inside a byte of the packed
-    table take one lookup for each of the two steps
-    (:func:`_in_byte_tables`); the others take a pass over whole bytes.
+    one minimal quorum, and every other one lies among the honest members
+    of ``top``, a union of twin classes. Whether a set of them is a
+    quorum, and whether it is a minimal one, depends only on its count
+    vector over those classes: :func:`_quorum_table` flags the quorum
+    vectors, and :func:`_close_upward` flags in a copy the vectors that
+    hold a quorum. A quorum vector is minimal when no one-digit decrement
+    holds a quorum; testing the decrements against the quorum flags alone
+    would miss a quorum two members smaller. Every member choice of a
+    minimal vector is a minimal quorum.
 
     Raises:
-        BudgetExceededError: when the ``2^k`` subsets exceed ``max_states``.
+        BudgetExceededError: when the table exceeds ``max_states`` count
+            vectors, or more than ``max_states`` quora would be listed.
     """
-    # Code bit j stands for the j-th honest member of top from the highest
-    # network position down, so among sets of one size a higher code sorts
-    # first.
     inside = top & masks.honest_mask
-    honest = [b for b in reversed(range(len(masks.order))) if (inside >> b) & 1]
-    k = len(honest)
-    if 1 << k > max_states:
+    classes = [members for members in masks.twin_classes() if (inside >> members[0]) & 1]
+    radix = [len(members) + 1 for members in classes]
+    size = prod(radix)
+    if size > max_states:
         raise BudgetExceededError(
-            f"a minimal-quora table of 2**{k} subsets exceeds {max_states} states"
+            f"a minimal-quora table of {size} count vectors exceeds {max_states} states"
         )
-    quorum = np.packbits(_quorum_table(masks, [[b] for b in honest]), bitorder="little")
-    has = _CLOSE_IN_BYTE[quorum]
-    for j in range(3, k):
-        view = has.reshape(-1, 2, 1 << (j - 3))
-        view[:, 1, :] |= view[:, 0, :]
-    quorum &= ~_BELOW_IN_BYTE[has]
-    for j in range(3, k):
-        without = has.reshape(-1, 2, 1 << (j - 3))[:, 0, :]
-        quorum.reshape(-1, 2, 1 << (j - 3))[:, 1, :] &= ~without
-    codes = np.flatnonzero(np.unpackbits(quorum, count=1 << k, bitorder="little"))[::-1]
-    sizes = np.bitwise_count(codes)
-    codes = codes[np.argsort(sizes, kind="stable")]
-    flags = np.unpackbits(
-        codes.astype("<i8").view(np.uint8).reshape(-1, 8), axis=1, count=k, bitorder="little"
-    )
-    labels = [masks.order[b] for b in honest]
-    quora = [frozenset(compress(labels, row)) for row in flags.tolist()]
-    # Byzantine singletons join the honest ones in network order.
-    ones = int(np.count_nonzero(sizes == 1))
+    table = _quorum_table(masks, classes)
+    closed = _close_upward(table.copy(), radix)
+    stride = 1
+    for r in radix:
+        view = table.reshape(-1, r, stride)[:, 1:]
+        np.greater(view, closed.reshape(-1, r, stride)[:, :-1], out=view)
+        stride *= r
+    del closed
     byzantine = top & masks.byz_mask
-    singles = quora[:ones] + [
-        masks.labels(1 << b) for b in range(len(masks.order)) if (byzantine >> b) & 1
-    ]
-    singles.sort(key=lambda q: masks.index[next(iter(q))])
-    return singles + quora[ones:]
+    quora = [(b,) for b in range(len(masks.order)) if (byzantine >> b) & 1]
+    # picks[v]: the classes a minimal vector draws on, with their counts.
+    picks, listed = [], len(quora)
+    for index in np.flatnonzero(table).tolist():
+        pick = []
+        for members, r in zip(classes, radix):
+            index, d = divmod(index, r)
+            if d:
+                pick.append((members, d))
+        picks.append(pick)
+        listed += prod(comb(len(members), d) for members, d in pick)
+    if listed > max_states:
+        raise BudgetExceededError(f"{listed} minimal quora exceed {max_states} states")
+    for pick in picks:
+        choices = [combinations(members, d) for members, d in pick]
+        quora.extend(tuple(sorted(chain.from_iterable(parts))) for parts in product(*choices))
+    return quora
 
 
 def minimal_quora(
@@ -450,16 +424,16 @@ def minimal_quora(
     """All inclusion-minimal quora, sorted by size then node order.
 
     Explicit-slice networks grow candidates by slice closure and keep the
-    minimal ones. Quota networks flag every subset of the ``k`` honest
-    members of the largest quorum in one numpy table
-    (:func:`_minimal_quota_quora`): about ``3k`` passes over ``2^k``
-    bytes or bits, with or without twins. The ``max_nodes`` budget
-    applies to both.
+    minimal ones. Quota networks read them off the split scan's table
+    over the count vectors of the twin classes of the largest quorum's
+    honest members (:func:`_minimal_quota_quora`): a byte per vector and
+    a closed copy. Both kinds share the ``max_nodes`` budget and one sort
+    by size, then node positions.
 
     Raises:
         BudgetExceededError: when the instance exceeds ``max_nodes``, the
-            enumeration exceeds ``max_states``, or the ``2^k`` subsets of
-            the quota table do.
+            enumeration exceeds ``max_states``, or the quota table's count
+            vectors or listed quora do.
     """
     if len(net.nodes) > max_nodes:
         raise BudgetExceededError(
@@ -471,16 +445,15 @@ def minimal_quora(
         seeds = [1 << k for k in range(len(masks.order)) if (top >> k) & 1]
         candidates = list(_iter_generated_quora(masks, top, seeds, max_states))
         minimal = [
-            q
+            tuple(b for b in range(len(masks.order)) if (q >> b) & 1)
             for q in candidates
             if not any(o != q and o & q == o for o in candidates)
         ]
     else:
-        return tuple(_minimal_quota_quora(masks, top, max_states))
-    as_sets = [masks.labels(q) for q in minimal]
-    order_key = {n: k for k, n in enumerate(net.nodes)}
-    as_sets.sort(key=lambda s: (len(s), sorted(order_key[n] for n in s)))
-    return tuple(as_sets)
+        minimal = _minimal_quota_quora(masks, top, max_states)
+    minimal.sort(key=lambda q: (len(q), q))
+    label = masks.order.__getitem__
+    return tuple(frozenset(map(label, q)) for q in minimal)
 
 
 # ---------------------------------------------------------------------------
@@ -508,15 +481,14 @@ def _scan_split(
 
     A split is decided by its count of side-one members in each twin
     class, so no code is walked. :func:`_quorum_table` flags the quorum
-    count vectors of the pool's classes; its prefix-OR along each digit
-    (the superset zeta transform) flags the vectors ``has`` that hold a
-    quorum, and the complement of a vector is the flat table read
-    backwards. A split shares its verdict with its canonical form, whose
-    side-one members are each class's lowest and whose code is no higher,
-    so the first violating code is canonical. It is fixed bit by bit from
-    the highest pool position down, narrowing that position's class digit
-    in a view of the violations to keep the bit clear whenever a
-    violation remains.
+    count vectors of the pool's classes; :func:`_close_upward` flags the
+    vectors ``has`` that hold a quorum, and the complement of a vector is
+    the flat table read backwards. A split shares its verdict with its
+    canonical form, whose side-one members are each class's lowest and
+    whose code is no higher, so the first violating code is canonical. It
+    is fixed bit by bit from the highest pool position down, narrowing
+    that position's class digit in a view of the violations to keep the
+    bit clear whenever a violation remains.
 
     Raises:
         BudgetExceededError: when the table exceeds ``max_states`` vectors.
@@ -531,13 +503,7 @@ def _scan_split(
         raise BudgetExceededError(
             f"a split table of {size} count vectors exceeds {max_states} states"
         )
-    has = _quorum_table(masks, classes, base)
-    stride = 1
-    for r in radix:
-        view = has.reshape(-1, r, stride)
-        for i in range(1, r):
-            view[:, i] |= view[:, i - 1]
-        stride *= r
+    has = _close_upward(_quorum_table(masks, classes, base), radix)
     # Axis -1 - j of the violations is digit j; the pivot's class counts at least 1.
     view = (has & has[::-1]).reshape(radix[::-1])[..., 1:]
     if not view.any():

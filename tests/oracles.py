@@ -2,7 +2,11 @@
 
 Everything here recomputes results from first principles with plain set
 logic and exhaustive enumeration, deliberately avoiding the library's
-search code so that each check runs along two independent routes.
+search code so that each check runs along two independent routes. The
+desk-scale enumerators (:func:`enumerate_profiles`,
+:func:`enumerate_selectors`) and the coalition-closure operator
+(:func:`closure_step`, :func:`closure_fixpoint`) live here too: only
+tests use them.
 """
 
 from __future__ import annotations
@@ -11,14 +15,18 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from typing import Iterable, Iterator, Mapping
 
 from quorumlens import (
     Cnf,
     GenParams,
+    Network,
+    NodeId,
     OpinionProfile,
     QuotaNetwork,
     TrustNetwork,
     random_quota_network,
+    threshold,
 )
 
 
@@ -60,10 +68,100 @@ def node_validates(net, profile, i, x) -> bool:
     return wins(net, i, observed(net, profile, i, x))
 
 
+def enumerate_profiles(net: Network) -> Iterator[OpinionProfile]:
+    """Yield every opinion profile of ``net``.
+
+    Byzantine reveal maps range over all assignments to the honest
+    observers that trust the node. Exponential; intended for small
+    instances and test oracles.
+    """
+    honest = net.honest
+    byz = sorted(net.byzantine)
+    observer_lists = [
+        [o for o in honest if b in net.trust[o]] for b in byz
+    ]
+    for bits in itertools.product((0, 1), repeat=len(honest)):
+        opinions = dict(zip(honest, bits))
+        reveal_choices = [
+            itertools.product((0, 1), repeat=len(obs)) for obs in observer_lists
+        ]
+        for combo in itertools.product(*reveal_choices):
+            reveals = {
+                b: dict(zip(obs, vals))
+                for b, obs, vals in zip(byz, observer_lists, combo)
+            }
+            yield OpinionProfile(opinions, reveals)
+
+
+def enumerate_selectors(net: TrustNetwork) -> Iterator[dict[NodeId, frozenset]]:
+    """Yield every slice-selector function of an explicit-slice network."""
+    if not isinstance(net, TrustNetwork):
+        raise TypeError("selector enumeration expects an explicit-slice network")
+    honest = net.honest
+    for combo in itertools.product(*(net.slices[i] for i in honest)):
+        selector = dict(zip(honest, combo))
+        for b in net.byzantine:
+            selector[b] = frozenset({b})
+        yield selector
+
+
+def _selector_slice(net: Network, selector: Mapping[NodeId, Iterable[NodeId]], node: NodeId) -> frozenset:
+    if node in net.byzantine:
+        chosen = frozenset(selector.get(node, {node}))
+        if chosen != frozenset({node}):
+            raise ValueError(f"byzantine node {node} must select its own singleton")
+        return chosen
+    try:
+        chosen = frozenset(selector[node])
+    except KeyError:
+        raise ValueError(f"selector is missing honest node {node}") from None
+    if isinstance(net, QuotaNetwork):
+        if not chosen <= net.trust[node] or len(chosen) < threshold(net, node):
+            raise ValueError(f"selector picks a non-slice for node {node}")
+    elif chosen not in net.slices[node]:
+        raise ValueError(f"selector picks a non-slice for node {node}")
+    return chosen
+
+
+def closure_step(
+    net: Network,
+    selector: Mapping[NodeId, Iterable[NodeId]],
+    seed: Iterable[NodeId],
+) -> frozenset[NodeId]:
+    """One application of the coalition-closure operator.
+
+    Returns the union, over every node in ``seed``, of the winning
+    coalition the selector picked for it. Iterating from any seed reaches
+    a fixpoint in at most ``len(net.nodes)`` steps.
+    """
+    result: set[NodeId] = set()
+    for node in seed:
+        result |= _selector_slice(net, selector, node)
+    return frozenset(result)
+
+
+def closure_fixpoint(
+    net: Network,
+    selector: Mapping[NodeId, Iterable[NodeId]],
+    seed: Iterable[NodeId],
+) -> frozenset[NodeId]:
+    """Union of all iterates of :func:`closure_step` starting from ``seed``.
+
+    The iterate sequence is eventually periodic, so the union is taken
+    until the current set repeats.
+    """
+    seen: set[frozenset] = set()
+    current = frozenset(seed)
+    union: set[NodeId] = set()
+    while current not in seen:
+        seen.add(current)
+        current = closure_step(net, selector, current)
+        union |= current
+    return frozenset(union)
+
+
 def forked_by_profile_enumeration(net) -> bool:
     """Exhaustive profile search for two honest nodes validating opposite values."""
-    from quorumlens.network import enumerate_profiles
-
     honest = net.honest
     for profile in enumerate_profiles(net):
         for i in honest:

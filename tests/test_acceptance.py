@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import nets
 import oracles
+from oracles import enumerate_profiles
 from quorumlens import (
     Cnf,
     GenParams,
@@ -41,7 +42,6 @@ from quorumlens import (
     slice_addition_instance,
 )
 from quorumlens.cli import run
-from quorumlens.network import enumerate_profiles
 
 
 def _report(n, name, started):

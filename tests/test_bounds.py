@@ -8,6 +8,7 @@ import pytest
 
 import nets
 import oracles
+from oracles import enumerate_profiles
 from quorumlens import (
     BudgetExceededError,
     OpinionProfile,
@@ -22,7 +23,6 @@ from quorumlens import (
     respects_failure_model,
     shared_byzantine_bound,
 )
-from quorumlens.network import enumerate_profiles
 
 
 def make_uniform(trust, quota, byz_fraction=None):

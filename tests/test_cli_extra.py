@@ -10,9 +10,9 @@ import pytest
 
 import nets
 import oracles
+from oracles import closure_step, enumerate_selectors
 from quorumlens import QuotaNetwork, expand_quota_network, find_strong_fork, save_network
 from quorumlens.cli import _recheck_fork_witness, render_human, run
-from quorumlens.network import closure_step, enumerate_selectors
 
 REPO = Path(__file__).resolve().parent.parent
 

@@ -7,6 +7,7 @@ import pytest
 
 import nets
 import oracles
+from oracles import closure_fixpoint, closure_step, enumerate_profiles
 from quorumlens import (
     BudgetExceededError,
     NetworkValidationError,
@@ -24,7 +25,6 @@ from quorumlens import (
     validates,
     with_veto_slices,
 )
-from quorumlens.network import closure_fixpoint, closure_step, enumerate_profiles
 
 
 class TestValidation:

@@ -18,14 +18,15 @@ swaps and the split scan against the scalar scan. Twin-free networks
 with witnesses past split code 64 check the scan bit by bit, uniform
 cliques of up to 100 nodes check it against the closed form, and a
 twin-free pool of 20 nodes bounds its memory. ``minimal_quora`` of a
-quota network reads a numpy table over every subset of the honest
+quota network reads the same table over the twin classes of the honest
 members of the largest quorum. It is checked against the minimal sets
 of every quorum on networks with and without twins of up to 14 nodes,
-against the closed form of a uniform clique at 16 and 18 nodes, and for
-its memory at 20.
+against the closed form of a uniform clique at 16, 18 and 40 nodes, for
+its memory on a twin-free 20-node ring, and for its listing budget.
 """
 
 import itertools
+import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -390,12 +391,12 @@ def test_minimal_quora_of_a_uniform_clique_are_the_threshold_subsets(size, quota
 
 
 def test_minimal_quora_table_memory():
-    # The flags are built at a byte per subset of the 20-node largest
-    # quorum, with a scratch table of the same size, then packed to a bit
-    # per subset; an int64 array of the 2 ** 20 subsets alone would take
-    # 8 bytes per subset.
+    # A ring has no twins, so the flags take a byte for each of the 2 ** 20
+    # count vectors of the 20-node largest quorum, next to a closed copy of
+    # the same size; an int64 array of the vectors alone would take 8 bytes
+    # per vector.
     k = 20
-    net = uniform_clique(k, Fraction(1))
+    net = nets.ring(k, Fraction(1))
     tracemalloc.start()
     try:
         quora = minimal_quora(net, max_nodes=k)
@@ -404,8 +405,33 @@ def test_minimal_quora_table_memory():
         tracemalloc.stop()
     assert quora == (frozenset(net.nodes),)
     assert peak < 3 * (1 << k)
-    with pytest.raises(BudgetExceededError, match="2\\*\\*20 subsets"):
+    with pytest.raises(BudgetExceededError, match="count vectors"):
         minimal_quora(net, max_nodes=k, max_states=(1 << k) - 1)
+
+
+def test_minimal_quora_of_a_40_node_unanimity_clique():
+    # One twin class of 40 members: a table of 41 count vectors.
+    net = uniform_clique(40, Fraction(1))
+    assert minimal_quora(net, max_nodes=40) == (frozenset(net.nodes),)
+
+
+def test_minimal_quora_listing_budget():
+    # Every 17 of the 22 nodes form a minimal quorum, all from one count
+    # vector; they are counted before any is built.
+    net = uniform_clique(22, Fraction(3, 4))
+    listed = math.comb(22, 17)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=f"{listed} minimal quora"):
+            minimal_quora(net, max_nodes=22, max_states=listed - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Listing the quora would take about 1 MB for their masks alone.
+    assert peak < 1 << 16
+    quora = minimal_quora(net, max_nodes=22, max_states=listed)
+    assert len(quora) == listed
+    assert quora[0] == frozenset(net.nodes[:17]) and quora[-1] == frozenset(net.nodes[5:])
 
 
 @pytest.mark.parametrize("size", [22, 26, 65, 100])
