@@ -74,7 +74,6 @@ from .network import (
     TrustNetwork,
     as_fraction,
     find_fork,
-    find_strong_fork,
     network_violations,
     observed_set,
     profile_violations,
@@ -88,6 +87,7 @@ from .quorum import (
     check_qi_honest,
     check_quorum_intersection,
     check_slice_addition,
+    find_strong_fork,
     is_quorum,
     max_quorum_within,
     minimal_quora,

@@ -34,15 +34,12 @@ from .instances import (
     slice_addition_instance,
 )
 from .network import (
-    DEFAULT_FORK_MAX_NODES,
-    DEFAULT_STRONG_FORK_MAX_NODES,
     BudgetExceededError,
     ForkWitness,
     NetworkValidationError,
     QuotaNetwork,
     QuotaRangeWarning,
     find_fork,
-    find_strong_fork,
     network_violations,
     profile_violations,
     validates,
@@ -50,9 +47,10 @@ from .network import (
 from .netio import NetworkFormatError, load_network, save_network
 from .quorum import (
     DEFAULT_QI_MAX_NODES,
-    _Masks,
     check_qi_honest,
     check_quorum_intersection,
+    find_strong_fork,
+    is_quorum,
     minimal_quora,
 )
 
@@ -226,37 +224,36 @@ def _run_qi(args):
     if report.holds:
         return "holds", None, tables, EXIT_OK
     q_a, q_b = report.witness
-    _recheck_qi_witness(net, q_a, q_b, args.honest)
+    _recheck_quorum_pair(net, q_a, q_b, args.honest)
     witness = {"quorum_a": _set_list(net, q_a), "quorum_b": _set_list(net, q_b)}
     return "violated", witness, tables, EXIT_VIOLATED
 
 
-def _recheck_qi_witness(net, q_a, q_b, honest: bool) -> None:
+def _recheck_quorum_pair(net, q_a, q_b, honest: bool) -> None:
     """Raise unless both sides are quora that share no node.
 
     For ``honest``, each side must hold an honest node and they may share
     only Byzantine ones.
     """
-    masks = _Masks(net)
-    a, b = masks._mask(q_a), masks._mask(q_b)
-    if not (masks.is_quorum(a) and masks.is_quorum(b)):
-        raise WitnessCheckError("a side of the quorum-intersection witness is not a quorum")
+    if not (is_quorum(net, q_a) and is_quorum(net, q_b)):
+        raise WitnessCheckError("a side of the witness is not a quorum")
     if honest:
-        if not (a & masks.honest_mask and b & masks.honest_mask) or a & b & masks.honest_mask:
+        byz = net.byzantine
+        if not (q_a - byz and q_b - byz) or (q_a & q_b) - byz:
             raise WitnessCheckError("the witness quora do not split the honest nodes")
-    elif a & b:
+    elif q_a & q_b:
         raise WitnessCheckError("the witness quora share a node")
 
 
 def _run_fork(args):
     net = load_network(args.file)
     if args.strong:
-        max_nodes = args.max_nodes if args.max_nodes is not None else DEFAULT_STRONG_FORK_MAX_NODES
+        max_nodes = args.max_nodes if args.max_nodes is not None else DEFAULT_QI_MAX_NODES
         witness = find_strong_fork(net, max_nodes=max_nodes)
         safe_verdict, found_verdict = "weakly-safe", "strongly-forked"
     else:
-        max_nodes = args.max_nodes if args.max_nodes is not None else DEFAULT_FORK_MAX_NODES
-        witness = find_fork(net, max_nodes=max_nodes)
+        max_nodes = None
+        witness = find_fork(net)
         safe_verdict, found_verdict = "safe", "forked"
     tables = {"strong": bool(args.strong), "max_nodes": max_nodes}
     if witness is None:
@@ -281,12 +278,7 @@ def _recheck_fork_witness(net, witness: ForkWitness) -> None:
     if witness.value_a == witness.value_b:
         raise WitnessCheckError("the fork witness nodes settle on the same value")
     if witness.kind == "strong-fork":
-        masks = _Masks(net)
-        a, b = masks._mask(witness.supporting_a), masks._mask(witness.supporting_b)
-        if not (masks.is_quorum(a) and masks.is_quorum(b)):
-            raise WitnessCheckError("a side of the strong-fork witness is not a quorum")
-        if a & b & masks.honest_mask:
-            raise WitnessCheckError("the strong-fork witness quora share an honest node")
+        _recheck_quorum_pair(net, witness.supporting_a, witness.supporting_b, honest=True)
         if witness.node_a not in witness.supporting_a or witness.node_b not in witness.supporting_b:
             raise WitnessCheckError("a strong-fork witness node is outside its quorum")
     elif not (
@@ -484,6 +476,8 @@ def render_human(report: dict) -> str:
             if witness.get("common_trust_empty"):
                 lines.append("no node is trusted by every honest node")
     tables = report.get("tables", {})
+    if tables.get("reason"):
+        lines.append(f"reason: {tables['reason']}")
     for key in ("violations",):
         if tables.get(key):
             lines.append("violations:")
@@ -541,6 +535,8 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "fork" and args.max_nodes is not None and not args.strong:
+            parser.error("fork --max-nodes bounds only the --strong search")
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
 

@@ -9,9 +9,10 @@ can settle the node's opinion. Two representations exist:
   trust set whose size meets a per-node quota.
 
 On top of the model this module implements opinion profiles, observed
-sets, validation of a value by a node, exact fork search, and strong-fork
-search for vetoed networks. All values are immutable after construction
-and every operation is a pure function.
+sets, validation of a value by a node, and exact fork search. Strong
+forks are two quora sharing no honest node, so their search lives with
+the quorum checks in :mod:`quorumlens.quorum`. All values are immutable
+after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from typing import Iterable, Mapping
 
 NodeId = str
 
-DEFAULT_FORK_MAX_NODES = 20
 DEFAULT_FORK_MAX_SLICES = 64
-DEFAULT_STRONG_FORK_MAX_NODES = 16
 
 
 class NetworkValidationError(ValueError):
@@ -385,58 +384,50 @@ def observed_set(
     return frozenset(members)
 
 
+def _wins(net: Network, i: NodeId, members: frozenset[NodeId]) -> bool:
+    """True when some winning coalition of honest ``i`` lies inside ``members``."""
+    if isinstance(net, QuotaNetwork):
+        return len(members & net.trust[i]) >= threshold(net, i)
+    return any(s <= members for s in net.slices[i])
+
+
 def validates(net: Network, profile: OpinionProfile, i: NodeId, x: int) -> bool:
     """True when some winning coalition of ``i`` lies inside its observed set."""
-    obs = observed_set(net, profile, i, x)
-    if isinstance(net, QuotaNetwork):
-        return len(obs) >= threshold(net, i)
-    return any(s <= obs for s in net.slices[i])
+    return _wins(net, i, observed_set(net, profile, i, x))
 
 
 # ---------------------------------------------------------------------------
 # Fork search
 
 
-def _budget_check(net: Network, max_nodes: int, max_total_slices: int | None) -> None:
-    if len(net.nodes) > max_nodes:
-        raise BudgetExceededError(
-            f"{len(net.nodes)} nodes exceeds the search budget of {max_nodes}"
-        )
-    if max_total_slices is not None and isinstance(net, TrustNetwork):
-        total = sum(len(f) for f in net.slices.values())
-        if total > max_total_slices:
-            raise BudgetExceededError(
-                f"{total} slices exceeds the search budget of {max_total_slices}"
-            )
-
-
 def _fork_profile(
     net: Network,
     side_a: frozenset[NodeId],
     side_b: frozenset[NodeId],
-    node_a: NodeId,
-    node_b: NodeId,
+    seen_a: frozenset[NodeId],
+    seen_b: frozenset[NodeId],
 ) -> OpinionProfile:
     """Profile realizing a fork: side_a agrees on 1, side_b on 0, filler 0.
 
-    Byzantine members of side_a reveal 1 to node_a and those of side_b
-    reveal 0 to node_b; every other trusting observer is shown its own
-    value, which keeps the profile total without disturbing either side.
+    Byzantine members of side_a reveal 1 to the honest observers in
+    ``seen_a``, and those of side_b reveal 0 to the ones in ``seen_b``;
+    every other trusting observer is shown its own value, which keeps the
+    profile total without disturbing either side. A weak fork shows each
+    side to its one node, a strong fork to every member of its quorum.
     """
-    opinions = {}
-    for i in net.honest:
-        opinions[i] = 1 if i in side_a else 0
+    opinions = {i: 1 if i in side_a else 0 for i in net.honest}
     reveals: dict[NodeId, dict[NodeId, int]] = {}
     for b in net.byzantine:
         shown: dict[NodeId, int] = {}
         for o in net.honest:
             if b not in net.trust[o]:
                 continue
-            shown[o] = opinions[o]
-        if b in side_a:
-            shown[node_a] = 1
-        if b in side_b:
-            shown[node_b] = 0
+            if b in side_a and o in seen_a:
+                shown[o] = 1
+            elif b in side_b and o in seen_b:
+                shown[o] = 0
+            else:
+                shown[o] = opinions[o]
         reveals[b] = shown
     return OpinionProfile(opinions, reveals)
 
@@ -467,7 +458,6 @@ def _quota_fork_sides(
 def find_fork(
     net: Network,
     *,
-    max_nodes: int = DEFAULT_FORK_MAX_NODES,
     max_total_slices: int | None = DEFAULT_FORK_MAX_SLICES,
 ) -> ForkWitness | None:
     """Exact search for a forked profile; ``None`` means the network is safe.
@@ -478,10 +468,20 @@ def find_fork(
     of C' opinion 0, filler 0 elsewhere, and dual reveals for Byzantine
     nodes in both coalitions.
 
+    The search is polynomial, so it has no node budget: O(n³) set
+    operations on quota networks, and at most ``max_total_slices``²
+    coalition pairs on slices networks.
+
     Raises:
-        BudgetExceededError: when the instance exceeds the exact-search budget.
+        BudgetExceededError: when a slices network lists more than
+            ``max_total_slices`` coalitions.
     """
-    _budget_check(net, max_nodes, max_total_slices)
+    if max_total_slices is not None and isinstance(net, TrustNetwork):
+        total = sum(len(f) for f in net.slices.values())
+        if total > max_total_slices:
+            raise BudgetExceededError(
+                f"{total} slices exceeds the search budget of {max_total_slices}"
+            )
     honest = net.honest
     byz = net.byzantine
     if isinstance(net, QuotaNetwork):
@@ -496,7 +496,7 @@ def find_fork(
                 if sides is None:
                     continue
                 side_a, side_b = sides
-                profile = _fork_profile(net, side_a, side_b, i, j)
+                profile = _fork_profile(net, side_a, side_b, frozenset({i}), frozenset({j}))
                 return ForkWitness(i, j, 1, 0, profile, "fork", side_a, side_b)
         return None
     for i in honest:
@@ -511,57 +511,9 @@ def find_fork(
                             continue
                     elif any(n not in byz for n in overlap):
                         continue
-                    profile = _fork_profile(net, c_a, c_b, i, j)
+                    profile = _fork_profile(net, c_a, c_b, frozenset({i}), frozenset({j}))
                     return ForkWitness(i, j, 1, 0, profile, "fork", c_a, c_b)
     return None
-
-
-def find_strong_fork(
-    net: Network,
-    *,
-    max_nodes: int = DEFAULT_STRONG_FORK_MAX_NODES,
-) -> ForkWitness | None:
-    """Search for a strong fork; ``None`` means the network is weakly safe.
-
-    A strong fork is a fork whose two sides support themselves all the way
-    down: every member of each side's coalition closure again finds an
-    agreeing coalition inside it. That happens exactly when two quora,
-    each containing an honest node, intersect in no honest node, so the
-    search reuses the honest quorum-intersection check, which decides
-    quota networks without expanding their slices. The witness carries
-    the two quora and a profile in which each quorum's honest members
-    agree internally.
-
-    Note that a network whose honest nodes hold singleton veto slices is
-    strongly forked as soon as it has two honest nodes: each singleton is
-    a self-supporting quorum of its own. The interesting verdicts come
-    from networks where every coalition merely contains its owner.
-    """
-    from .quorum import check_qi_honest
-
-    report = check_qi_honest(net, max_nodes=max_nodes)
-    if report.holds:
-        return None
-    q_a, q_b = report.witness
-    node_a = next(n for n in net.nodes if n in q_a and n not in net.byzantine)
-    node_b = next(n for n in net.nodes if n in q_b and n not in net.byzantine)
-
-    opinions = {i: 1 if i in q_a else 0 for i in net.honest}
-    reveals: dict[NodeId, dict[NodeId, int]] = {}
-    for b in net.byzantine:
-        shown: dict[NodeId, int] = {}
-        for o in net.honest:
-            if b not in net.trust[o]:
-                continue
-            if b in q_a and o in q_a:
-                shown[o] = 1
-            elif b in q_b and o in q_b:
-                shown[o] = 0
-            else:
-                shown[o] = opinions[o]
-        reveals[b] = shown
-    profile = OpinionProfile(opinions, reveals)
-    return ForkWitness(node_a, node_b, 1, 0, profile, "strong-fork", q_a, q_b)
 
 
 def with_veto_slices(net: TrustNetwork) -> TrustNetwork:

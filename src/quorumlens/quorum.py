@@ -33,6 +33,9 @@ only the nodes depending on a removed member.
 
 Both report a witness pair of quora whenever intersection fails, and a
 budget overrun is always a distinct outcome, never a verdict.
+:func:`find_strong_fork` reads the honest check's witness as a strong
+fork. :func:`is_quorum` tests the definition member by member, sharing
+no code with the searches whose witnesses it re-checks.
 """
 
 from __future__ import annotations
@@ -45,9 +48,12 @@ import numpy as np
 
 from .network import (
     BudgetExceededError,
+    ForkWitness,
     Network,
     NodeId,
     TrustNetwork,
+    _fork_profile,
+    _wins,
     threshold,
 )
 
@@ -185,19 +191,20 @@ class _Masks:
                 classes.append(bucket[-1])
         return classes
 
-    def is_quorum(self, members: int) -> bool:
-        """A non-empty set is a quorum when it is its own largest quorum."""
-        return members != 0 and self.max_quorum(members) == members
-
 
 def is_quorum(net: Network, q) -> bool:
-    """True when ``q`` is non-empty and self-supporting inside itself."""
+    """True when ``q`` is non-empty and every honest member wins inside it.
+
+    Decided on the definition, one member at a time, with none of the
+    search machinery, so it can re-check the searches' witnesses.
+    """
     members = frozenset(q)
     unknown = sorted(members - set(net.nodes))
     if unknown:
         raise ValueError(f"unknown nodes in candidate quorum: {', '.join(unknown)}")
-    masks = _Masks(net)
-    return masks.is_quorum(masks._mask(members))
+    return bool(members) and all(
+        n in net.byzantine or _wins(net, n, members) for n in members
+    )
 
 
 def max_quorum_within(net: Network, s) -> frozenset[NodeId]:
@@ -682,6 +689,37 @@ def check_qi_honest(
     vetoed network. Purely Byzantine quora can never witness a violation.
     """
     return _check_qi(net, True, max_nodes, max_states)
+
+
+def find_strong_fork(
+    net: Network,
+    *,
+    max_nodes: int = DEFAULT_QI_MAX_NODES,
+) -> ForkWitness | None:
+    """Search for a strong fork; ``None`` means the network is weakly safe.
+
+    A strong fork is a fork whose two sides support themselves all the way
+    down: every member of each side's coalition closure again finds an
+    agreeing coalition inside it. That happens exactly when two quora,
+    each containing an honest node, intersect in no honest node, so this
+    is :func:`check_qi_honest` under the same budget. The witness carries
+    the two quora and a profile in which each quorum's honest members
+    agree internally: its Byzantine members reveal the quorum's value to
+    every member.
+
+    Note that a network whose honest nodes hold singleton veto slices is
+    strongly forked as soon as it has two honest nodes: each singleton is
+    a self-supporting quorum of its own. The interesting verdicts come
+    from networks where every coalition merely contains its owner.
+    """
+    report = check_qi_honest(net, max_nodes=max_nodes)
+    if report.holds:
+        return None
+    q_a, q_b = report.witness
+    node_a = next(n for n in net.nodes if n in q_a and n not in net.byzantine)
+    node_b = next(n for n in net.nodes if n in q_b and n not in net.byzantine)
+    profile = _fork_profile(net, q_a, q_b, q_a, q_b)
+    return ForkWitness(node_a, node_b, 1, 0, profile, "strong-fork", q_a, q_b)
 
 
 def check_slice_addition(

@@ -1,6 +1,7 @@
 """Additional command-line contract cases and determinism across processes."""
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,7 +12,14 @@ import pytest
 import nets
 import oracles
 from oracles import closure_step, enumerate_selectors
-from quorumlens import QuotaNetwork, expand_quota_network, find_strong_fork, save_network
+from quorumlens import (
+    QuotaNetwork,
+    expand_quota_network,
+    find_strong_fork,
+    profile_violations,
+    save_network,
+    validates,
+)
 from quorumlens.cli import _recheck_fork_witness, render_human, run
 
 REPO = Path(__file__).resolve().parent.parent
@@ -21,6 +29,14 @@ def save(tmp_path, name, net, **kw):
     path = tmp_path / name
     save_network(net, path, **kw)
     return str(path)
+
+
+def thirty_nodes(tmp_path) -> str:
+    """A 30-node quota network, past the quorum-intersection budget of 20."""
+    path = str(tmp_path / "n30.json")
+    argv = ["gen", "random", "--nodes", "30", "--trust", "20", "--quota", "3/4"]
+    assert run(argv + ["--byz", "2", "--topology", "centralised", "-o", path, "--quiet"]) == 0
+    return path
 
 
 class TestHonestVariantCli:
@@ -95,6 +111,77 @@ class TestStrongForkCli:
         assert report["witness"]["supporting_a"] == ["a", "b"]
 
 
+class TestStrongForkProfiles:
+    def test_witness_profiles_settle_both_quora(self):
+        # Each quorum's honest members validate its value under the
+        # witness profile, which the quorum re-check alone does not test.
+        rng = random.Random(43)
+        networks = oracles.seeded_quota_networks(31, 300)
+        for k in range(120):
+            networks.append(
+                oracles.random_explicit_net(
+                    rng,
+                    rng.randint(2, 7),
+                    byz_count=rng.randint(0, 2),
+                    vetoed=k % 2 == 0,
+                    self_in_slices=k % 2 == 1,
+                )
+            )
+        forked = 0
+        for net in networks:
+            witness = find_strong_fork(net)
+            if witness is None:
+                continue
+            forked += 1
+            assert profile_violations(net, witness.profile) == []
+            for side, value in (
+                (witness.supporting_a, witness.value_a),
+                (witness.supporting_b, witness.value_b),
+            ):
+                for i in side - net.byzantine:
+                    assert validates(net, witness.profile, i, value), (net, witness)
+        assert forked >= 100
+
+
+class TestForkBudgets:
+    def test_weak_fork_has_no_node_budget(self, tmp_path, capsys):
+        path = thirty_nodes(tmp_path)
+        assert run(["fork", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "safe"
+        assert report["tables"] == {"strong": False, "max_nodes": None}
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_max_nodes_bounds_only_the_strong_search(self, tmp_path, capsys, json_flag):
+        path = save(tmp_path, "q.json", nets.shared_five())
+        assert run(["fork", path, "--max-nodes", "5", *json_flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--strong" in captured.err
+        assert run(["fork", path, "--strong", "--max-nodes", "4", "--json"]) == 3
+        capsys.readouterr()
+        assert run(["fork", path, "--strong", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["tables"]["max_nodes"] == 20
+
+    @pytest.mark.filterwarnings("ignore::quorumlens.QuotaRangeWarning")
+    def test_strong_fork_and_honest_qi_agree_up_to_twenty_nodes(self, tmp_path, capsys):
+        verdicts = {"strongly-forked": "violated", "weakly-safe": "holds"}
+        seen = set()
+        for k, net in enumerate(oracles.seeded_quota_networks(61, 24, 17, 20)):
+            path = save(tmp_path, f"n{k}.json", net)
+            fork_code = run(["fork", path, "--strong", "--json"])
+            fork = json.loads(capsys.readouterr().out)
+            qi_code = run(["qi", path, "--honest", "--json"])
+            qi = json.loads(capsys.readouterr().out)
+            assert fork_code == qi_code != 3
+            assert verdicts[fork["verdict"]] == qi["verdict"]
+            if qi["witness"] is not None:
+                assert fork["witness"]["supporting_a"] == qi["witness"]["quorum_a"]
+                assert fork["witness"]["supporting_b"] == qi["witness"]["quorum_b"]
+            seen.add(qi["verdict"])
+        assert seen == {"holds", "violated"}
+
+
 class TestQuotaVetoedFiles:
     def test_vetoed_quota_file_requires_unit_thresholds(self, tmp_path):
         doc = {
@@ -135,6 +222,21 @@ class TestRenderHuman:
         }
         text = render_human(report)
         assert "violated" in text and "{1, 2}" in text and "{3}" in text
+
+    @pytest.mark.parametrize("command", [["qi"], ["fork", "--strong"]])
+    def test_budget_overrun_gives_its_reason(self, tmp_path, capsys, command):
+        path = thirty_nodes(tmp_path)
+        argv = [command[0], path, *command[1:]]
+        reason = "30 nodes exceeds the quorum-intersection budget of 20"
+        assert run(argv) == 3
+        assert capsys.readouterr().out.splitlines() == [
+            "verdict: budget-exceeded",
+            f"reason: {reason}",
+        ]
+        assert run(argv + ["--json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "budget-exceeded" and report["witness"] is None
+        assert report["tables"] == {"reason": reason}
 
 
 class TestCrossProcessDeterminism:

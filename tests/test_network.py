@@ -258,8 +258,6 @@ class TestFindFork:
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError):
-            find_fork(nets.two_triangles(), max_nodes=3)
-        with pytest.raises(BudgetExceededError):
             find_fork(nets.two_triangles(), max_total_slices=2)
 
 

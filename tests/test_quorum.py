@@ -13,6 +13,7 @@ from quorumlens import (
     check_qi_honest,
     check_quorum_intersection,
     check_slice_addition,
+    expand_quota_network,
     is_quorum,
     max_quorum_within,
     minimal_quora,
@@ -41,6 +42,37 @@ class TestIsQuorum:
     def test_unknown_node_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             is_quorum(nets.two_triangles(), {"9"})
+
+    def test_definition_matches_both_fixpoints(self):
+        # A non-empty set is a quorum exactly when it is its own largest
+        # quorum, by the oracle's fixpoint and by the library's.
+        rng = random.Random(71)
+        quota = oracles.seeded_quota_networks(73, 120)
+        networks = quota + [expand_quota_network(net) for net in quota]
+        for _ in range(150):
+            networks.append(
+                oracles.random_explicit_net(
+                    rng,
+                    rng.randint(2, 8),
+                    byz_count=rng.randint(0, 2),
+                    vetoed=rng.random() < 0.5,
+                )
+            )
+        seen = {True: 0, False: 0}
+        for net in networks:
+            candidates = [frozenset(), frozenset(net.nodes)]
+            candidates += [
+                frozenset(rng.sample(net.nodes, rng.randint(1, len(net.nodes))))
+                for _ in range(12)
+            ]
+            for s in candidates:
+                got = is_quorum(net, s)
+                assert got == (bool(s) and oracles.largest_quorum_within(net, s) == s), (net, s)
+                assert got == (bool(s) and max_quorum_within(net, s) == s), (net, s)
+                seen[got] += 1
+            with pytest.raises(ValueError, match="unknown"):
+                is_quorum(net, {net.nodes[0], "no-such-node"})
+        assert min(seen.values()) >= 500
 
 
 class TestMaxQuorumWithin:
