@@ -8,7 +8,9 @@ and ``gen`` (reduction and random instance generators).
 Exit codes: 0 when the checked property holds or the command succeeded,
 1 when the property is violated (a witness is emitted), 2 on input
 errors and on a ``qi`` or ``fork`` witness that fails its re-check, 3 when a
-resource budget was exceeded. Reports have a machine
+resource budget was exceeded, and 141 (as shells report SIGPIPE) when the
+reader of standard output went away before the report was written, which
+is no verdict. Reports have a machine
 form (``--json``) and a human form rendered from the same document; with
 a fixed command line and input files the JSON form is byte-identical
 across runs except for the ``timing_ms`` field.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import warnings
@@ -58,6 +61,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_BROKEN_PIPE = 141
 
 MINIMAL_QUORA_DISPLAY_LIMIT = 14
 
@@ -577,7 +581,15 @@ def run(argv: list[str]) -> int:
 
 
 def entry() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nobody reads the report, and exit 1 would read as a verdict.
+        # Python flushes stdout again at exit; point it at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

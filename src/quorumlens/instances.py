@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .network import BudgetExceededError, NodeId, QuotaNetwork, TrustNetwork, as_fraction
-from .quorum import check_quorum_intersection
+from .quorum import DEFAULT_MAX_SEARCH_STATES, _check_qi
 
 Literal = int
 Clause = tuple[Literal, Literal, Literal]
@@ -261,7 +261,10 @@ def slice_addition_instance(
     slices["y1"] = tuple(s for s in slices["y1"] if s != removed)
     base = TrustNetwork(full.nodes, full.byzantine, full.trust, slices)
     if verify:
-        report = check_quorum_intersection(base, max_nodes=len(base.nodes))
+        # Verdict only, so the search grows each quorum from its lowest seed.
+        report = _check_qi(
+            base, False, len(base.nodes), DEFAULT_MAX_SEARCH_STATES, exclusive=True
+        )
         if not report.holds:
             raise AssertionError("generator postcondition failed: base lacks quorum intersection")
     return base, "y1", removed

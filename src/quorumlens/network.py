@@ -404,8 +404,8 @@ def _fork_profile(
     net: Network,
     side_a: frozenset[NodeId],
     side_b: frozenset[NodeId],
-    seen_a: frozenset[NodeId],
-    seen_b: frozenset[NodeId],
+    seen_a: frozenset[NodeId] = frozenset(),
+    seen_b: frozenset[NodeId] = frozenset(),
 ) -> OpinionProfile:
     """Profile realizing a fork: side_a agrees on 1, side_b on 0, filler 0.
 
@@ -413,7 +413,9 @@ def _fork_profile(
     ``seen_a``, and those of side_b reveal 0 to the ones in ``seen_b``;
     every other trusting observer is shown its own value, which keeps the
     profile total without disturbing either side. A weak fork shows each
-    side to its one node, a strong fork to every member of its quorum.
+    side to its one node. A strong fork needs no such sets: the honest
+    members of side_a already hold 1 and those of side_b 0, so each is
+    shown its own value.
     """
     opinions = {i: 1 if i in side_a else 0 for i in net.honest}
     reveals: dict[NodeId, dict[NodeId, int]] = {}

@@ -15,7 +15,12 @@ exact searches behind explicit budgets:
   greatest fixpoint finds the largest quorum of every complement in the
   chunk at once, over masks of ``ceil(n/64)`` ``uint64`` words. A budget
   overrun while a chunk fills still judges the candidates already drawn,
-  so the search stops exactly where a one-at-a-time loop would;
+  so the search stops exactly where a one-at-a-time loop would. Where
+  only the verdict or the set of minimal quora is read (the premise of
+  :func:`check_slice_addition`, and :func:`minimal_quora`), each seed's
+  search skips the members of earlier seeds, so every minimal quorum is
+  grown once, from its lowest member, and ``max_states`` counts the
+  states of that smaller search;
 * quota networks use a pivot-fixed scan over the splits of a pool of
   nodes, decided from one numpy table over the count vectors of the
   pool's twin classes (:func:`_scan_split`). Twins are nodes whose swap
@@ -228,6 +233,7 @@ def _iter_generated_quora(
     max_states: int = DEFAULT_MAX_SEARCH_STATES,
     counted: int = -1,
     max_size: int | None = None,
+    exclusive: bool = False,
 ):
     """Yield quorum masks grown from ``seeds`` by closing slice choices.
 
@@ -240,11 +246,20 @@ def _iter_generated_quora(
     keeps its members' coalitions, so each child carries the parent's
     members below the branching one as ``known`` and skips them when it
     looks for its own first lacking member.
+
+    With ``exclusive``, the search from a seed never adds a member of an
+    earlier seed. For singleton seeds every minimal quorum is still
+    produced, from the seed of its lowest member, and each search covers
+    only the sets that no earlier one can reach.
     """
     slices = masks.slice_masks
     visited: set[int] = set()
+    earlier = 0
     for seed in seeds:
-        if seed & ~universe:
+        room = universe & ~earlier
+        if exclusive:
+            earlier |= seed
+        if seed & ~room:
             continue
         stack = [(seed, 0)]
         while stack:
@@ -275,7 +290,7 @@ def _iter_generated_quora(
             known = q & (unsat - 1)
             for smask in slices[unsat.bit_length() - 1]:
                 child = q | smask
-                if child & ~universe:
+                if child & ~room:
                     continue
                 if child not in visited:
                     stack.append((child, known))
@@ -430,12 +445,14 @@ def minimal_quora(
 ) -> tuple[frozenset[NodeId], ...]:
     """All inclusion-minimal quora, sorted by size then node order.
 
-    Explicit-slice networks grow candidates by slice closure and keep the
-    minimal ones. Quota networks read them off the split scan's table
-    over the count vectors of the twin classes of the largest quorum's
-    honest members (:func:`_minimal_quota_quora`): a byte per vector and
-    a closed copy. Both kinds share the ``max_nodes`` budget and one sort
-    by size, then node positions.
+    Explicit-slice networks grow candidates by slice closure, each from
+    the seed of its lowest member (:func:`_iter_generated_quora`'s
+    ``exclusive`` mode), and keep the minimal ones; ``max_states`` bounds
+    the partial sets that search visits. Quota networks read them off the
+    split scan's table over the count vectors of the twin classes of the
+    largest quorum's honest members (:func:`_minimal_quota_quora`): a byte
+    per vector and a closed copy. Both kinds share the ``max_nodes``
+    budget and one sort by size, then node positions.
 
     Raises:
         BudgetExceededError: when the instance exceeds ``max_nodes``, the
@@ -450,7 +467,7 @@ def minimal_quora(
     top = masks.max_quorum(masks.full)
     if isinstance(net, TrustNetwork):
         seeds = [1 << k for k in range(len(masks.order)) if (top >> k) & 1]
-        candidates = list(_iter_generated_quora(masks, top, seeds, max_states))
+        candidates = list(_iter_generated_quora(masks, top, seeds, max_states, exclusive=True))
         minimal = [
             tuple(b for b in range(len(masks.order)) if (q >> b) & 1)
             for q in candidates
@@ -550,13 +567,15 @@ def _first_disjoint(
     counted: int,
     max_states: int,
     max_size: int | None = None,
+    exclusive: bool = False,
 ) -> QuorumReport:
     """Grow quora from ``seeds`` until one leaves room for a counted-disjoint quorum.
 
     For each generated quorum ``q`` the largest quorum avoiding the
     ``counted`` members of ``q`` is computed; when it holds a counted
     node, the pair is a witness, and ``quora_examined`` is the index of
-    ``q`` in generation order + 1.
+    ``q`` in generation order + 1. ``exclusive`` grows them as
+    :func:`_iter_generated_quora` does under that flag.
 
     Generated quora are judged in chunks of ``_SLICES_CHUNK_FIRST``
     doubling up to ``_SLICES_CHUNK_MAX``. Each chunk runs one greatest
@@ -601,7 +620,7 @@ def _first_disjoint(
         return cur
 
     counted_words = _to_words([counted], width)
-    quora = _iter_generated_quora(masks, top, seeds, max_states, counted, max_size)
+    quora = _iter_generated_quora(masks, top, seeds, max_states, counted, max_size, exclusive)
     examined, size = 0, _SLICES_CHUNK_FIRST
     while True:
         chunk, overrun = [], None
@@ -628,7 +647,19 @@ def _first_disjoint(
         size = min(2 * size, _SLICES_CHUNK_MAX)
 
 
-def _check_qi(net: Network, honest: bool, max_nodes: int, max_states: int) -> QuorumReport:
+def _check_qi(
+    net: Network, honest: bool, max_nodes: int, max_states: int, exclusive: bool = False
+) -> QuorumReport:
+    """The shared check; ``exclusive`` serves callers that read only ``holds``.
+
+    On explicit-slice networks it grows quora seed-exclusively, which
+    changes the witness, the count and the states visited, but not the
+    verdict. Of two quora whose counted parts are disjoint, the one with
+    at most half of top's counted nodes holds no seed below its lowest
+    counted member, so the search from that seed generates a quorum
+    inside it, and the other quorum fits in that quorum's complement.
+    Quota networks ignore the flag.
+    """
     if len(net.nodes) > max_nodes:
         raise BudgetExceededError(
             f"{len(net.nodes)} nodes exceeds the quorum-intersection budget of {max_nodes}"
@@ -645,7 +676,8 @@ def _check_qi(net: Network, honest: bool, max_nodes: int, max_states: int) -> Qu
         # is one of its subsets: larger states need no expansion.
         inside = top & counted
         seeds = [1 << k for k in range(len(masks.order)) if (inside >> k) & 1]
-        return _first_disjoint(masks, top, seeds, counted, max_states, inside.bit_count() // 2)
+        bound = inside.bit_count() // 2
+        return _first_disjoint(masks, top, seeds, counted, max_states, bound, exclusive)
 
     if honest:
         # Every honest node is split; the Byzantine members of top join
@@ -704,8 +736,8 @@ def find_strong_fork(
     each containing an honest node, intersect in no honest node, so this
     is :func:`check_qi_honest` under the same budget. The witness carries
     the two quora and a profile in which each quorum's honest members
-    agree internally: its Byzantine members reveal the quorum's value to
-    every member.
+    agree internally: every Byzantine node shows each honest observer
+    that observer's own opinion, which is its quorum's value.
 
     Note that a network whose honest nodes hold singleton veto slices is
     strongly forked as soon as it has two honest nodes: each singleton is
@@ -718,7 +750,7 @@ def find_strong_fork(
     q_a, q_b = report.witness
     node_a = next(n for n in net.nodes if n in q_a and n not in net.byzantine)
     node_b = next(n for n in net.nodes if n in q_b and n not in net.byzantine)
-    profile = _fork_profile(net, q_a, q_b, q_a, q_b)
+    profile = _fork_profile(net, q_a, q_b)
     return ForkWitness(node_a, node_b, 1, 0, profile, "strong-fork", q_a, q_b)
 
 
@@ -735,7 +767,11 @@ def check_slice_addition(
     Requires the base network to satisfy quorum intersection already; any
     fresh disjoint pair must have one side built on the new slice, so the
     search grows that side from ``{node} | new_slice`` instead of
-    re-running the full check.
+    re-running the full check. The premise is checked first, under the
+    same budgets, by a verdict-only search that grows each quorum from
+    its lowest seed alone, so ``max_states`` bounds the states of that
+    search and, separately, those of the anchored one. The report is the
+    anchored search's.
 
     Raises:
         ValueError: when the base network fails quorum intersection or the
@@ -748,10 +784,7 @@ def check_slice_addition(
         raise ValueError(f"node {node!r} is not an honest node of the network")
     if not slice_set or not slice_set <= base.trust[node]:
         raise ValueError("new slice must be a non-empty subset of the node's trust set")
-    base_report = check_quorum_intersection(
-        base, max_nodes=max_nodes, max_states=max_states
-    )
-    if not base_report.holds:
+    if not _check_qi(base, False, max_nodes, max_states, exclusive=True).holds:
         raise ValueError(
             "base network fails quorum intersection; slice addition requires a sound base"
         )

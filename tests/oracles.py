@@ -313,12 +313,14 @@ def first_split_witness(net, honest: bool = False):
     return 2 ** len(free), None
 
 
-def first_generated_witness(net, honest: bool = False, anchor=None):
+def first_generated_witness(net, honest: bool = False, anchor=None, exclusive: bool = False):
     """The scalar generated-quorum search: (holds, witness, examined, states).
 
     Without ``anchor``, quora grow from the singletons of top's counted
     nodes (honest ones for ``honest``) in network order, and states with
     more than half of top's counted nodes are dropped unexpanded. With
+    ``exclusive``, the search from a seed never adds an earlier seed's
+    node, as the premise of ``check_slice_addition`` searches. With
     ``anchor``, they grow from that one set, unbounded, and every node
     counts. A depth-first stack expands each state once: the first member
     (network order) lacking a coalition inside the state branches over
@@ -342,8 +344,12 @@ def first_generated_witness(net, honest: bool = False, anchor=None):
         bound = None
     visited = set()
     examined = 0
+    earlier = frozenset()
     for seed in seeds:
-        if not seed <= top:
+        room = top - earlier
+        if exclusive:
+            earlier |= seed
+        if not seed <= room:
             continue
         stack = [seed]
         while stack:
@@ -361,7 +367,7 @@ def first_generated_witness(net, honest: bool = False, anchor=None):
             if lacking:
                 for s in families[lacking[0]]:
                     child = q | s
-                    if child <= top and child not in visited:
+                    if child <= room and child not in visited:
                         stack.append(child)
                 continue
             examined += 1
@@ -369,6 +375,51 @@ def first_generated_witness(net, honest: bool = False, anchor=None):
             if other & counted:
                 return False, (q, other), examined, len(visited)
     return True, None, examined, len(visited)
+
+
+def generated_minimal_quora(net) -> list[frozenset]:
+    """Every inclusion-minimal quorum, found by closing slice choices.
+
+    From each node of the largest quorum, a depth-first search adds the
+    coalitions of the first member (network order) lacking one inside the
+    set, until every member has one. A minimal quorum holds a coalition of
+    each of its members, so the search from any of its members reaches it;
+    of the quora reached, those holding no other are kept. No state bound,
+    no skipped seeds, plain frozensets; unlike :func:`all_quora` its cost
+    follows the slices, not 2^n, so it reaches CNF reductions. Sorted by
+    size, then network positions, the order ``minimal_quora`` reports.
+    """
+    families = slice_families(net)
+    position = {n: k for k, n in enumerate(net.nodes)}
+    top = largest_quorum_within(net, net.nodes)
+    found, visited = set(), set()
+    for seed in top:
+        stack = [frozenset({seed})]
+        while stack:
+            q = stack.pop()
+            if q in visited:
+                continue
+            visited.add(q)
+            lacking = [n for n in q if not any(s <= q for s in families[n])]
+            if not lacking:
+                found.add(q)
+                continue
+            for s in families[min(lacking, key=position.__getitem__)]:
+                if q | s <= top:
+                    stack.append(q | s)
+    minimal = [q for q in found if not any(o < q for o in found)]
+    return sorted(minimal, key=lambda q: (len(q), sorted(map(position.__getitem__, q))))
+
+
+def qi_by_minimal_pair_enumeration(net) -> bool:
+    """Plain quorum intersection from every pair of minimal quora.
+
+    Two disjoint quora hold two disjoint minimal quora, so checking the
+    pairs of :func:`generated_minimal_quora` decides it on networks too
+    large for :func:`qi_by_pair_enumeration`.
+    """
+    quora = generated_minimal_quora(net)
+    return all(a & b for a, b in itertools.combinations(quora, 2))
 
 
 def banzhaf_raw_global(net, i, j) -> Fraction:

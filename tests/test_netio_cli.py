@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -596,3 +597,21 @@ class TestReportDiscipline:
         )
         assert proc.returncode == 1
         assert "violated" in proc.stdout
+
+    def test_closed_stdout_exits_141_without_a_traceback(self, tmp_path):
+        # Exit 1 would read as a violated verdict; 141 is no verdict.
+        path = write(tmp_path, "fig.json", triangles_doc())
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "quorumlens", "qi", path, "--json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                cwd=REPO,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli_mod.EXIT_BROKEN_PIPE == 141
+        assert "Traceback" not in proc.stderr

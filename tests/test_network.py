@@ -363,6 +363,32 @@ class TestFindStrongFork:
             seen_safe += not got
         assert seen_forked >= 3 and seen_safe >= 3
 
+    def test_byzantine_nodes_show_each_observer_its_own_opinion(self):
+        # Each quorum's honest members already hold its value, so every
+        # reveal of a strong-fork profile is the observer's own opinion.
+        rng = random.Random(61)
+        forks = reveals = 0
+        for trial in range(60):
+            net = oracles.random_explicit_net(
+                rng,
+                rng.randint(3, 7),
+                max_slices=2,
+                max_slice_size=3,
+                byz_count=rng.randint(1, 2),
+                self_in_slices=True,
+            )
+            for candidate in (net, *oracles.seeded_quota_networks(trial, 1)):
+                witness = find_strong_fork(candidate)
+                if witness is None:
+                    continue
+                forks += 1
+                profile = witness.profile
+                for shown in profile.byzantine_reveals.values():
+                    for observer, value in shown.items():
+                        assert value == profile.honest_opinions[observer], candidate
+                        reveals += 1
+        assert forks >= 20 and reveals >= 50, (forks, reveals)
+
     def test_safety_implies_weak_safety(self):
         rng = random.Random(59)
         for trial in range(60):

@@ -10,7 +10,10 @@ reproduce the scalar generated-quorum search of
 examined and the state budget at which the search gives up. The library
 judges generated quora in chunks over masks of 64-bit words, so those
 inputs include witnesses on and next to a chunk boundary and networks
-of more than 64 nodes.
+of more than 64 nodes. The slice-addition premise and slices
+``minimal_quora`` grow each quorum from its lowest seed alone; the
+premise must refuse exactly the bases that pair enumeration finds
+split, and the minimal quora must equal the oracle's.
 
 The quota split scan works up to twin symmetry, so it is also checked on
 networks with large twin classes: the twin classes against brute-force
@@ -25,6 +28,7 @@ against the closed form of a uniform clique at 16, 18 and 40 nodes, for
 its memory on a twin-free 20-node ring, and for its listing budget.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -41,6 +45,7 @@ from quorumlens import (
     TrustNetwork,
     check_qi_honest,
     check_quorum_intersection,
+    brute_sat,
     check_slice_addition,
     cnf_to_network,
     max_quorum_within,
@@ -231,8 +236,8 @@ def test_slice_addition_matches_the_scalar_generated_search():
         holds, witness, count, states = oracles.first_generated_witness(
             extended, anchor=new_slice | {node}
         )
-        # The base check runs first under the same budget.
-        states = max(states, oracles.first_generated_witness(base)[3])
+        # The premise runs first under the same budget, as a seed-exclusive search.
+        states = max(states, oracles.first_generated_witness(base, exclusive=True)[3])
 
         def run(base=base, node=node, new_slice=new_slice, **budget):
             return check_slice_addition(base, node, new_slice, max_nodes=len(base.nodes), **budget)
@@ -243,6 +248,100 @@ def test_slice_addition_matches_the_scalar_generated_search():
     assert min(checked.values()) >= 3, checked
     for counts in examined.values():
         assert {FIRST_CHUNK, FIRST_CHUNK + 1} <= counts, examined
+
+
+def extended_network(base, node, new_slice):
+    slices = dict(base.slices)
+    slices[node] += (new_slice,)
+    return TrustNetwork(base.nodes, base.byzantine, base.trust, slices, base.vetoed)
+
+
+def addition_base(cnf):
+    """The base ``slice_addition_instance`` builds, also where its premise fails."""
+    full = cnf_to_network(cnf)
+    slices = dict(full.slices)
+    slices["y1"] = tuple(s for s in slices["y1"] if s != frozenset({"y1", "n1"}))
+    return TrustNetwork(full.nodes, full.byzantine, full.trust, slices)
+
+
+def test_slice_addition_premise_matches_pair_enumeration():
+    # The premise search grows each quorum from its lowest seed alone; it
+    # must refuse exactly the bases that hold two disjoint quora.
+    rng = random.Random(197)
+    refused = {"slices": [0, 0], "cnf": [0, 0]}
+    for net in slice_nets(193, 150):
+        honest = [n for n in net.nodes if n not in net.byzantine and net.trust[n]]
+        if not honest:
+            continue
+        node = rng.choice(honest)
+        trust = sorted(net.trust[node])
+        new_slice = frozenset(rng.sample(trust, rng.randint(1, len(trust))))
+        sound = oracles.qi_by_pair_enumeration(net)
+        refused["slices"][sound] += 1
+        if not sound:
+            with pytest.raises(ValueError, match="base network fails"):
+                check_slice_addition(net, node, new_slice)
+            continue
+        report = check_slice_addition(net, node, new_slice)
+        assert report.holds == oracles.qi_by_pair_enumeration(
+            extended_network(net, node, new_slice)
+        ), net
+    satisfiable = set()
+    formulas = [*cnfs(199, 16), *fixed_cnfs(((3, 5), (6, 0), (6, 2)))]
+    for cnf in formulas:
+        base = addition_base(cnf)
+        sound = oracles.qi_by_minimal_pair_enumeration(base)
+        refused["cnf"][sound] += 1
+        satisfiable.add(brute_sat(cnf) is not None)
+        run = functools.partial(check_slice_addition, base, "y1", frozenset({"y1", "n1"}))
+        if not sound:
+            with pytest.raises(ValueError, match="base network fails"):
+                run(max_nodes=len(base.nodes))
+            continue
+        assert slice_addition_instance(cnf)[0] == base
+        run(max_nodes=len(base.nodes))
+    assert min(refused["slices"] + refused["cnf"]) >= 3, refused
+    assert satisfiable == {False, True}
+    assert {cnf.num_vars for cnf in formulas} == {3, 4, 5, 6}
+
+
+# 6-variable slice additions, one holding and one violated. The second's
+# premise visits one state more than its anchored search.
+DEEP_ADDITION_CNFS = ((6, 2), (6, 25))
+
+
+def test_slice_addition_premise_fits_where_the_full_check_overruns():
+    for cnf in fixed_cnfs(DEEP_ADDITION_CNFS):
+        base, node, new_slice = slice_addition_instance(cnf)
+        holds, witness, count, anchored = oracles.first_generated_witness(
+            extended_network(base, node, new_slice), anchor=new_slice | {node}
+        )
+        premise = oracles.first_generated_witness(base, exclusive=True)[3]
+        states = max(anchored, premise)
+
+        def run(base=base, node=node, new_slice=new_slice, **budget):
+            return check_slice_addition(base, node, new_slice, max_nodes=len(base.nodes), **budget)
+
+        assert_same_search(run, (holds, witness, count, states))
+        with pytest.raises(BudgetExceededError):
+            check_quorum_intersection(base, max_nodes=len(base.nodes), max_states=states)
+        assert check_quorum_intersection(base, max_nodes=len(base.nodes)).holds
+    assert premise > anchored and not holds
+
+
+def test_slices_minimal_quora_match_the_oracle():
+    # Small networks check the oracle against every subset; reductions
+    # of up to 46 nodes check the library against the oracle alone.
+    for net in slice_nets(211, 80):
+        quora = oracles.all_quora(net)
+        expected = [q for q in quora if not any(o < q for o in quora)]
+        assert oracles.generated_minimal_quora(net) == expected, net
+        assert minimal_quora(net) == tuple(expected), net
+    reductions = [cnf_to_network(cnf) for cnf in [*cnfs(223, 6), *fixed_cnfs(((6, 2),))]]
+    for net in reductions:
+        expected = tuple(oracles.generated_minimal_quora(net))
+        assert minimal_quora(net, max_nodes=len(net.nodes)) == expected
+    assert max(len(net.nodes) for net in reductions) >= 31
 
 
 def test_largest_quorum_within_matches_the_oracle():
