@@ -211,15 +211,12 @@ def _run_qi(args):
     net = load_network(args.file)
     checker = check_qi_honest if args.honest else check_quorum_intersection
     report = checker(net, max_nodes=args.max_nodes)
-    minimal = None
-    if len(net.nodes) <= MINIMAL_QUORA_DISPLAY_LIMIT:
-        try:
-            minimal = [
-                _set_list(net, q)
-                for q in minimal_quora(net, max_nodes=MINIMAL_QUORA_DISPLAY_LIMIT)
-            ]
-        except BudgetExceededError:
-            minimal = None
+    try:
+        minimal = [
+            _set_list(net, q) for q in minimal_quora(net, max_nodes=MINIMAL_QUORA_DISPLAY_LIMIT)
+        ]
+    except BudgetExceededError:
+        minimal = None
     tables = {
         "variant": "honest-intersection" if args.honest else "plain",
         "quora_examined": report.quora_examined,
@@ -400,7 +397,7 @@ def _run_gen_sat(args):
 
     try:
         cnf = parse_dimacs(Path(args.dimacs).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise NetworkFormatError(f"cannot read {args.dimacs}: {exc}") from exc
     if args.slice_addition:
         try:
@@ -482,10 +479,9 @@ def render_human(report: dict) -> str:
     tables = report.get("tables", {})
     if tables.get("reason"):
         lines.append(f"reason: {tables['reason']}")
-    for key in ("violations",):
-        if tables.get(key):
-            lines.append("violations:")
-            lines.extend(f"  - {v}" for v in tables[key])
+    if tables.get("violations"):
+        lines.append("violations:")
+        lines.extend(f"  - {v}" for v in tables["violations"])
     if tables.get("minimal_quora"):
         quora = ", ".join("{" + ", ".join(q) + "}" for q in tables["minimal_quora"])
         lines.append(f"minimal quora: {quora}")

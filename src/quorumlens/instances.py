@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .network import BudgetExceededError, NodeId, QuotaNetwork, TrustNetwork, as_fraction
-from .quorum import DEFAULT_MAX_SEARCH_STATES, _check_qi
+from .quorum import check_quorum_intersection
 
 Literal = int
 Clause = tuple[Literal, Literal, Literal]
@@ -46,6 +46,8 @@ class Cnf:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self):
+        if self.num_vars < 0:
+            raise ValueError(f"negative variable count {self.num_vars}")
         object.__setattr__(self, "clauses", tuple(tuple(c) for c in self.clauses))
         for clause in self.clauses:
             if len(clause) != 3:
@@ -81,6 +83,8 @@ def parse_dimacs(text: str) -> Cnf:
                 num_vars, declared = int(parts[2]), int(parts[3])
             except ValueError:
                 raise DimacsError(f"line {lineno}: malformed header {line!r}") from None
+            if num_vars < 0 or declared < 0:
+                raise DimacsError(f"line {lineno}: negative count in header {line!r}")
             continue
         if num_vars is None:
             raise DimacsError(f"line {lineno}: clause before header")
@@ -261,11 +265,7 @@ def slice_addition_instance(
     slices["y1"] = tuple(s for s in slices["y1"] if s != removed)
     base = TrustNetwork(full.nodes, full.byzantine, full.trust, slices)
     if verify:
-        # Verdict only, so the search grows each quorum from its lowest seed.
-        report = _check_qi(
-            base, False, len(base.nodes), DEFAULT_MAX_SEARCH_STATES, exclusive=True
-        )
-        if not report.holds:
+        if not check_quorum_intersection(base, max_nodes=len(base.nodes)).holds:
             raise AssertionError("generator postcondition failed: base lacks quorum intersection")
     return base, "y1", removed
 

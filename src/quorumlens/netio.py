@@ -214,10 +214,11 @@ def parse_network_document(doc) -> LoadedNetwork:
 
 def load_network_file(path) -> LoadedNetwork:
     """Parse and validate a network file, keeping generator metadata."""
-    text = Path(path).read_text()
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text())
+    except UnicodeDecodeError as exc:
+        raise NetworkFormatError(f"{path}: cannot decode text: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise NetworkFormatError(f"{path}: invalid JSON: {exc}") from exc
     return parse_network_document(doc)
 

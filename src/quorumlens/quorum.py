@@ -6,21 +6,18 @@ winning coalitions inside the set; Byzantine members only need to belong
 two quora intersect is intractable in general, so the checkers here are
 exact searches behind explicit budgets:
 
-* explicit-slice networks use memoized closure of slice choices, which
-  enumerates a superset of the inclusion-minimal quora and tests each
-  against the largest quorum of its complement; the full checks stop
-  growing candidates at half the size of the largest quorum. Candidates
-  are grown incrementally (a grown candidate skips the members its
-  parent already found satisfied) and judged in chunks: one numpy
-  greatest fixpoint finds the largest quorum of every complement in the
-  chunk at once, over masks of ``ceil(n/64)`` ``uint64`` words. A budget
-  overrun while a chunk fills still judges the candidates already drawn,
-  so the search stops exactly where a one-at-a-time loop would. Where
-  only the verdict or the set of minimal quora is read (the premise of
-  :func:`check_slice_addition`, and :func:`minimal_quora`), each seed's
-  search skips the members of earlier seeds, so every minimal quorum is
-  grown once, from its lowest member, and ``max_states`` counts the
-  states of that smaller search;
+* explicit-slice networks use one search: memoized closure of slice
+  choices from the singleton of each node in turn, where the search from
+  a node never adds an earlier one, so every inclusion-minimal quorum is
+  grown once, from its lowest member. Each quorum grown is tested
+  against the largest quorum of its complement; the checks stop growing
+  candidates at half the size of the largest quorum. Candidates are
+  grown incrementally (a grown candidate skips the members its parent
+  already found satisfied) and judged in chunks: one numpy greatest
+  fixpoint finds the largest quorum of every complement in the chunk at
+  once, over masks of ``ceil(n/64)`` ``uint64`` words. A budget overrun
+  while a chunk fills still judges the candidates already drawn, so the
+  search stops exactly where a one-at-a-time loop would;
 * quota networks use a pivot-fixed scan over the splits of a pool of
   nodes, decided from one numpy table over the count vectors of the
   pool's twin classes (:func:`_scan_split`). Twins are nodes whose swap
@@ -73,10 +70,12 @@ class QuorumReport:
 
     When ``holds`` is false, ``witness`` carries two quora whose
     intersection is empty (or contains no honest node, for the honest
-    variant). ``quora_examined`` counts the candidate quora tested on
-    explicit-slice networks and the splits covered on quota networks: the
-    split code of the witness + 1, or all 2^(|pool| - 1) splits when
-    intersection holds, however few count vectors the scan reads.
+    variant). On explicit-slice networks ``quora_examined`` counts the
+    quora the seed-exclusive search judged, up to and including the
+    witness, or all of them when intersection holds. On quota networks it
+    counts the splits covered: the split code of the witness + 1, or all
+    2^(|pool| - 1) splits when intersection holds, however few count
+    vectors the scan reads.
     """
 
     holds: bool
@@ -233,34 +232,26 @@ def _iter_generated_quora(
     max_states: int = DEFAULT_MAX_SEARCH_STATES,
     counted: int = -1,
     max_size: int | None = None,
-    exclusive: bool = False,
 ):
     """Yield quorum masks grown from ``seeds`` by closing slice choices.
 
-    Every inclusion-minimal quorum inside ``universe`` that contains one
-    of the seed sets, and has at most ``max_size`` members of ``counted``,
-    is produced: from any partial set, the first member still lacking a
-    contained coalition branches over its coalitions. States are
-    memoized, so each partial set expands once; states with more than
-    ``max_size`` counted members are dropped unexpanded. Growing a set
-    keeps its members' coalitions, so each child carries the parent's
-    members below the branching one as ``known`` and skips them when it
-    looks for its own first lacking member.
-
-    With ``exclusive``, the search from a seed never adds a member of an
-    earlier seed. For singleton seeds every minimal quorum is still
-    produced, from the seed of its lowest member, and each search covers
-    only the sets that no earlier one can reach.
+    The search from a seed never adds a member of an earlier seed. Every
+    inclusion-minimal quorum inside ``universe`` that contains a seed
+    set, and no member of an earlier one, and has at most ``max_size``
+    members of ``counted``, is produced: from any partial set, the first
+    member still lacking a contained coalition branches over its
+    coalitions. For singleton seeds that is every minimal quorum, grown
+    once, from the seed of its lowest member. States are memoized, so
+    each partial set expands once; states with more than ``max_size``
+    counted members are dropped unexpanded. Growing a set keeps its
+    members' coalitions, so each child carries the parent's members below
+    the branching one as ``known`` and skips them when it looks for its
+    own first lacking member.
     """
     slices = masks.slice_masks
     visited: set[int] = set()
-    earlier = 0
+    room = universe
     for seed in seeds:
-        room = universe & ~earlier
-        if exclusive:
-            earlier |= seed
-        if seed & ~room:
-            continue
         stack = [(seed, 0)]
         while stack:
             q, known = stack.pop()
@@ -294,6 +285,7 @@ def _iter_generated_quora(
                     continue
                 if child not in visited:
                     stack.append((child, known))
+        room &= ~seed
 
 
 def _quorum_table(masks: _Masks, classes: list[list[int]], base: int = 0) -> np.ndarray:
@@ -446,13 +438,13 @@ def minimal_quora(
     """All inclusion-minimal quora, sorted by size then node order.
 
     Explicit-slice networks grow candidates by slice closure, each from
-    the seed of its lowest member (:func:`_iter_generated_quora`'s
-    ``exclusive`` mode), and keep the minimal ones; ``max_states`` bounds
-    the partial sets that search visits. Quota networks read them off the
-    split scan's table over the count vectors of the twin classes of the
-    largest quorum's honest members (:func:`_minimal_quota_quora`): a byte
-    per vector and a closed copy. Both kinds share the ``max_nodes``
-    budget and one sort by size, then node positions.
+    the seed of its lowest member (:func:`_iter_generated_quora`), and
+    keep the minimal ones; ``max_states`` bounds the partial sets that
+    search visits. Quota networks read them off the split scan's table
+    over the count vectors of the twin classes of the largest quorum's
+    honest members (:func:`_minimal_quota_quora`): a byte per vector and
+    a closed copy. Both kinds share the ``max_nodes`` budget and one sort
+    by size, then node positions.
 
     Raises:
         BudgetExceededError: when the instance exceeds ``max_nodes``, the
@@ -467,7 +459,7 @@ def minimal_quora(
     top = masks.max_quorum(masks.full)
     if isinstance(net, TrustNetwork):
         seeds = [1 << k for k in range(len(masks.order)) if (top >> k) & 1]
-        candidates = list(_iter_generated_quora(masks, top, seeds, max_states, exclusive=True))
+        candidates = list(_iter_generated_quora(masks, top, seeds, max_states))
         minimal = [
             tuple(b for b in range(len(masks.order)) if (q >> b) & 1)
             for q in candidates
@@ -567,15 +559,13 @@ def _first_disjoint(
     counted: int,
     max_states: int,
     max_size: int | None = None,
-    exclusive: bool = False,
 ) -> QuorumReport:
     """Grow quora from ``seeds`` until one leaves room for a counted-disjoint quorum.
 
     For each generated quorum ``q`` the largest quorum avoiding the
     ``counted`` members of ``q`` is computed; when it holds a counted
     node, the pair is a witness, and ``quora_examined`` is the index of
-    ``q`` in generation order + 1. ``exclusive`` grows them as
-    :func:`_iter_generated_quora` does under that flag.
+    ``q`` in generation order + 1.
 
     Generated quora are judged in chunks of ``_SLICES_CHUNK_FIRST``
     doubling up to ``_SLICES_CHUNK_MAX``. Each chunk runs one greatest
@@ -620,7 +610,7 @@ def _first_disjoint(
         return cur
 
     counted_words = _to_words([counted], width)
-    quora = _iter_generated_quora(masks, top, seeds, max_states, counted, max_size, exclusive)
+    quora = _iter_generated_quora(masks, top, seeds, max_states, counted, max_size)
     examined, size = 0, _SLICES_CHUNK_FIRST
     while True:
         chunk, overrun = [], None
@@ -647,18 +637,16 @@ def _first_disjoint(
         size = min(2 * size, _SLICES_CHUNK_MAX)
 
 
-def _check_qi(
-    net: Network, honest: bool, max_nodes: int, max_states: int, exclusive: bool = False
-) -> QuorumReport:
-    """The shared check; ``exclusive`` serves callers that read only ``holds``.
+def _check_qi(net: Network, honest: bool, max_nodes: int, max_states: int) -> QuorumReport:
+    """The plain (``honest`` false) or honest check behind the public entry points.
 
-    On explicit-slice networks it grows quora seed-exclusively, which
-    changes the witness, the count and the states visited, but not the
-    verdict. Of two quora whose counted parts are disjoint, the one with
-    at most half of top's counted nodes holds no seed below its lowest
-    counted member, so the search from that seed generates a quorum
-    inside it, and the other quorum fits in that quorum's complement.
-    Quota networks ignore the flag.
+    On explicit-slice networks quora grow from the singletons of top's
+    counted nodes, each search never adding a node of an earlier seed.
+    That is exact: of two quora whose counted parts are disjoint, the one
+    with at most half of top's counted nodes holds no seed below its
+    lowest counted member, so the search from that seed generates a
+    quorum inside it, and the other quorum fits in that quorum's
+    complement.
     """
     if len(net.nodes) > max_nodes:
         raise BudgetExceededError(
@@ -677,7 +665,7 @@ def _check_qi(
         inside = top & counted
         seeds = [1 << k for k in range(len(masks.order)) if (inside >> k) & 1]
         bound = inside.bit_count() // 2
-        return _first_disjoint(masks, top, seeds, counted, max_states, bound, exclusive)
+        return _first_disjoint(masks, top, seeds, counted, max_states, bound)
 
     if honest:
         # Every honest node is split; the Byzantine members of top join
@@ -768,10 +756,9 @@ def check_slice_addition(
     fresh disjoint pair must have one side built on the new slice, so the
     search grows that side from ``{node} | new_slice`` instead of
     re-running the full check. The premise is checked first, under the
-    same budgets, by a verdict-only search that grows each quorum from
-    its lowest seed alone, so ``max_states`` bounds the states of that
-    search and, separately, those of the anchored one. The report is the
-    anchored search's.
+    same budgets, by the plain check's search, so ``max_states`` bounds
+    the states of that search and, separately, those of the anchored
+    one. The report is the anchored search's.
 
     Raises:
         ValueError: when the base network fails quorum intersection or the
@@ -784,7 +771,7 @@ def check_slice_addition(
         raise ValueError(f"node {node!r} is not an honest node of the network")
     if not slice_set or not slice_set <= base.trust[node]:
         raise ValueError("new slice must be a non-empty subset of the node's trust set")
-    if not _check_qi(base, False, max_nodes, max_states, exclusive=True).holds:
+    if not _check_qi(base, False, max_nodes, max_states).holds:
         raise ValueError(
             "base network fails quorum intersection; slice addition requires a sound base"
         )

@@ -313,22 +313,22 @@ def first_split_witness(net, honest: bool = False):
     return 2 ** len(free), None
 
 
-def first_generated_witness(net, honest: bool = False, anchor=None, exclusive: bool = False):
+def first_generated_witness(net, honest: bool = False, anchor=None):
     """The scalar generated-quorum search: (holds, witness, examined, states).
 
     Without ``anchor``, quora grow from the singletons of top's counted
-    nodes (honest ones for ``honest``) in network order, and states with
-    more than half of top's counted nodes are dropped unexpanded. With
-    ``exclusive``, the search from a seed never adds an earlier seed's
-    node, as the premise of ``check_slice_addition`` searches. With
-    ``anchor``, they grow from that one set, unbounded, and every node
-    counts. A depth-first stack expands each state once: the first member
-    (network order) lacking a coalition inside the state branches over
-    its coalitions, pushed in slice order; a state whose every member has
-    one is a quorum, examined against the largest quorum of top without
-    its counted members. Every membership test is rescanned from scratch
-    on plain frozensets. ``states`` counts the distinct states expanded
-    up to the witness, or in all, so a state budget below it is exceeded.
+    nodes (honest ones for ``honest``) in network order, the search from
+    a seed never adding an earlier seed's node, and states with more than
+    half of top's counted nodes are dropped unexpanded. With ``anchor``,
+    they grow from that one set, unbounded, and every node counts; an
+    anchor outside top grows nothing. A depth-first stack expands each
+    state once: the first member (network order) lacking a coalition
+    inside the state branches over its coalitions, pushed in slice
+    order; a state whose every member has one is a quorum, examined
+    against the largest quorum of top without its counted members. Every
+    membership test is rescanned from scratch on plain frozensets.
+    ``states`` counts the distinct states expanded up to the witness, or
+    in all, so a state budget below it is exceeded.
     """
     families = slice_families(net)
     position = {n: k for k, n in enumerate(net.nodes)}
@@ -347,8 +347,7 @@ def first_generated_witness(net, honest: bool = False, anchor=None, exclusive: b
     earlier = frozenset()
     for seed in seeds:
         room = top - earlier
-        if exclusive:
-            earlier |= seed
+        earlier |= seed
         if not seed <= room:
             continue
         stack = [seed]

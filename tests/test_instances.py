@@ -44,6 +44,16 @@ class TestDimacs:
         with pytest.raises(DimacsError, match="header"):
             parse_dimacs("p dnf 1 1\n1 0")
 
+    @pytest.mark.parametrize("header", ["p cnf -3 -1", "p cnf -1 0", "p cnf 2 -1"])
+    def test_negative_header_counts_rejected(self, header):
+        with pytest.raises(DimacsError, match=f"line 2: negative count in header '{header}'"):
+            parse_dimacs(f"c comment\n{header}\n")
+
+    def test_negative_variable_count_rejected(self):
+        with pytest.raises(ValueError, match="negative variable count -3"):
+            Cnf(-3, ())
+        assert Cnf(0, ()).clauses == ()
+
     def test_four_literals_rejected(self):
         with pytest.raises(DimacsError, match="3"):
             parse_dimacs("p cnf 4 1\n1 2 3 4 0")

@@ -263,6 +263,24 @@ class TestCliContract:
         assert run(["qi", "/nonexistent/net.json"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, dimacs",
+        [(b"\xff\xfe\x00garbage", False), (b"[" * 200_000, False), (b"\xff\xfe\x00garbage", True)],
+        ids=["undecodable-network", "deeply-nested-network", "undecodable-dimacs"],
+    )
+    def test_unreadable_input_exit_two(self, tmp_path, capsys, content, dimacs):
+        # Exit 1 would read as a violated verdict.
+        path = tmp_path / "input"
+        path.write_bytes(content)
+        if dimacs:
+            argv = ["gen", "sat", "--dimacs", str(path), "-o", str(tmp_path / "out.json")]
+        else:
+            argv = ["qi", str(path)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert not (tmp_path / "out.json").exists()
+
     def test_unknown_subcommand_exit_two(self, capsys):
         assert run(["frobnicate"]) == 2
 

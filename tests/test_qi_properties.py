@@ -10,10 +10,11 @@ reproduce the scalar generated-quorum search of
 examined and the state budget at which the search gives up. The library
 judges generated quora in chunks over masks of 64-bit words, so those
 inputs include witnesses on and next to a chunk boundary and networks
-of more than 64 nodes. The slice-addition premise and slices
-``minimal_quora`` grow each quorum from its lowest seed alone; the
-premise must refuse exactly the bases that pair enumeration finds
-split, and the minimal quora must equal the oracle's.
+of more than 64 nodes. Every slices search grows each quorum from its
+lowest seed alone: the slice-addition premise must refuse exactly the
+bases that pair enumeration finds split, slices ``minimal_quora`` must
+equal the oracle's, and an unsatisfiable 10-variable reduction must be
+decided within a few thousand states.
 
 The quota split scan works up to twin symmetry, so it is also checked on
 networks with large twin classes: the twin classes against brute-force
@@ -236,8 +237,8 @@ def test_slice_addition_matches_the_scalar_generated_search():
         holds, witness, count, states = oracles.first_generated_witness(
             extended, anchor=new_slice | {node}
         )
-        # The premise runs first under the same budget, as a seed-exclusive search.
-        states = max(states, oracles.first_generated_witness(base, exclusive=True)[3])
+        # The premise runs first under the same budget, as the plain search.
+        states = max(states, oracles.first_generated_witness(base)[3])
 
         def run(base=base, node=node, new_slice=new_slice, **budget):
             return check_slice_addition(base, node, new_slice, max_nodes=len(base.nodes), **budget)
@@ -310,23 +311,42 @@ def test_slice_addition_premise_matches_pair_enumeration():
 DEEP_ADDITION_CNFS = ((6, 2), (6, 25))
 
 
-def test_slice_addition_premise_fits_where_the_full_check_overruns():
+def test_slice_addition_premise_is_the_full_check():
+    # The premise and check_quorum_intersection run one search, so the
+    # full check on the base holds at exactly the premise's state count.
     for cnf in fixed_cnfs(DEEP_ADDITION_CNFS):
         base, node, new_slice = slice_addition_instance(cnf)
         holds, witness, count, anchored = oracles.first_generated_witness(
             extended_network(base, node, new_slice), anchor=new_slice | {node}
         )
-        premise = oracles.first_generated_witness(base, exclusive=True)[3]
-        states = max(anchored, premise)
+        premise = oracles.first_generated_witness(base)
 
         def run(base=base, node=node, new_slice=new_slice, **budget):
             return check_slice_addition(base, node, new_slice, max_nodes=len(base.nodes), **budget)
 
-        assert_same_search(run, (holds, witness, count, states))
-        with pytest.raises(BudgetExceededError):
-            check_quorum_intersection(base, max_nodes=len(base.nodes), max_states=states)
-        assert check_quorum_intersection(base, max_nodes=len(base.nodes)).holds
-    assert premise > anchored and not holds
+        def full(base=base, **budget):
+            return check_quorum_intersection(base, max_nodes=len(base.nodes), **budget)
+
+        assert_same_search(run, (holds, witness, count, max(anchored, premise[3])))
+        assert_same_search(full, premise)
+        assert premise[0]
+    assert premise[3] > anchored and not holds
+
+
+def test_unsatisfiable_ten_variable_reduction_holds_within_a_small_budget():
+    # 75 nodes; every quorum is grown once, from its lowest member, so
+    # the check judges 1,024 quora and needs a few thousand states.
+    (cnf,) = fixed_cnfs(((10, 11),))
+    assert brute_sat(cnf) is None
+    net = cnf_to_network(cnf)
+    expected = oracles.first_generated_witness(net)
+    assert expected[0] and expected[3] < 5000, expected[2:]
+
+    def run(**budget):
+        return check_quorum_intersection(net, max_nodes=len(net.nodes), **budget)
+
+    assert_same_search(run, expected)
+    assert run(max_states=5000).quora_examined == expected[2]
 
 
 def test_slices_minimal_quora_match_the_oracle():
