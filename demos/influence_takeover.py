@@ -17,7 +17,6 @@ from quorumlens import (
     banzhaf_raw_row,
     centralization_limit_report,
     influence_matrix,
-    is_idempotent_exact,
     limit_matrix,
 )
 
@@ -43,8 +42,8 @@ m = influence_matrix(net)
 print("raw pivot indices for node 6's game:", [str(x) for x in banzhaf_raw_row(net, "6")])
 print("influence matrix (normalized rows):")
 show(m.order, m.entries)
-print("idempotent (exact rational square equals itself)?", is_idempotent_exact(m))
 report = limit_matrix(m)
+print("idempotent (the matrix equals its own limit)?", report.limit == m.entries)
 print("classification:", report.classification)
 print("limit row for node 1:", [str(x) for x in report.limit[0]])
 

@@ -37,7 +37,6 @@ from .influence import (
     banzhaf_row,
     centralization_limit_report,
     influence_matrix,
-    is_idempotent_exact,
     limit_matrix,
 )
 from .instances import (
@@ -134,7 +133,6 @@ __all__ = [
     "find_fork",
     "find_strong_fork",
     "influence_matrix",
-    "is_idempotent_exact",
     "is_quorum",
     "limit_matrix",
     "load_network",

@@ -55,25 +55,6 @@ class InfluenceMatrix:
         return self.entries[self.order.index(node)]
 
 
-def multiply_exact(a: InfluenceMatrix, b: InfluenceMatrix) -> InfluenceMatrix:
-    """Exact rational matrix product; both factors must share an order."""
-    if a.order != b.order:
-        raise ValueError("matrix orders differ")
-    n = len(a.order)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            row.append(sum((a.entries[i][k] * b.entries[k][j] for k in range(n)), Fraction(0)))
-        rows.append(tuple(row))
-    return InfluenceMatrix(a.order, tuple(rows), a.byzantine_rows)
-
-
-def is_idempotent_exact(m: InfluenceMatrix) -> bool:
-    """True when the exact square of ``m`` equals ``m``."""
-    return multiply_exact(m, m).entries == m.entries
-
-
 def _winning_table(net: Network, i: NodeId, members: list[NodeId]) -> bytes:
     """Win flag (0 or 1) of every coalition mask over ``members``, i's trust set.
 

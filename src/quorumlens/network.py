@@ -118,12 +118,6 @@ class TrustNetwork:
     def honest(self) -> tuple[NodeId, ...]:
         return tuple(n for n in self.nodes if n not in self.byzantine)
 
-    def slices_of(self, node: NodeId) -> tuple[frozenset[NodeId], ...]:
-        """Winning coalitions of ``node``; Byzantine nodes get their singleton."""
-        if node in self.byzantine:
-            return (frozenset({node}),)
-        return self.slices[node]
-
 
 @dataclass(frozen=True)
 class QuotaNetwork:

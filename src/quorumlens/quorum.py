@@ -35,6 +35,8 @@ only the nodes depending on a removed member.
 
 Both report a witness pair of quora whenever intersection fails, and a
 budget overrun is always a distinct outcome, never a verdict.
+:func:`check_slice_addition` is the plain check on the network with the
+new slice added; the base is checked only when that check fails.
 :func:`find_strong_fork` reads the honest check's witness as a strong
 fork. :func:`is_quorum` tests the definition member by member, sharing
 no code with the searches whose witnesses it re-checks.
@@ -72,7 +74,8 @@ class QuorumReport:
     intersection is empty (or contains no honest node, for the honest
     variant). On explicit-slice networks ``quora_examined`` counts the
     quora the seed-exclusive search judged, up to and including the
-    witness, or all of them when intersection holds. On quota networks it
+    witness, or all of them when intersection holds; for a slice
+    addition, those of the extended network. On quota networks it
     counts the splits covered: the split code of the witness + 1, or all
     2^(|pool| - 1) splits when intersection holds, however few count
     vectors the scan reads.
@@ -228,30 +231,32 @@ def max_quorum_within(net: Network, s) -> frozenset[NodeId]:
 def _iter_generated_quora(
     masks: _Masks,
     universe: int,
-    seeds: list[int],
-    max_states: int = DEFAULT_MAX_SEARCH_STATES,
+    seeds: int,
+    max_states: int,
     counted: int = -1,
     max_size: int | None = None,
 ):
-    """Yield quorum masks grown from ``seeds`` by closing slice choices.
+    """Yield quorum masks grown from the singleton of each node of ``seeds``.
 
-    The search from a seed never adds a member of an earlier seed. Every
-    inclusion-minimal quorum inside ``universe`` that contains a seed
-    set, and no member of an earlier one, and has at most ``max_size``
-    members of ``counted``, is produced: from any partial set, the first
-    member still lacking a contained coalition branches over its
-    coalitions. For singleton seeds that is every minimal quorum, grown
-    once, from the seed of its lowest member. States are memoized, so
-    each partial set expands once; states with more than ``max_size``
-    counted members are dropped unexpanded. Growing a set keeps its
-    members' coalitions, so each child carries the parent's members below
-    the branching one as ``known`` and skips them when it looks for its
-    own first lacking member.
+    Seeds go in bit order, and the search from a seed never adds an
+    earlier seed. Every inclusion-minimal quorum inside ``universe`` that
+    holds a seed and at most ``max_size`` members of ``counted`` is
+    produced, from the seed of its lowest seed member: from any partial
+    set, the first member still lacking a contained coalition branches
+    over its coalitions. When ``seeds`` is ``universe``, that is every
+    minimal quorum, grown once, from its lowest member. States are
+    memoized, so each partial set expands once; states with more than
+    ``max_size`` counted members are dropped unexpanded. Growing a set
+    keeps its members' coalitions, so each child carries the parent's
+    members below the branching one as ``known`` and skips them when it
+    looks for its own first lacking member.
     """
     slices = masks.slice_masks
     visited: set[int] = set()
     room = universe
-    for seed in seeds:
+    while seeds:
+        seed = seeds & -seeds
+        seeds ^= seed
         stack = [(seed, 0)]
         while stack:
             q, known = stack.pop()
@@ -458,8 +463,7 @@ def minimal_quora(
     masks = _Masks(net)
     top = masks.max_quorum(masks.full)
     if isinstance(net, TrustNetwork):
-        seeds = [1 << k for k in range(len(masks.order)) if (top >> k) & 1]
-        candidates = list(_iter_generated_quora(masks, top, seeds, max_states))
+        candidates = list(_iter_generated_quora(masks, top, top, max_states))
         minimal = [
             tuple(b for b in range(len(masks.order)) if (q >> b) & 1)
             for q in candidates
@@ -552,20 +556,22 @@ def _from_words(row: np.ndarray) -> int:
     return int.from_bytes(row.astype("<u8").tobytes(), "little")
 
 
-def _first_disjoint(
-    masks: _Masks,
-    top: int,
-    seeds: list[int],
-    counted: int,
-    max_states: int,
-    max_size: int | None = None,
-) -> QuorumReport:
-    """Grow quora from ``seeds`` until one leaves room for a counted-disjoint quorum.
+def _first_disjoint(masks: _Masks, top: int, counted: int, max_states: int) -> QuorumReport:
+    """Grow quora inside ``top`` until one leaves room for a counted-disjoint quorum.
+
+    Quora grow from the singletons of top's ``counted`` nodes, each
+    search never adding a node of an earlier seed, and states with more
+    than half of top's counted nodes are dropped. That is exact: of two
+    quora whose counted parts are disjoint, the one with at most half of
+    top's counted nodes holds no seed below its lowest counted member, so
+    the search from that seed generates a quorum inside it (every state
+    on the way is one of its subsets), and the other quorum fits in that
+    quorum's complement.
 
     For each generated quorum ``q`` the largest quorum avoiding the
-    ``counted`` members of ``q`` is computed; when it holds a counted
-    node, the pair is a witness, and ``quora_examined`` is the index of
-    ``q`` in generation order + 1.
+    counted members of ``q`` is computed; when it holds a counted node,
+    the pair is a witness, and ``quora_examined`` is the index of ``q``
+    in generation order + 1.
 
     Generated quora are judged in chunks of ``_SLICES_CHUNK_FIRST``
     doubling up to ``_SLICES_CHUNK_MAX``. Each chunk runs one greatest
@@ -610,7 +616,8 @@ def _first_disjoint(
         return cur
 
     counted_words = _to_words([counted], width)
-    quora = _iter_generated_quora(masks, top, seeds, max_states, counted, max_size)
+    inside = top & counted
+    quora = _iter_generated_quora(masks, top, inside, max_states, counted, inside.bit_count() // 2)
     examined, size = 0, _SLICES_CHUNK_FIRST
     while True:
         chunk, overrun = [], None
@@ -638,16 +645,7 @@ def _first_disjoint(
 
 
 def _check_qi(net: Network, honest: bool, max_nodes: int, max_states: int) -> QuorumReport:
-    """The plain (``honest`` false) or honest check behind the public entry points.
-
-    On explicit-slice networks quora grow from the singletons of top's
-    counted nodes, each search never adding a node of an earlier seed.
-    That is exact: of two quora whose counted parts are disjoint, the one
-    with at most half of top's counted nodes holds no seed below its
-    lowest counted member, so the search from that seed generates a
-    quorum inside it, and the other quorum fits in that quorum's
-    complement.
-    """
+    """The plain (``honest`` false) or honest check behind the public entry points."""
     if len(net.nodes) > max_nodes:
         raise BudgetExceededError(
             f"{len(net.nodes)} nodes exceeds the quorum-intersection budget of {max_nodes}"
@@ -659,13 +657,7 @@ def _check_qi(net: Network, honest: bool, max_nodes: int, max_states: int) -> Qu
         return QuorumReport(True, None, 0)
 
     if isinstance(net, TrustNetwork):
-        # Of two quora whose counted parts are disjoint, one has at most
-        # half of top's counted nodes, and every state on the way to it
-        # is one of its subsets: larger states need no expansion.
-        inside = top & counted
-        seeds = [1 << k for k in range(len(masks.order)) if (inside >> k) & 1]
-        bound = inside.bit_count() // 2
-        return _first_disjoint(masks, top, seeds, counted, max_states, bound)
+        return _first_disjoint(masks, top, counted, max_states)
 
     if honest:
         # Every honest node is split; the Byzantine members of top join
@@ -752,15 +744,14 @@ def check_slice_addition(
 ) -> QuorumReport:
     """Decide quorum intersection after granting ``node`` one extra slice.
 
-    Requires the base network to satisfy quorum intersection already; any
-    fresh disjoint pair must have one side built on the new slice, so the
-    search grows that side from ``{node} | new_slice`` instead of
-    re-running the full check. The premise is checked first, under the
-    same budgets, by the plain check's search, so ``max_states`` bounds
-    the states of that search and, separately, those of the anchored
-    one. The report is the anchored search's.
+    This is the full check (:func:`check_quorum_intersection`) on the
+    extended network, and its report is that check's. The base network
+    must satisfy quorum intersection; it is checked, under the same
+    budgets, only when the extended network fails. ``max_states`` bounds
+    the states of each of the two searches separately.
 
     Raises:
+        TypeError: when ``base`` is a quota network.
         ValueError: when the base network fails quorum intersection or the
             slice is not drawn from the node's trust set.
     """
@@ -771,20 +762,14 @@ def check_slice_addition(
         raise ValueError(f"node {node!r} is not an honest node of the network")
     if not slice_set or not slice_set <= base.trust[node]:
         raise ValueError("new slice must be a non-empty subset of the node's trust set")
-    if not _check_qi(base, False, max_nodes, max_states).holds:
+    slices = dict(base.slices)
+    slices[node] += (slice_set,)
+    extended = TrustNetwork(base.nodes, base.byzantine, base.trust, slices, base.vetoed)
+    report = _check_qi(extended, False, max_nodes, max_states)
+    # A slice only adds quora, so every base quorum pair is an extended
+    # one: when the extended network holds, the base holds too.
+    if not report.holds and not _check_qi(base, False, max_nodes, max_states).holds:
         raise ValueError(
             "base network fails quorum intersection; slice addition requires a sound base"
         )
-
-    slices = dict(base.slices)
-    if slice_set in slices[node]:
-        return QuorumReport(True, None, 0)
-    slices[node] = slices[node] + (slice_set,)
-    extended = TrustNetwork(base.nodes, base.byzantine, base.trust, slices, base.vetoed)
-
-    masks = _Masks(extended)
-    top = masks.max_quorum(masks.full)
-    anchor = masks._mask(slice_set | {node})
-    if anchor & ~top:
-        return QuorumReport(True, None, 0)
-    return _first_disjoint(masks, top, [anchor], masks.full, max_states)
+    return report

@@ -20,6 +20,7 @@ from typing import Iterable, Iterator, Mapping
 from quorumlens import (
     Cnf,
     GenParams,
+    InfluenceMatrix,
     Network,
     NodeId,
     OpinionProfile,
@@ -313,18 +314,16 @@ def first_split_witness(net, honest: bool = False):
     return 2 ** len(free), None
 
 
-def first_generated_witness(net, honest: bool = False, anchor=None):
+def first_generated_witness(net, honest: bool = False):
     """The scalar generated-quorum search: (holds, witness, examined, states).
 
-    Without ``anchor``, quora grow from the singletons of top's counted
-    nodes (honest ones for ``honest``) in network order, the search from
-    a seed never adding an earlier seed's node, and states with more than
-    half of top's counted nodes are dropped unexpanded. With ``anchor``,
-    they grow from that one set, unbounded, and every node counts; an
-    anchor outside top grows nothing. A depth-first stack expands each
-    state once: the first member (network order) lacking a coalition
-    inside the state branches over its coalitions, pushed in slice
-    order; a state whose every member has one is a quorum, examined
+    Quora grow from the singletons of top's counted nodes (honest ones
+    for ``honest``) in network order, the search from a seed never adding
+    an earlier seed's node, and states with more than half of top's
+    counted nodes are dropped unexpanded. A depth-first stack expands
+    each state once: the first member (network order) lacking a
+    coalition inside the state branches over its coalitions, pushed in
+    slice order; a state whose every member has one is a quorum, examined
     against the largest quorum of top without its counted members. Every
     membership test is rescanned from scratch on plain frozensets.
     ``states`` counts the distinct states expanded up to the witness, or
@@ -335,27 +334,16 @@ def first_generated_witness(net, honest: bool = False, anchor=None):
     everyone = frozenset(net.nodes)
     counted = everyone - net.byzantine if honest else everyone
     top = largest_quorum_within(net, net.nodes)
-    if anchor is None:
-        inside = sorted(top & counted, key=position.__getitem__)
-        seeds = [frozenset({n}) for n in inside]
-        bound = len(inside) // 2
-    else:
-        seeds = [frozenset(anchor)]
-        bound = None
+    seeds = sorted(top & counted, key=position.__getitem__)
+    bound = len(seeds) // 2
     visited = set()
     examined = 0
-    earlier = frozenset()
+    room = top
     for seed in seeds:
-        room = top - earlier
-        earlier |= seed
-        if not seed <= room:
-            continue
-        stack = [seed]
+        stack = [frozenset({seed})]
         while stack:
             q = stack.pop()
-            if q in visited:
-                continue
-            if bound is not None and len(q & counted) > bound:
+            if q in visited or len(q & counted) > bound:
                 continue
             visited.add(q)
             lacking = [
@@ -373,6 +361,7 @@ def first_generated_witness(net, honest: bool = False, anchor=None):
             other = largest_quorum_within(net, top - (q & counted))
             if other & counted:
                 return False, (q, other), examined, len(visited)
+        room -= {seed}
     return True, None, examined, len(visited)
 
 
@@ -431,6 +420,23 @@ def banzhaf_raw_global(net, i, j) -> Fraction:
             if wins(net, i, c | {j}) and not wins(net, i, c):
                 pivots += 1
     return Fraction(pivots, 2 ** (len(net.nodes) - 1))
+
+
+def multiply_exact(a: InfluenceMatrix, b: InfluenceMatrix) -> InfluenceMatrix:
+    """Exact rational matrix product; both factors must share an order."""
+    if a.order != b.order:
+        raise ValueError("matrix orders differ")
+    n = range(len(a.order))
+    rows = tuple(
+        tuple(sum((a.entries[i][k] * b.entries[k][j] for k in n), Fraction(0)) for j in n)
+        for i in n
+    )
+    return InfluenceMatrix(a.order, rows, a.byzantine_rows)
+
+
+def is_idempotent_exact(m: InfluenceMatrix) -> bool:
+    """True when the exact square of ``m`` equals ``m``."""
+    return multiply_exact(m, m).entries == m.entries
 
 
 def limit_by_squaring(m, squarings: int = 16):

@@ -30,7 +30,6 @@ from quorumlens import (
     find_fork,
     find_strong_fork,
     influence_matrix,
-    is_idempotent_exact,
     limit_matrix,
     minimal_quora,
     observation_bounds,
@@ -107,7 +106,7 @@ def test_criterion_3_limit_golden():
     started = time.perf_counter()
 
     all_honest = influence_matrix(nets.shared_five())
-    assert is_idempotent_exact(all_honest)  # exact rational square
+    assert oracles.is_idempotent_exact(all_honest)  # exact rational square
     report = limit_matrix(all_honest)
     assert report.classification == "fully-regular"
     assert report.limit == all_honest.entries  # exact rationals, no tolerance

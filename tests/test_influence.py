@@ -22,12 +22,11 @@ from quorumlens import (
     centralization_limit_report,
     expand_quota_network,
     influence_matrix,
-    is_idempotent_exact,
     limit_matrix,
     random_quota_network,
     threshold,
 )
-from quorumlens.influence import _winning_table, multiply_exact
+from quorumlens.influence import _winning_table
 
 
 def quota_clique(size: int, byz: int = 0) -> QuotaNetwork:
@@ -227,7 +226,7 @@ class TestAnalyzeGraph:
 class TestLimitMatrix:
     def test_shared_five_idempotent(self):
         m = influence_matrix(nets.shared_five())
-        assert is_idempotent_exact(m)
+        assert oracles.is_idempotent_exact(m)
         report = limit_matrix(m)
         assert report.classification == "fully-regular"
         assert report.limit == m.entries
@@ -278,20 +277,24 @@ class TestLimitMatrix:
 
     def test_exact_square_of_idempotent(self):
         m = influence_matrix(nets.shared_five())
-        assert multiply_exact(m, m).entries == m.entries
+        assert oracles.multiply_exact(m, m).entries == m.entries
 
 
 
 class TestExactLimit:
-    """The solved limit against its defining equations and the float squaring."""
+    """The solved limit against its defining equations and the float squaring.
+
+    ``m·L``, ``L·m`` and ``L·L`` must all equal ``L`` exactly.
+    """
 
     def check(self, m: InfluenceMatrix) -> str:
         report = limit_matrix(m)
         if report.limit is None:
             return report.classification
         limit = InfluenceMatrix(m.order, report.limit, m.byzantine_rows)
-        assert multiply_exact(m, limit).entries == report.limit
-        assert multiply_exact(limit, m).entries == report.limit
+        assert oracles.multiply_exact(m, limit).entries == report.limit
+        assert oracles.multiply_exact(limit, m).entries == report.limit
+        assert oracles.is_idempotent_exact(limit)
         assert all(sum(row, Fraction(0)) == 1 for row in report.limit)
         gap = np.max(np.abs(limit.as_float() - oracles.limit_by_squaring(m)))
         assert gap < 1e-9

@@ -11,10 +11,12 @@ examined and the state budget at which the search gives up. The library
 judges generated quora in chunks over masks of 64-bit words, so those
 inputs include witnesses on and next to a chunk boundary and networks
 of more than 64 nodes. Every slices search grows each quorum from its
-lowest seed alone: the slice-addition premise must refuse exactly the
-bases that pair enumeration finds split, slices ``minimal_quora`` must
-equal the oracle's, and an unsatisfiable 10-variable reduction must be
-decided within a few thousand states.
+lowest seed alone, and a slice addition is the full check on the
+extended network: the addition must refuse exactly the bases that pair
+enumeration finds split, slices ``minimal_quora`` must equal the
+oracle's, and an unsatisfiable 10-variable reduction, and the slice
+addition that restores it, must be decided within a few thousand
+states.
 
 The quota split scan works up to twin symmetry, so it is also checked on
 networks with large twin classes: the twin classes against brute-force
@@ -178,9 +180,6 @@ BOUNDARY_CNFS = ((4, 26), (4, 36), (5, 30))
 # 11 and 12 variables give 82 and 89 nodes (two words per mask); each
 # of these is satisfiable with a witness within the first 200 quora.
 WIDE_CNFS = ((11, 7), (11, 10), (11, 34), (12, 7), (12, 25))
-# Slice additions whose anchored search examines 16 or 17 quora, ending
-# in a witness or exhausting the search.
-ADDITION_CNFS = ((4, 14), (4, 48), (4, 212), (4, 354))
 
 
 def assert_same_search(run, expected):
@@ -223,38 +222,33 @@ def test_slice_searches_match_the_scalar_generated_search():
     assert max(len(net.nodes) for net in nets) > 64
 
 
+def extended_network(base, node, new_slice):
+    slices = dict(base.slices)
+    slices[node] += (new_slice,)
+    return TrustNetwork(base.nodes, base.byzantine, base.trust, slices, base.vetoed)
+
+
 def test_slice_addition_matches_the_scalar_generated_search():
+    # The addition is the full check on the extended network; a violated
+    # one then checks the base under the same budget.
     checked = {False: 0, True: 0}
-    examined = {False: set(), True: set()}
-    for cnf in [*cnfs(113, 40), *fixed_cnfs(ADDITION_CNFS)]:
+    for cnf in cnfs(113, 40):
         try:
             base, node, new_slice = slice_addition_instance(cnf)
         except ValueError:
             continue  # the premise fails: the base lacks quorum intersection
-        slices = dict(base.slices)
-        slices[node] += (new_slice,)
-        extended = TrustNetwork(base.nodes, base.byzantine, base.trust, slices, base.vetoed)
         holds, witness, count, states = oracles.first_generated_witness(
-            extended, anchor=new_slice | {node}
+            extended_network(base, node, new_slice)
         )
-        # The premise runs first under the same budget, as the plain search.
-        states = max(states, oracles.first_generated_witness(base)[3])
+        if not holds:
+            states = max(states, oracles.first_generated_witness(base)[3])
 
         def run(base=base, node=node, new_slice=new_slice, **budget):
             return check_slice_addition(base, node, new_slice, max_nodes=len(base.nodes), **budget)
 
         assert_same_search(run, (holds, witness, count, states))
         checked[holds] += 1
-        examined[holds].add(count)
     assert min(checked.values()) >= 3, checked
-    for counts in examined.values():
-        assert {FIRST_CHUNK, FIRST_CHUNK + 1} <= counts, examined
-
-
-def extended_network(base, node, new_slice):
-    slices = dict(base.slices)
-    slices[node] += (new_slice,)
-    return TrustNetwork(base.nodes, base.byzantine, base.trust, slices, base.vetoed)
 
 
 def addition_base(cnf):
@@ -306,33 +300,6 @@ def test_slice_addition_premise_matches_pair_enumeration():
     assert {cnf.num_vars for cnf in formulas} == {3, 4, 5, 6}
 
 
-# 6-variable slice additions, one holding and one violated. The second's
-# premise visits one state more than its anchored search.
-DEEP_ADDITION_CNFS = ((6, 2), (6, 25))
-
-
-def test_slice_addition_premise_is_the_full_check():
-    # The premise and check_quorum_intersection run one search, so the
-    # full check on the base holds at exactly the premise's state count.
-    for cnf in fixed_cnfs(DEEP_ADDITION_CNFS):
-        base, node, new_slice = slice_addition_instance(cnf)
-        holds, witness, count, anchored = oracles.first_generated_witness(
-            extended_network(base, node, new_slice), anchor=new_slice | {node}
-        )
-        premise = oracles.first_generated_witness(base)
-
-        def run(base=base, node=node, new_slice=new_slice, **budget):
-            return check_slice_addition(base, node, new_slice, max_nodes=len(base.nodes), **budget)
-
-        def full(base=base, **budget):
-            return check_quorum_intersection(base, max_nodes=len(base.nodes), **budget)
-
-        assert_same_search(run, (holds, witness, count, max(anchored, premise[3])))
-        assert_same_search(full, premise)
-        assert premise[0]
-    assert premise[3] > anchored and not holds
-
-
 def test_unsatisfiable_ten_variable_reduction_holds_within_a_small_budget():
     # 75 nodes; every quorum is grown once, from its lowest member, so
     # the check judges 1,024 quora and needs a few thousand states.
@@ -347,6 +314,18 @@ def test_unsatisfiable_ten_variable_reduction_holds_within_a_small_budget():
 
     assert_same_search(run, expected)
     assert run(max_states=5000).quora_examined == expected[2]
+
+
+def test_unsatisfiable_ten_variable_addition_holds_within_a_small_budget():
+    # Adding the slice back restores the reduction, so the addition
+    # judges the same 1,024 quora as the full check on it.
+    (cnf,) = fixed_cnfs(((10, 11),))
+    base, node, new_slice = slice_addition_instance(cnf)
+    expected = oracles.first_generated_witness(cnf_to_network(cnf))
+    report = check_slice_addition(
+        base, node, new_slice, max_nodes=len(base.nodes), max_states=5000
+    )
+    assert report.holds and report.quora_examined == expected[2] == 1024
 
 
 def test_slices_minimal_quora_match_the_oracle():
