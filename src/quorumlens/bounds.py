@@ -204,8 +204,11 @@ def expand_quota_network(
     """Rewrite a quota network with its minimal coalitions listed explicitly.
 
     Each honest node receives every subset of its trust set of exactly the
-    threshold size; larger agreeing sets contain one of these, so opinion
-    validation is unchanged for every profile.
+    threshold size, in the order of ``combinations`` over the trust set
+    sorted by ``net.nodes``; larger agreeing sets contain one of these, so
+    opinion validation is unchanged for every profile. Nodes with the same
+    trust set and threshold share one tuple of coalitions, built once, so
+    a clique stores its ``C(n, t)`` coalitions once rather than ``n`` times.
 
     Raises:
         BudgetExceededError: when some node would need more than
@@ -214,14 +217,18 @@ def expand_quota_network(
     from math import comb
 
     order = {n: k for k, n in enumerate(net.nodes)}
+    coalitions: dict[tuple[frozenset[NodeId], int], tuple[frozenset[NodeId], ...]] = {}
     slices: dict[NodeId, tuple[frozenset[NodeId], ...]] = {}
     for i in net.honest:
-        t = sorted(net.trust[i], key=order.get)
         need = threshold(net, i)
-        count = comb(len(t), need)
+        count = comb(len(net.trust[i]), need)
         if count > max_slices_per_node:
             raise BudgetExceededError(
                 f"node {i}: {count} minimal coalitions exceeds the budget of {max_slices_per_node}"
             )
-        slices[i] = tuple(frozenset(c) for c in combinations(t, need))
+        game = (net.trust[i], need)
+        if game not in coalitions:
+            t = sorted(net.trust[i], key=order.get)
+            coalitions[game] = tuple(frozenset(c) for c in combinations(t, need))
+        slices[i] = coalitions[game]
     return TrustNetwork(net.nodes, net.byzantine, dict(net.trust), slices, net.vetoed)

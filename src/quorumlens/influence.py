@@ -97,7 +97,10 @@ def banzhaf_raw_row(
     A row costs a ``2 ** |T_i|``-byte winning table from
     :func:`_winning_table`, for quota and slices nodes alike and for any
     number of slices, plus ``|T_i| * 2 ** |T_i|`` pivot checks in Python.
-    ``max_trust`` is checked before the table is built.
+    ``max_trust`` is checked before the table is built. The row depends
+    only on ``i``'s trust set and winning rule, so
+    :func:`influence_matrix` pays this once per distinct game, not once
+    per node.
 
     Raises:
         BudgetExceededError: when the trust set exceeds ``max_trust``.
@@ -151,15 +154,28 @@ def influence_matrix(
 
     Honest rows come from :func:`banzhaf_row`; Byzantine rows are
     degenerate. Every row sums to exactly one.
+
+    A row depends only on the node's game: its trust set and its winning
+    rule, the threshold of a quota node or the set of slices of a slices
+    node. Each distinct game is solved once, for the first of its nodes in
+    ``net.nodes`` order, and every later node with that game shares the
+    same row tuple. So a budget overrun or a degenerate game is reported
+    for the first node that has it, and nodes that adopt one common trust
+    set cost one row between them.
     """
+    quota = isinstance(net, QuotaNetwork)
+    solved: dict[tuple, tuple[Fraction, ...]] = {}
     rows = []
     for i in net.nodes:
         if i in net.byzantine:
             rows.append(
                 tuple(Fraction(1) if j == i else Fraction(0) for j in net.nodes)
             )
-        else:
-            rows.append(banzhaf_row(net, i, max_trust=max_trust))
+            continue
+        game = (net.trust[i], threshold(net, i) if quota else frozenset(net.slices[i]))
+        if game not in solved:
+            solved[game] = banzhaf_row(net, i, max_trust=max_trust)
+        rows.append(solved[game])
     return InfluenceMatrix(tuple(net.nodes), tuple(rows), frozenset(net.byzantine))
 
 

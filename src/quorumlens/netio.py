@@ -102,7 +102,12 @@ def _number(value, key: str) -> Fraction:
 
 
 def parse_network_document(doc) -> LoadedNetwork:
-    """Build a validated network from a decoded JSON document."""
+    """Build a validated network from a decoded JSON document.
+
+    In a slices document, equal coalitions parse to one shared
+    ``frozenset``, so an expanded quota network, whose nodes list the same
+    coalitions, holds each of them once.
+    """
     _expect(isinstance(doc, dict), "top level must be a JSON object")
     unknown = sorted(set(doc) - _TOP_KEYS)
     _expect(not unknown, f"unknown keys: {', '.join(unknown)}")
@@ -149,6 +154,7 @@ def parse_network_document(doc) -> LoadedNetwork:
         )
         slices = {}
         trust = {}
+        shared: dict[frozenset[str], frozenset[str]] = {}
         for label in honest:
             families = raw[label]
             _expect(isinstance(families, list) and families, f"slices[{label!r}]: expected a non-empty array")
@@ -157,6 +163,7 @@ def parse_network_document(doc) -> LoadedNetwork:
             for k, coalition in enumerate(families):
                 members = frozenset(_label_list(coalition, f"slices[{label!r}][{k}]", node_set))
                 _expect(bool(members), f"slices[{label!r}][{k}]: empty coalition")
+                members = shared.setdefault(members, members)
                 parsed.append(members)
                 union |= members
             if addition is not None and addition[0] == label:

@@ -104,14 +104,12 @@ class TrustNetwork:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "byzantine", frozenset(self.byzantine))
         object.__setattr__(self, "trust", _freeze_sets(self.trust))
-        normalized = {}
-        for node, family in self.slices.items():
-            seen: list[frozenset] = []
-            for s in family:
-                fs = frozenset(s)
-                if fs not in seen:
-                    seen.append(fs)
-            normalized[node] = tuple(seen)
+        # Drop repeated slices, keeping first occurrences in order; a
+        # coalition that is already a frozenset is kept as the same object.
+        normalized = {
+            node: tuple(dict.fromkeys(map(frozenset, family)))
+            for node, family in self.slices.items()
+        }
         object.__setattr__(self, "slices", normalized)
 
     @property

@@ -111,3 +111,15 @@ def ring(size: int, quota: Fraction) -> QuotaNetwork:
     nodes = tuple(f"r{k}" for k in range(size))
     trust = {x: frozenset({nodes[k - 1], x, nodes[(k + 1) % size]}) for k, x in enumerate(nodes)}
     return QuotaNetwork(nodes, frozenset(), trust, {x: quota for x in nodes})
+
+
+def quota_clique(size: int, quota: Fraction = Fraction(4, 5), byz: int = 0) -> QuotaNetwork:
+    """``size`` nodes that all trust all, one quota; the last ``byz`` are Byzantine."""
+    nodes = tuple(f"x{k}" for k in range(size))
+    honest = nodes[: size - byz]
+    return QuotaNetwork(
+        nodes=nodes,
+        byzantine=frozenset(nodes[size - byz :]),
+        trust={n: frozenset(nodes) for n in honest},
+        quota={n: quota for n in honest},
+    )

@@ -1,8 +1,10 @@
 """Quota safety bounds: shared caps, observation bounds, overlap, expansion."""
 
 import random
+import tracemalloc
 import warnings
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -273,6 +275,20 @@ class TestExpansion:
                 check_quorum_intersection(net).holds
                 == check_quorum_intersection(expanded).holds
             )
+
+    def test_clique_stores_each_coalition_once(self):
+        # 16 nodes at quota 3/4 need C(16, 12) = 1,820 coalitions each. Built
+        # per node, the 29,120 frozensets take about 20 MB.
+        net = nets.quota_clique(16, Fraction(3, 4))
+        tracemalloc.start()
+        try:
+            expanded = expand_quota_network(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        expected = tuple(frozenset(c) for c in combinations(net.nodes, 12))
+        assert all(expanded.slices[i] == expected for i in net.nodes)
 
     def test_budget(self):
         big = make_uniform(

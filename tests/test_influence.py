@@ -29,18 +29,6 @@ from quorumlens import (
 from quorumlens.influence import _winning_table
 
 
-def quota_clique(size: int, byz: int = 0) -> QuotaNetwork:
-    """``size`` nodes that all trust all, quota 4/5; the last ``byz`` are Byzantine."""
-    nodes = tuple(f"x{k}" for k in range(size))
-    honest = nodes[: size - byz]
-    return QuotaNetwork(
-        nodes=nodes,
-        byzantine=frozenset(nodes[size - byz :]),
-        trust={n: frozenset(nodes) for n in honest},
-        quota={n: Fraction(4, 5) for n in honest},
-    )
-
-
 def dictator_net():
     return TrustNetwork(
         nodes=("d", "e"),
@@ -110,7 +98,7 @@ class TestBanzhafRow:
     def test_expanded_quota_rows_match_the_closed_form(self, size, byz):
         # Beyond the global oracle's reach: a quota game is symmetric in its
         # trustees, so each raw index is C(s - 1, t - 1) / 2 ** (s - 1).
-        net = quota_clique(size, byz)
+        net = nets.quota_clique(size, byz=byz)
         expanded = expand_quota_network(net)
         t = threshold(net, "x0")
         assert len(expanded.slices["x0"]) == math.comb(size, t)
@@ -125,7 +113,7 @@ class TestBanzhafRow:
         # of the 2 ** k masks alone would take 8 bytes per coalition.
         k = 20
         if kind == "quota":
-            net = quota_clique(k)
+            net = nets.quota_clique(k)
         else:
             trustees = [f"y{b}" for b in range(k)]
             slices = {"x0": tuple(frozenset(trustees[b : b + 5]) for b in range(0, k, 3))}
@@ -198,6 +186,78 @@ class TestInfluenceMatrix:
         )
         with pytest.raises(ValueError, match="degenerate"):
             influence_matrix(net)
+
+
+class TestSharedGames:
+    """``influence_matrix`` solves each distinct game once and shares its row.
+
+    A node's game is its trust set plus its threshold or its set of
+    slices; every row must still be the node's own ``banzhaf_row``.
+    """
+
+    def test_seeded_rows_are_each_nodes_own(self):
+        for topology in ("clique", "overlapping-groups", "centralised"):
+            for byz in (0, 1, 2):
+                net = random_quota_network(GenParams(10, 7, Fraction(3, 4), byz, 41 + byz, topology))
+                for variant in (net, expand_quota_network(net)):
+                    m = influence_matrix(variant)
+                    for i, row in zip(variant.nodes, m.entries):
+                        if i not in variant.byzantine:
+                            assert row == banzhaf_row(variant, i), (topology, byz, i)
+
+    def test_equal_trust_different_slices(self):
+        # a and c play one game (their slices in another order); b needs
+        # the whole trust set, so its row differs although its trust does not.
+        trust = frozenset("abc")
+        net = TrustNetwork(
+            nodes=tuple("abcd"),
+            byzantine=frozenset("d"),
+            trust={n: trust for n in "abc"},
+            slices={
+                "a": (frozenset("ab"), frozenset("c")),
+                "b": (trust,),
+                "c": (frozenset("c"), frozenset("ab")),
+            },
+        )
+        m = influence_matrix(net)
+        for node in "abc":
+            assert m.row(node) == banzhaf_row(net, node)
+        assert m.row("a") == (Fraction(1, 5), Fraction(1, 5), Fraction(3, 5), 0)
+        assert m.row("b") == (Fraction(1, 3),) * 3 + (0,)
+        assert m.row("a") is m.row("c")
+
+    def test_equal_trust_different_thresholds(self):
+        # Normalised quota rows are uniform over the trust set whatever the
+        # threshold, but the games differ: threshold 0 lets the empty
+        # coalition win, so b's game is degenerate and a's is not.
+        trust = frozenset("abcde")
+        net = QuotaNetwork(
+            nodes=tuple("abcde"),
+            byzantine=frozenset("cde"),
+            trust={"a": trust, "b": trust},
+            quota={"a": Fraction(3, 5), "b": Fraction(0)},
+        )
+        assert banzhaf_raw_row(net, "a") != banzhaf_raw_row(net, "b")
+        with pytest.raises(ValueError, match="node b: degenerate"):
+            influence_matrix(net)
+        net = QuotaNetwork(net.nodes, net.byzantine, net.trust, {"a": Fraction(3, 5), "b": Fraction(1)})
+        m = influence_matrix(net)
+        assert banzhaf_raw_row(net, "a") != banzhaf_raw_row(net, "b")
+        assert m.row("a") == banzhaf_row(net, "a") == (Fraction(1, 5),) * 5
+        assert m.row("b") == banzhaf_row(net, "b")
+
+    def test_budget_names_the_first_node_over_it(self):
+        # z comes before a in node order but after it by label; both trust
+        # five nodes, more than the budget of four.
+        wide = frozenset(f"y{k}" for k in range(5))
+        net = QuotaNetwork(
+            nodes=("m", "z", "a", *sorted(wide)),
+            byzantine=wide,
+            trust={"m": frozenset("mza"), "z": wide, "a": wide - {"y0"} | {"m"}},
+            quota={n: Fraction(3, 4) for n in "mza"},
+        )
+        with pytest.raises(BudgetExceededError, match="^node z: trust set of 5"):
+            influence_matrix(net, max_trust=4)
 
 
 class TestAnalyzeGraph:

@@ -22,6 +22,7 @@ from quorumlens import (
     QuotaRangeWarning,
     TrustNetwork,
     check_slice_addition,
+    expand_quota_network,
     find_fork,
     find_strong_fork,
     load_network,
@@ -95,6 +96,15 @@ class TestNetworkFiles:
         assert isinstance(net, QuotaNetwork)
         assert net.quota["1"] == Fraction(4, 5)
         assert net.byz_fraction["1"] == Fraction(1, 5)
+
+    def test_equal_coalitions_load_as_one_object(self, tmp_path):
+        expanded = expand_quota_network(nets.quota_clique(16, Fraction(3, 4)))
+        path = tmp_path / "expanded.json"
+        save_network(expanded, path)
+        loaded = load_network(path)
+        assert loaded.slices == expanded.slices
+        first = loaded.slices["x0"]
+        assert all(a is b for i in loaded.nodes for a, b in zip(loaded.slices[i], first))
 
     def test_label_not_declared(self, tmp_path):
         doc = triangles_doc()
