@@ -21,6 +21,15 @@ One network per file. Top-level keys:
 
 Unknown keys are rejected, every referenced label must appear in
 ``nodes``, and the parsed network must pass full validation.
+
+Validation is one pass over the document. ``nodes`` is read label by
+label, since it defines the known labels. Each other block of label
+arrays (``byzantine``, the ``slice_addition`` slice, all of ``trust``,
+all of ``slices``) is checked at once with set algebra: a type check of
+the arrays, then one ``issuperset`` of the known labels over every
+element. Only a block that fails is walked element by element, so the
+error names the first bad label in document order, with the message of
+a full walk.
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,13 +83,77 @@ def _expect(condition: bool, message: str) -> None:
         raise NetworkFormatError(message)
 
 
-def _label_list(value, key: str, known: set[str] | None = None) -> list[str]:
+def _walk_labels(value, key: str, known: set[str] | None = None) -> None:
+    """Raise on the first element of ``value`` that is not a known label."""
     _expect(isinstance(value, list), f"key {key!r}: expected an array of labels")
     for x in value:
         _expect(isinstance(x, str) and x, f"key {key!r}: label {x!r} is not a non-empty string")
         if known is not None:
             _expect(x in known, f"key {key!r}: label {x!r} does not appear in \"nodes\"")
-    return list(value)
+
+
+def _all_lists(values) -> bool:
+    return all(map(isinstance, values, repeat(list)))
+
+
+def _label_arrays(arrays, known: set[str]) -> bool:
+    """True when every item of ``arrays`` is a list of labels in ``known``.
+
+    ``known`` holds only non-empty strings, so one ``issuperset`` over all
+    elements checks their types and their membership; an unhashable
+    element makes it false.
+    """
+    if not _all_lists(arrays):
+        return False
+    try:
+        return known.issuperset(chain.from_iterable(arrays))
+    except TypeError:
+        return False
+
+
+def _walk_slices(raw: dict, honest: list[str], known: set[str]) -> None:
+    """Raise on the first malformed family, coalition or label of ``raw``.
+
+    It raises whenever :func:`_parse_families` refuses the slices: both
+    accept exactly non-empty lists of non-empty lists of known labels.
+    """
+    for label in honest:
+        families = raw[label]
+        _expect(isinstance(families, list) and families, f"slices[{label!r}]: expected a non-empty array")
+        for k, coalition in enumerate(families):
+            key = f"slices[{label!r}][{k}]"
+            _walk_labels(coalition, key, known)
+            _expect(bool(coalition), f"{key}: empty coalition")
+
+
+def _parse_families(families: list, known: set[str]) -> list[tuple[frozenset[str], ...]] | None:
+    """Each family of coalitions as a tuple of ``frozenset``, or ``None`` if any is malformed.
+
+    Equal coalitions become one shared ``frozenset``: the lists are keyed
+    by their tuples, and only the first of each is turned into a set.
+    Every check is a pass in C over all families at once: each family and
+    each coalition must be a non-empty list, and the labels of the
+    distinct coalitions must all be in ``known``.
+    """
+    if not _all_lists(families) or [] in families:
+        return None
+    coalitions = list(chain.from_iterable(families))
+    if not _all_lists(coalitions) or [] in coalitions:
+        return None
+    keys = list(map(tuple, coalitions))
+    try:
+        by_key = dict.fromkeys(keys)
+    except TypeError:  # an unhashable label
+        return None
+    by_set: dict[frozenset[str], frozenset[str]] = {}
+    for key in by_key:
+        members = frozenset(key)
+        by_key[key] = by_set.setdefault(members, members)
+    if not known.issuperset(frozenset().union(*by_set)):
+        return None
+    shared = list(map(by_key.__getitem__, keys))
+    ends = accumulate(map(len, families))
+    return [tuple(shared[end - len(family) : end]) for family, end in zip(families, ends)]
 
 
 def _number(value, key: str) -> Fraction:
@@ -114,10 +188,14 @@ def parse_network_document(doc) -> LoadedNetwork:
     for key in ("nodes", "kind"):
         _expect(key in doc, f"missing required key {key!r}")
 
-    nodes = _label_list(doc["nodes"], "nodes")
-    _expect(len(set(nodes)) == len(nodes), 'duplicate labels in "nodes"')
+    _walk_labels(doc["nodes"], "nodes")
+    nodes = list(doc["nodes"])
     node_set = set(nodes)
-    byzantine = frozenset(_label_list(doc.get("byzantine", []), "byzantine", node_set))
+    _expect(len(node_set) == len(nodes), 'duplicate labels in "nodes"')
+    raw_byzantine = doc.get("byzantine", [])
+    if not _label_arrays([raw_byzantine], node_set):
+        _walk_labels(raw_byzantine, "byzantine", node_set)
+    byzantine = frozenset(raw_byzantine)
     honest = [x for x in nodes if x not in byzantine]
     kind = doc["kind"]
     _expect(kind in ("slices", "quota"), f'key "kind": {kind!r} is not "slices" or "quota"')
@@ -138,7 +216,9 @@ def parse_network_document(doc) -> LoadedNetwork:
             isinstance(target, str) and target in honest,
             'key "slice_addition": "node" must name an honest node',
         )
-        members = frozenset(_label_list(meta["slice"], 'slice_addition "slice"', node_set))
+        if not _label_arrays([meta["slice"]], node_set):
+            _walk_labels(meta["slice"], 'slice_addition "slice"', node_set)
+        members = frozenset(meta["slice"])
         _expect(bool(members), 'key "slice_addition": empty slice')
         addition = (target, members)
 
@@ -152,24 +232,14 @@ def parse_network_document(doc) -> LoadedNetwork:
             set(raw) == set(honest),
             'key "slices": domain must be exactly the honest nodes',
         )
-        slices = {}
-        trust = {}
-        shared: dict[frozenset[str], frozenset[str]] = {}
-        for label in honest:
-            families = raw[label]
-            _expect(isinstance(families, list) and families, f"slices[{label!r}]: expected a non-empty array")
-            parsed = []
-            union: set[str] = set()
-            for k, coalition in enumerate(families):
-                members = frozenset(_label_list(coalition, f"slices[{label!r}][{k}]", node_set))
-                _expect(bool(members), f"slices[{label!r}][{k}]: empty coalition")
-                members = shared.setdefault(members, members)
-                parsed.append(members)
-                union |= members
-            if addition is not None and addition[0] == label:
-                union |= addition[1]
-            slices[label] = tuple(parsed)
-            trust[label] = frozenset(union)
+        families = [raw[label] for label in honest]
+        parsed = _parse_families(families, node_set)
+        if parsed is None:
+            _walk_slices(raw, honest, node_set)
+        slices = dict(zip(honest, parsed))
+        trust = {label: frozenset().union(*family) for label, family in slices.items()}
+        if addition is not None:
+            trust[addition[0]] |= addition[1]
         net: Network = TrustNetwork(tuple(nodes), byzantine, trust, slices, vetoed)
     else:
         _expect("slices" not in doc, 'key "slices" does not belong to a quota network')
@@ -177,10 +247,10 @@ def parse_network_document(doc) -> LoadedNetwork:
         raw = doc["trust"]
         _expect(isinstance(raw, dict), 'key "trust": expected an object')
         _expect(set(raw) == set(honest), 'key "trust": domain must be exactly the honest nodes')
-        trust = {
-            label: frozenset(_label_list(raw[label], f"trust[{label!r}]", node_set))
-            for label in honest
-        }
+        if not _label_arrays([raw[label] for label in honest], node_set):
+            for label in honest:
+                _walk_labels(raw[label], f"trust[{label!r}]", node_set)
+        trust = {label: frozenset(raw[label]) for label in honest}
         _expect(
             ("quota_uniform" in doc) != ("quota" in doc),
             'exactly one of "quota_uniform" or "quota" is required',

@@ -140,8 +140,13 @@ class QuotaNetwork:
         quota = {k: as_fraction(v) for k, v in self.quota.items()}
         object.__setattr__(self, "quota", quota)
         fractions = {k: as_fraction(v) for k, v in self.byz_fraction.items()}
+        defaults: dict[Fraction, Fraction] = {}
         for node, q in quota.items():
-            fractions.setdefault(node, 1 - q)
+            if node not in fractions:
+                b = defaults.get(q)
+                if b is None:
+                    b = defaults[q] = 1 - q
+                fractions[node] = b
         object.__setattr__(self, "byz_fraction", fractions)
 
     @property
@@ -209,13 +214,38 @@ class ForkWitness:
 # Validation
 
 
+def _range_findings(q: Fraction, b: Fraction | None) -> list[tuple[bool, str]]:
+    """What a node with quota ``q`` and Byzantine fraction ``b`` is told.
+
+    Each finding is ``(is_problem, text)``, a violation or a
+    :class:`QuotaRangeWarning`, in the order they are reported.
+    """
+    findings = []
+    if not (Fraction(1, 2) < q <= 1):
+        findings.append((True, f"quota {q} out of range (0.5, 1]"))
+    elif q < Fraction(3, 4):
+        findings.append((False, f"quota {q} below the recommended [0.75, 1] range"))
+    if b is None:
+        return findings
+    if b < 0 or b >= 1:
+        findings.append((True, f"byzantine fraction {b} out of [0, 1)"))
+    else:
+        if b > Fraction(1, 4):
+            findings.append((False, f"byzantine fraction {b} above the assumed 0.25 cap"))
+        if b > 1 - q:
+            findings.append((False, f"byzantine fraction {b} exceeds 1 - quota = {1 - q}"))
+    return findings
+
+
 def network_violations(net: Network) -> list[str]:
     """Return every broken structural invariant of ``net``, empty if none.
 
     Recommended-range deviations (quota below 0.75, Byzantine fraction at
     or above 0.25 or above 1 - quota) are reported as warnings, not
     violations, so that failure models departing from the default remain
-    expressible.
+    expressible. The ranges are judged once per distinct
+    ``(quota, byz_fraction)`` pair; problems and warnings are still
+    reported per node, in node order.
     """
     problems: list[str] = []
     labels = list(net.nodes)
@@ -247,9 +277,9 @@ def network_violations(net: Network) -> list[str]:
             continue
         if not t:
             problems.append(f"node {i}: empty trust set")
-        stray = sorted(t - node_set)
-        if stray:
-            problems.append(f"node {i}: trust set mentions unknown nodes {', '.join(stray)}")
+        if not node_set.issuperset(t):
+            stray = ", ".join(sorted(t - node_set))
+            problems.append(f"node {i}: trust set mentions unknown nodes {stray}")
 
     if isinstance(net, TrustNetwork):
         if set(net.slices) != expected:
@@ -282,36 +312,20 @@ def network_violations(net: Network) -> list[str]:
                 problems.append(f"missing quota for: {', '.join(missing)}")
             if extra:
                 problems.append(f"quota given for non-honest nodes: {', '.join(extra)}")
+        judged: dict[tuple, list[tuple[bool, str]]] = {}
         for i in honest:
             q = net.quota.get(i)
             if q is None:
                 continue
-            if not (Fraction(1, 2) < q <= 1):
-                problems.append(f"node {i}: quota {q} out of range (0.5, 1]")
-            elif q < Fraction(3, 4):
-                warnings.warn(
-                    f"node {i}: quota {q} below the recommended [0.75, 1] range",
-                    QuotaRangeWarning,
-                    stacklevel=2,
-                )
             b = net.byz_fraction.get(i)
-            if b is None:
-                continue
-            if b < 0 or b >= 1:
-                problems.append(f"node {i}: byzantine fraction {b} out of [0, 1)")
-            else:
-                if b > Fraction(1, 4):
-                    warnings.warn(
-                        f"node {i}: byzantine fraction {b} above the assumed 0.25 cap",
-                        QuotaRangeWarning,
-                        stacklevel=2,
-                    )
-                if q is not None and b > 1 - q:
-                    warnings.warn(
-                        f"node {i}: byzantine fraction {b} exceeds 1 - quota = {1 - q}",
-                        QuotaRangeWarning,
-                        stacklevel=2,
-                    )
+            findings = judged.get((q, b))
+            if findings is None:
+                findings = judged[q, b] = _range_findings(q, b)
+            for is_problem, finding in findings:
+                if is_problem:
+                    problems.append(f"node {i}: {finding}")
+                else:
+                    warnings.warn(f"node {i}: {finding}", QuotaRangeWarning, stacklevel=2)
     return problems
 
 

@@ -373,11 +373,25 @@ def _close_upward(table: np.ndarray, radix: list[int]) -> np.ndarray:
     """
     stride = 1
     for r in radix:
-        view = table.reshape(-1, r, stride)
+        view = _digits(table, r, stride)
         for i in range(1, r):
             view[:, i] |= view[:, i - 1]
         stride *= r
     return table
+
+
+def _digits(table: np.ndarray, r: int, stride: int) -> np.ndarray:
+    """The flat byte table indexed as ``[block, digit value]`` for one digit.
+
+    A digit of stride 1, 2, 4 or 8 bytes is read as one unsigned word per
+    digit value, so a pass over it is one numpy loop over words; with
+    ``(block, value, byte)`` indexing numpy would run one inner loop of
+    ``stride`` bytes per block. OR and AND act bytewise, so the words
+    combine flags as bytes would. Longer strides keep a byte axis.
+    """
+    if stride in (1, 2, 4, 8):
+        return table.view(f"u{stride}").reshape(-1, r)
+    return table.reshape(-1, r, stride)
 
 
 def _minimal_quota_quora(masks: _Masks, top: int, max_states: int) -> list[tuple[int, ...]]:
@@ -407,13 +421,15 @@ def _minimal_quota_quora(masks: _Masks, top: int, max_states: int) -> list[tuple
             f"a minimal-quora table of {size} count vectors exceeds {max_states} states"
         )
     table = _quorum_table(masks, classes)
-    closed = _close_upward(table.copy(), radix)
+    # free[v]: no vector at or below v holds a quorum.
+    free = _close_upward(table.copy(), radix)
+    np.logical_not(free, out=free)
     stride = 1
     for r in radix:
-        view = table.reshape(-1, r, stride)[:, 1:]
-        np.greater(view, closed.reshape(-1, r, stride)[:, :-1], out=view)
+        view = _digits(table, r, stride)
+        view[:, 1:] &= _digits(free, r, stride)[:, :-1]
         stride *= r
-    del closed
+    del free
     byzantine = top & masks.byz_mask
     quora = [(b,) for b in range(len(masks.order)) if (byzantine >> b) & 1]
     # picks[v]: the classes a minimal vector draws on, with their counts.

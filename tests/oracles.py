@@ -6,7 +6,8 @@ search code so that each check runs along two independent routes. The
 desk-scale enumerators (:func:`enumerate_profiles`,
 :func:`enumerate_selectors`) and the coalition-closure operator
 (:func:`closure_step`, :func:`closure_fixpoint`) live here too: only
-tests use them.
+tests use them, and so does :func:`walk_network_document`, a network
+file reader that checks every label one at a time.
 """
 
 from __future__ import annotations
@@ -22,13 +23,16 @@ from quorumlens import (
     GenParams,
     InfluenceMatrix,
     Network,
+    NetworkFormatError,
     NodeId,
     OpinionProfile,
     QuotaNetwork,
     TrustNetwork,
     random_quota_network,
     threshold,
+    validate_network,
 )
+from quorumlens.netio import _TOP_KEYS, LoadedNetwork, _number
 
 
 def slice_families(net):
@@ -580,3 +584,126 @@ def place_byzantine(net: QuotaNetwork, byz: frozenset) -> QuotaNetwork:
         {i: net.quota[i] for i in honest},
         {i: net.byz_fraction[i] for i in honest},
     )
+
+
+def _walked_labels(value, key: str, known=None) -> list:
+    if not isinstance(value, list):
+        raise NetworkFormatError(f"key {key!r}: expected an array of labels")
+    for x in value:
+        if not (isinstance(x, str) and x):
+            raise NetworkFormatError(f"key {key!r}: label {x!r} is not a non-empty string")
+        if known is not None and x not in known:
+            raise NetworkFormatError(f"key {key!r}: label {x!r} does not appear in \"nodes\"")
+    return list(value)
+
+
+def walk_network_document(doc) -> LoadedNetwork:
+    """``parse_network_document`` as an element-by-element walk of the document.
+
+    Every label array is read one label at a time, in document order, so
+    the first bad label raises. The checks, their order and their
+    messages are those of the network file format; the rationals go
+    through the library's own number reader.
+    """
+
+    def expect(condition, message):
+        if not condition:
+            raise NetworkFormatError(message)
+
+    expect(isinstance(doc, dict), "top level must be a JSON object")
+    unknown = sorted(set(doc) - _TOP_KEYS)
+    expect(not unknown, f"unknown keys: {', '.join(unknown)}")
+    for key in ("nodes", "kind"):
+        expect(key in doc, f"missing required key {key!r}")
+    nodes = _walked_labels(doc["nodes"], "nodes")
+    expect(len(set(nodes)) == len(nodes), 'duplicate labels in "nodes"')
+    known = set(nodes)
+    byzantine = frozenset(_walked_labels(doc.get("byzantine", []), "byzantine", known))
+    honest = [x for x in nodes if x not in byzantine]
+    kind = doc["kind"]
+    expect(kind in ("slices", "quota"), f'key "kind": {kind!r} is not "slices" or "quota"')
+    vetoed = doc.get("vetoed", False)
+    expect(isinstance(vetoed, bool), 'key "vetoed": expected a boolean')
+
+    addition = None
+    if "slice_addition" in doc:
+        expect(kind == "slices", 'key "slice_addition" requires a slices network')
+        meta = doc["slice_addition"]
+        expect(isinstance(meta, dict), 'key "slice_addition": expected an object')
+        expect(
+            set(meta) == {"node", "slice"},
+            'key "slice_addition": expected exactly the keys "node" and "slice"',
+        )
+        target = meta["node"]
+        expect(
+            isinstance(target, str) and target in honest,
+            'key "slice_addition": "node" must name an honest node',
+        )
+        members = frozenset(_walked_labels(meta["slice"], 'slice_addition "slice"', known))
+        expect(bool(members), 'key "slice_addition": empty slice')
+        addition = (target, members)
+
+    if kind == "slices":
+        for forbidden in ("trust", "quota", "quota_uniform", "byz_fraction", "byz_fraction_uniform"):
+            expect(forbidden not in doc, f"key {forbidden!r} does not belong to a slices network")
+        expect("slices" in doc, 'missing required key "slices"')
+        raw = doc["slices"]
+        expect(isinstance(raw, dict), 'key "slices": expected an object')
+        expect(set(raw) == set(honest), 'key "slices": domain must be exactly the honest nodes')
+        slices, trust = {}, {}
+        for label in honest:
+            families = raw[label]
+            expect(isinstance(families, list) and families, f"slices[{label!r}]: expected a non-empty array")
+            parsed = []
+            for k, coalition in enumerate(families):
+                members = frozenset(_walked_labels(coalition, f"slices[{label!r}][{k}]", known))
+                expect(bool(members), f"slices[{label!r}][{k}]: empty coalition")
+                parsed.append(members)
+            union = frozenset().union(*parsed)
+            if addition is not None and addition[0] == label:
+                union |= addition[1]
+            slices[label] = tuple(parsed)
+            trust[label] = union
+        net = TrustNetwork(tuple(nodes), byzantine, trust, slices, vetoed)
+    else:
+        expect("slices" not in doc, 'key "slices" does not belong to a quota network')
+        expect("trust" in doc, 'missing required key "trust"')
+        raw = doc["trust"]
+        expect(isinstance(raw, dict), 'key "trust": expected an object')
+        expect(set(raw) == set(honest), 'key "trust": domain must be exactly the honest nodes')
+        trust = {
+            label: frozenset(_walked_labels(raw[label], f"trust[{label!r}]", known))
+            for label in honest
+        }
+        expect(
+            ("quota_uniform" in doc) != ("quota" in doc),
+            'exactly one of "quota_uniform" or "quota" is required',
+        )
+        if "quota_uniform" in doc:
+            q = _number(doc["quota_uniform"], "quota_uniform")
+            quota = {label: q for label in honest}
+        else:
+            raw_q = doc["quota"]
+            expect(isinstance(raw_q, dict), 'key "quota": expected an object')
+            expect(set(raw_q) == set(honest), 'key "quota": domain must be exactly the honest nodes')
+            quota = {label: _number(v, f"quota[{label!r}]") for label, v in raw_q.items()}
+        expect(
+            not ("byz_fraction_uniform" in doc and "byz_fraction" in doc),
+            'at most one of "byz_fraction_uniform" or "byz_fraction" is allowed',
+        )
+        byz_fraction = {}
+        if "byz_fraction_uniform" in doc:
+            b = _number(doc["byz_fraction_uniform"], "byz_fraction_uniform")
+            byz_fraction = {label: b for label in honest}
+        elif "byz_fraction" in doc:
+            raw_b = doc["byz_fraction"]
+            expect(isinstance(raw_b, dict), 'key "byz_fraction": expected an object')
+            expect(set(raw_b) <= set(honest), 'key "byz_fraction": domain must be honest nodes')
+            byz_fraction = {label: _number(v, f"byz_fraction[{label!r}]") for label, v in raw_b.items()}
+        net = QuotaNetwork(tuple(nodes), byzantine, trust, quota, byz_fraction)
+        if vetoed and not net.vetoed:
+            raise NetworkFormatError(
+                'key "vetoed": quota network does not induce veto slices (thresholds above 1)'
+            )
+    validate_network(net)
+    return LoadedNetwork(net, addition)

@@ -100,6 +100,36 @@ class TestValidation:
         net = TrustNetwork(("i",), frozenset({"i"}), {}, {})
         assert any("no honest nodes" in p for p in network_violations(net))
 
+    def test_range_findings_are_reported_per_node_in_node_order(self):
+        # Quotas and Byzantine fractions repeat across nodes, so each pair
+        # is judged once; every node still gets its own messages, in order.
+        nodes = tuple("abcdefgh")
+        quotas = dict(zip(nodes, map(Fraction, "1/2 2/3 7/10 3/4 2/3 1/2 3/4 7/10".split())))
+        byz = dict(zip("bcefg", map(Fraction, "1/3 1 1/3 -1/10 3/10".split())))
+        net = QuotaNetwork(nodes, frozenset(), {n: frozenset(nodes) for n in nodes}, quotas, byz)
+        assert [net.byz_fraction[n] for n in "adh"] == [Fraction(1, 2), Fraction(1, 4), Fraction(3, 10)]
+        with pytest.warns(QuotaRangeWarning) as record:
+            with pytest.raises(NetworkValidationError) as exc:
+                validate_network(net)
+        assert exc.value.violations == [
+            "node a: quota 1/2 out of range (0.5, 1]",
+            "node c: byzantine fraction 1 out of [0, 1)",
+            "node f: quota 1/2 out of range (0.5, 1]",
+            "node f: byzantine fraction -1/10 out of [0, 1)",
+        ]
+        assert [str(w.message) for w in record] == [
+            "node a: byzantine fraction 1/2 above the assumed 0.25 cap",
+            "node b: quota 2/3 below the recommended [0.75, 1] range",
+            "node b: byzantine fraction 1/3 above the assumed 0.25 cap",
+            "node c: quota 7/10 below the recommended [0.75, 1] range",
+            "node e: quota 2/3 below the recommended [0.75, 1] range",
+            "node e: byzantine fraction 1/3 above the assumed 0.25 cap",
+            "node g: byzantine fraction 3/10 above the assumed 0.25 cap",
+            "node g: byzantine fraction 3/10 exceeds 1 - quota = 1/4",
+            "node h: quota 7/10 below the recommended [0.75, 1] range",
+            "node h: byzantine fraction 3/10 above the assumed 0.25 cap",
+        ]
+
 
 class TestObservedSet:
     def test_split_group_two_sees_three_zeros(self):

@@ -3,6 +3,7 @@
 The examples are derandomized, so every run draws the same networks.
 """
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,95 @@ def test_document_round_trip_keeps_thresholds_and_verdict(net):
     else:
         assert loaded.slices == net.slices
     assert check_quorum_intersection(loaded) == check_quorum_intersection(net)
+
+
+# Mutations for the label-check equivalence test. A label mutation inserts
+# a bad element into a label array; an array mutation puts a bad value in
+# place of a label array, or a bad coalition into a slice family.
+LABEL_MUTATIONS = {
+    "unknown label": st.just("zz"),
+    "empty label": st.just(""),
+    "non-string label": st.sampled_from([7, 1.5, True, None]),
+    "unhashable element": st.sampled_from([["n1"], [], {"n1": 1}]),
+}
+ARRAY_MUTATIONS = {
+    "non-list coalition": st.sampled_from(["n1", 3, None, {"n1": 1}]),
+    "empty coalition": st.just([]),
+}
+BLOCKS = ("nodes", "byzantine", "slice_addition", "slices", "trust")
+CASES = [
+    *((kind, block) for kind in [*LABEL_MUTATIONS, *ARRAY_MUTATIONS] for block in BLOCKS),
+    ("duplicate node", "nodes"),
+    (None, None),
+]
+
+
+@st.composite
+def documents(draw, block):
+    """A valid document, with ``slice_addition`` metadata when it is a slices one."""
+    if block == "trust":
+        net = draw(quota_networks())
+    elif block in ("slices", "slice_addition"):
+        net = draw(slices_networks())
+    else:
+        net = draw(networks)
+    addition = None
+    if isinstance(net, TrustNetwork) and (block == "slice_addition" or draw(st.booleans())):
+        members = draw(st.sets(st.sampled_from(net.nodes), min_size=1))
+        addition = (draw(st.sampled_from(net.honest)), frozenset(members))
+    doc = network_document(net, addition)
+    doc.setdefault("byzantine", [])
+    return net, addition, doc
+
+
+def mutate(data, doc, kind, block) -> None:
+    """Apply mutation ``kind`` to one label array or slice family of ``block``."""
+    if block == "slices":
+        families = list(doc["slices"].values())
+        if kind in ARRAY_MUTATIONS and data.draw(st.booleans()):
+            family = data.draw(st.sampled_from(families))
+            family.insert(data.draw(st.integers(0, len(family))), data.draw(ARRAY_MUTATIONS[kind]))
+            return
+        sites = [(f, k) for f in families for k in range(len(f))]
+        if kind in ARRAY_MUTATIONS:
+            sites += [(doc["slices"], label) for label in doc["slices"]]
+    elif block == "trust":
+        sites = [(doc["trust"], label) for label in doc["trust"]]
+    elif block == "slice_addition":
+        sites = [(doc["slice_addition"], "slice")]
+    else:
+        sites = [(doc, block)]
+    container, key = data.draw(st.sampled_from(sites))
+    if kind == "duplicate node":
+        nodes = container[key]
+        nodes.insert(data.draw(st.integers(0, len(nodes))), data.draw(st.sampled_from(nodes)))
+    elif kind in LABEL_MUTATIONS:
+        array = container[key]
+        array.insert(data.draw(st.integers(0, len(array))), data.draw(LABEL_MUTATIONS[kind]))
+    else:
+        container[key] = data.draw(ARRAY_MUTATIONS[kind])
+
+
+def outcome(parse, doc):
+    try:
+        return parse(copy.deepcopy(doc))
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc), getattr(exc, "violations", None)
+
+
+@pytest.mark.parametrize("kind, block", CASES)
+@settings(PROPERTY, max_examples=25)
+@given(st.data())
+def test_label_checks_match_the_element_walk(kind, block, data):
+    net, addition, doc = data.draw(documents(block))
+    if kind is not None:
+        mutate(data, doc, kind, block)
+    expected = outcome(oracles.walk_network_document, doc)
+    assert outcome(parse_network_document, doc) == expected
+    if kind is None:
+        assert expected.slice_addition == addition
+        if addition is None:
+            assert expected.network == net
 
 
 @PROPERTY
