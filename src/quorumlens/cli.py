@@ -50,6 +50,7 @@ from .network import (
 from .netio import NetworkFormatError, load_network, save_network
 from .quorum import (
     DEFAULT_QI_MAX_NODES,
+    _QuorumView,
     check_qi_honest,
     check_quorum_intersection,
     find_strong_fork,
@@ -156,24 +157,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _node_sort_key(net):
-    order = {n: k for k, n in enumerate(net.nodes)}
-    return lambda label: order[label]
-
-
-def _set_list(net, members) -> list[str]:
-    return sorted(members, key=_node_sort_key(net))
+def _node_order(net):
+    """A sort key that puts labels in network order; build one per command."""
+    return {n: k for k, n in enumerate(net.nodes)}.__getitem__
 
 
 def _fork_witness_json(net, witness: ForkWitness) -> dict:
+    order = _node_order(net)
     return {
         "kind": witness.kind,
         "node_a": witness.node_a,
         "value_a": witness.value_a,
         "node_b": witness.node_b,
         "value_b": witness.value_b,
-        "supporting_a": _set_list(net, witness.supporting_a),
-        "supporting_b": _set_list(net, witness.supporting_b),
+        "supporting_a": sorted(witness.supporting_a, key=order),
+        "supporting_b": sorted(witness.supporting_b, key=order),
         "profile": {
             "honest_opinions": dict(sorted(witness.profile.honest_opinions.items())),
             "byzantine_reveals": {
@@ -201,7 +199,7 @@ def _run_check(args):
     tables = {
         "kind": kind,
         "nodes": len(net.nodes),
-        "byzantine": _set_list(net, net.byzantine),
+        "byzantine": sorted(net.byzantine, key=_node_order(net)),
         "violations": violations,
     }
     return "valid", None, tables, EXIT_OK
@@ -209,12 +207,15 @@ def _run_check(args):
 
 def _run_qi(args):
     net = load_network(args.file)
+    # One view serves the check and the display, and lends the display
+    # the check's table when it holds the display's.
+    view = _QuorumView(net)
     checker = check_qi_honest if args.honest else check_quorum_intersection
-    report = checker(net, max_nodes=args.max_nodes)
+    report = checker(net, max_nodes=args.max_nodes, view=view)
+    order = _node_order(net)
     try:
-        minimal = [
-            _set_list(net, q) for q in minimal_quora(net, max_nodes=MINIMAL_QUORA_DISPLAY_LIMIT)
-        ]
+        quora = minimal_quora(net, max_nodes=MINIMAL_QUORA_DISPLAY_LIMIT, view=view)
+        minimal = [sorted(q, key=order) for q in quora]
     except BudgetExceededError:
         minimal = None
     tables = {
@@ -226,7 +227,7 @@ def _run_qi(args):
         return "holds", None, tables, EXIT_OK
     q_a, q_b = report.witness
     _recheck_quorum_pair(net, q_a, q_b, args.honest)
-    witness = {"quorum_a": _set_list(net, q_a), "quorum_b": _set_list(net, q_b)}
+    witness = {"quorum_a": sorted(q_a, key=order), "quorum_b": sorted(q_b, key=order)}
     return "violated", witness, tables, EXIT_VIOLATED
 
 
@@ -334,7 +335,7 @@ def _run_safety(args):
     tables = {
         "shared_byzantine_caps": beta_table,
         "overlap_bounds": overlap_table,
-        "common_trust": _set_list(net, common),
+        "common_trust": sorted(common, key=_node_order(net)),
         "summary": summary,
     }
     ok = (overlap_all_pass is not False) and bool(common)
@@ -360,6 +361,7 @@ def _run_influence(args):
         report = influence_mod.limit_matrix(matrix)
     entry = str if args.exact else float
     graph = report.graph
+    order = _node_order(net)
     tables: dict = {
         "order": list(matrix.order),
         "matrix": [list(map(entry, row)) for row in matrix.entries],
@@ -367,7 +369,7 @@ def _run_influence(args):
             "edges": len(graph.edges),
             "components": [
                 {
-                    "members": _set_list(net, scc),
+                    "members": sorted(scc, key=order),
                     "closed": closed,
                     "period": period,
                 }
@@ -382,7 +384,7 @@ def _run_influence(args):
         }
     if central is not None:
         tables["centralization"] = {
-            "common_trust": _set_list(net, central.common_trust),
+            "common_trust": sorted(central.common_trust, key=order),
             "classification": central.classification,
             "regular": central.regular_ok,
             "fully_regular": central.fully_regular_ok,
@@ -406,7 +408,7 @@ def _run_gen_sat(args):
             raise NetworkFormatError(str(exc)) from exc
         save_network(base, args.output, slice_addition=(node, members))
         net = base
-        extra = {"slice_addition": {"node": node, "slice": _set_list(base, members)}}
+        extra = {"slice_addition": {"node": node, "slice": sorted(members, key=_node_order(base))}}
     else:
         net = cnf_to_network(cnf)
         save_network(net, args.output)
@@ -438,7 +440,7 @@ def _run_gen_random(args):
     save_network(net, args.output)
     tables = {
         "nodes": len(net.nodes),
-        "byzantine": _set_list(net, net.byzantine),
+        "byzantine": sorted(net.byzantine, key=_node_order(net)),
         "topology": args.topology,
         "output": args.output,
     }

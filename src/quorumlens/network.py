@@ -17,7 +17,6 @@ after construction and every operation is a pure function.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -166,8 +165,13 @@ Network = TrustNetwork | QuotaNetwork
 
 
 def threshold(net: QuotaNetwork, node: NodeId) -> int:
-    """Minimum agreeing coalition size for ``node``: ceil(q_i * |T_i|)."""
-    return math.ceil(net.quota[node] * len(net.trust[node]))
+    """Minimum agreeing coalition size for ``node``: ceil(q_i * |T_i|).
+
+    Computed in integers, as a floor division of the negated product, so
+    no ``Fraction`` is built.
+    """
+    q = net.quota[node]
+    return -(-q.numerator * len(net.trust[node]) // q.denominator)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,23 @@ exact searches behind explicit budgets:
   and counts are those of a walk over every split code, which the scan
   never makes.
 
-:func:`minimal_quora` of a quota network reads the same table
-(:func:`_quorum_table`), over the twin classes of the honest members of
-the largest quorum, closed upward the same way (:func:`_close_upward`).
+:func:`minimal_quora` of a quota network reads the same closed table
+(:func:`_quorum_table`, then :func:`_close_upward`), over the twin
+classes of the honest members of the largest quorum. Its minimal count
+vectors are the minimal elements of the closed table: the flagged
+vectors none of whose one-digit decrements is flagged.
+
+A :class:`_QuorumView` prepares one network for the searches of one
+``qi`` command: its bitmask view, largest quorum and twin classes are
+built once and shared by the check and :func:`minimal_quora`. A split
+scan of the whole largest quorum with no ``base`` leaves its closed
+table on the view, and :func:`minimal_quora` reads the minimal-quora
+table off it, where it counts no Byzantine node, instead of building
+one. That is every plain check. The honest scan counts the largest
+quorum's Byzantine members on both sides, and a Byzantine node, which
+needs only itself, is always in the largest quorum; so the honest check
+shares its table only when the network has no Byzantine node and every
+node is in the largest quorum.
 
 Single sets (the largest quorum, :func:`max_quorum_within`,
 :func:`minimal_quora`) use a scalar worklist fixpoint that re-checks
@@ -45,6 +59,7 @@ no code with the searches whose witnesses it re-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations, product
 from math import comb, prod
 
@@ -197,6 +212,44 @@ class _Masks:
                 bucket.append([b])
                 classes.append(bucket[-1])
         return classes
+
+
+class _QuorumView:
+    """One network prepared for the quorum searches of one command.
+
+    The bitmask view, the largest quorum and the twin classes are built
+    on first use and shared by every search that is handed the view:
+    :func:`check_quorum_intersection`, :func:`check_qi_honest` and
+    :func:`minimal_quora` give the same reports with it as without. A
+    quota split scan whose table holds the minimal-quora table leaves a
+    reference to it here, and the next :func:`minimal_quora` call takes
+    it instead of building its own. A view caches nothing on the network
+    and is meant to live for one command, so a table that no display
+    takes is freed with it.
+    """
+
+    def __init__(self, net: Network):
+        self.net = net
+        # The closed split table of the whole largest quorum and its twin
+        # classes, left by a scan for the next minimal_quora call.
+        self.closed: tuple[np.ndarray, list[list[int]]] | None = None
+
+    @cached_property
+    def masks(self) -> _Masks:
+        return _Masks(self.net)
+
+    @cached_property
+    def top(self) -> int:
+        """The largest quorum, as a mask."""
+        return self.masks.max_quorum(self.masks.full)
+
+    @cached_property
+    def twin_classes(self) -> list[list[int]]:
+        return self.masks.twin_classes()
+
+    def classes_within(self, pool: int) -> list[list[int]]:
+        """The twin classes inside ``pool``, a union of them, lowest first."""
+        return [members for members in self.twin_classes if (pool >> members[0]) & 1]
 
 
 def is_quorum(net: Network, q) -> bool:
@@ -394,40 +447,55 @@ def _digits(table: np.ndarray, r: int, stride: int) -> np.ndarray:
     return table.reshape(-1, r, stride)
 
 
-def _minimal_quota_quora(masks: _Masks, top: int, max_states: int) -> list[tuple[int, ...]]:
+def _minimal_quota_quora(view: _QuorumView, max_states: int) -> list[tuple[int, ...]]:
     """Bit positions of every inclusion-minimal quorum of a quota network, unsorted.
 
-    A Byzantine member of ``top`` is a quorum alone, so it forms exactly
-    one minimal quorum, and every other one lies among the honest members
-    of ``top``, a union of twin classes. Whether a set of them is a
-    quorum, and whether it is a minimal one, depends only on its count
-    vector over those classes: :func:`_quorum_table` flags the quorum
-    vectors, and :func:`_close_upward` flags in a copy the vectors that
-    hold a quorum. A quorum vector is minimal when no one-digit decrement
-    holds a quorum; testing the decrements against the quorum flags alone
-    would miss a quorum two members smaller. Every member choice of a
-    minimal vector is a minimal quorum.
+    A Byzantine member of the largest quorum ``top`` is a quorum alone, so
+    it forms exactly one minimal quorum, and every other one lies among
+    the honest members of ``top``, a union of twin classes. Whether a set
+    of them is a quorum, and whether it is a minimal one, depends only on
+    its count vector over those classes: :func:`_quorum_table` flags the
+    quorum vectors and :func:`_close_upward` closes the flags upward, so
+    ``H[v]`` holds when a quorum vector lies at or below ``v``. The
+    minimal quorum vectors are the minimal elements of ``H``: those with
+    ``H[v]`` and no one-digit decrement in ``H``. If ``H[v]`` holds and
+    ``v`` is no quorum vector, the quorum vector below ``v`` lies at or
+    below one of its decrements. Every member choice of a minimal vector
+    is a minimal quorum. When the view's split scan left its table of the
+    whole of ``top``, ``H`` is that table where it counts no Byzantine
+    member; ``H`` is overwritten with the minimality flags, and the flags
+    of the decrements take one more byte a vector.
 
     Raises:
         BudgetExceededError: when the table exceeds ``max_states`` count
             vectors, or more than ``max_states`` quora would be listed.
     """
-    inside = top & masks.honest_mask
-    classes = [members for members in masks.twin_classes() if (inside >> members[0]) & 1]
+    masks, top = view.masks, view.top
+    classes = view.classes_within(top & masks.honest_mask)
     radix = [len(members) + 1 for members in classes]
     size = prod(radix)
     if size > max_states:
         raise BudgetExceededError(
             f"a minimal-quora table of {size} count vectors exceeds {max_states} states"
         )
-    table = _quorum_table(masks, classes)
-    # free[v]: no vector at or below v holds a quorum.
-    free = _close_upward(table.copy(), radix)
-    np.logical_not(free, out=free)
+    shared, view.closed = view.closed, None
+    if shared is None:
+        table = _close_upward(_quorum_table(masks, classes), radix)
+    else:
+        # No Byzantine node is counted or checked where the scan counts
+        # none, so there its table is this one: a copy when it has
+        # Byzantine classes, else the scan's table itself.
+        has, scanned = shared
+        scanned = scanned[::-1]
+        at = tuple(0 if (masks.byz_mask >> m[0]) & 1 else slice(None) for m in scanned)
+        has = has.reshape([len(m) + 1 for m in scanned])[at]
+        table = np.ascontiguousarray(has).reshape(-1)
+        del has, shared
+    # Clear, in place, every flagged vector that has a flagged decrement.
+    free = np.logical_not(table)
     stride = 1
     for r in radix:
-        view = _digits(table, r, stride)
-        view[:, 1:] &= _digits(free, r, stride)[:, :-1]
+        _digits(table, r, stride)[:, 1:] &= _digits(free, r, stride)[:, :-1]
         stride *= r
     del free
     byzantine = top & masks.byz_mask
@@ -455,17 +523,21 @@ def minimal_quora(
     *,
     max_nodes: int = DEFAULT_MINIMAL_MAX_NODES,
     max_states: int = DEFAULT_MAX_SEARCH_STATES,
+    view: _QuorumView | None = None,
 ) -> tuple[frozenset[NodeId], ...]:
     """All inclusion-minimal quora, sorted by size then node order.
 
     Explicit-slice networks grow candidates by slice closure, each from
     the seed of its lowest member (:func:`_iter_generated_quora`), and
     keep the minimal ones; ``max_states`` bounds the partial sets that
-    search visits. Quota networks read them off the split scan's table
-    over the count vectors of the twin classes of the largest quorum's
-    honest members (:func:`_minimal_quota_quora`): a byte per vector and
-    a closed copy. Both kinds share the ``max_nodes`` budget and one sort
-    by size, then node positions.
+    search visits. Quota networks read them off the split scan's closed
+    table over the count vectors of the twin classes of the largest
+    quorum's honest members (:func:`_minimal_quota_quora`): the minimal
+    vectors are the flagged ones with no flagged one-digit decrement. It
+    takes a byte per vector and a byte of minimality flags. ``view``, the
+    view of ``net`` that the command's check was handed, lends the table
+    its scan left; the result is the same. Both kinds share the
+    ``max_nodes`` budget and one sort by size, then node positions.
 
     Raises:
         BudgetExceededError: when the instance exceeds ``max_nodes``, the
@@ -476,9 +548,11 @@ def minimal_quora(
         raise BudgetExceededError(
             f"{len(net.nodes)} nodes exceeds the minimal-quora budget of {max_nodes}"
         )
-    masks = _Masks(net)
-    top = masks.max_quorum(masks.full)
+    if view is None:
+        view = _QuorumView(net)
+    masks = view.masks
     if isinstance(net, TrustNetwork):
+        top = view.top
         candidates = list(_iter_generated_quora(masks, top, top, max_states))
         minimal = [
             tuple(b for b in range(len(masks.order)) if (q >> b) & 1)
@@ -486,7 +560,7 @@ def minimal_quora(
             if not any(o != q and o & q == o for o in candidates)
         ]
     else:
-        minimal = _minimal_quota_quora(masks, top, max_states)
+        minimal = _minimal_quota_quora(view, max_states)
     minimal.sort(key=lambda q: (len(q), q))
     label = masks.order.__getitem__
     return tuple(frozenset(map(label, q)) for q in minimal)
@@ -504,7 +578,7 @@ _SLICES_CHUNK_MAX = 256
 
 
 def _scan_split(
-    masks: _Masks, pool: int, base: int, max_states: int
+    view: _QuorumView, pool: int, base: int, max_states: int
 ) -> tuple[int, tuple[int, int] | None]:
     """First split of ``pool`` into two disjoint quora (quota networks).
 
@@ -524,15 +598,18 @@ def _scan_split(
     whose code is no higher, so the first violating code is canonical. It
     is fixed bit by bit from the highest pool position down, narrowing
     that position's class digit in a view of the violations to keep the
-    bit clear whenever a violation remains.
+    bit clear whenever a violation remains. When ``base`` is empty and
+    ``pool`` is the whole largest quorum, ``has`` and the classes are left
+    on the view for :func:`minimal_quora`.
 
     Raises:
         BudgetExceededError: when the table exceeds ``max_states`` vectors.
     """
+    masks = view.masks
     bits = [b for b in range(len(masks.order)) if (pool >> b) & 1]
     # Classes lie wholly inside or outside the pool, since permutations
     # inside classes keep it; the first holds the pivot, its lowest member.
-    classes = [members for members in masks.twin_classes() if (pool >> members[0]) & 1]
+    classes = view.classes_within(pool)
     radix = [len(members) + 1 for members in classes]
     size = prod(radix)
     if size > max_states:
@@ -540,9 +617,11 @@ def _scan_split(
             f"a split table of {size} count vectors exceeds {max_states} states"
         )
     has = _close_upward(_quorum_table(masks, classes, base), radix)
+    if not base and pool == view.top:
+        view.closed = has, classes
     # Axis -1 - j of the violations is digit j; the pivot's class counts at least 1.
-    view = (has & has[::-1]).reshape(radix[::-1])[..., 1:]
-    if not view.any():
+    violations = (has & has[::-1]).reshape(radix[::-1])[..., 1:]
+    if not violations.any():
         return 1 << (len(bits) - 1), None
     lo = [1] + [0] * (len(classes) - 1)
     where = {b: (j, r) for j, members in enumerate(classes) for r, b in enumerate(members)}
@@ -551,11 +630,11 @@ def _scan_split(
         if r < lo[j]:
             continue  # bit b is set in every violation left
         axis = (slice(None),) * (len(classes) - 1 - j)
-        clear = view[(*axis, slice(None, r + 1 - lo[j]))]
+        clear = violations[(*axis, slice(None, r + 1 - lo[j]))]
         if clear.any():
-            view = clear
+            violations = clear
         else:
-            view = view[(*axis, slice(r + 1 - lo[j], None))]
+            violations = violations[(*axis, slice(r + 1 - lo[j], None))]
             lo[j] = r + 1
     side = sum(1 << b for j, members in enumerate(classes) for b in members[: lo[j]])
     code = sum(1 << k for k, b in enumerate(bits[1:]) if (side >> b) & 1)
@@ -660,14 +739,17 @@ def _first_disjoint(masks: _Masks, top: int, counted: int, max_states: int) -> Q
         size = min(2 * size, _SLICES_CHUNK_MAX)
 
 
-def _check_qi(net: Network, honest: bool, max_nodes: int, max_states: int) -> QuorumReport:
+def _check_qi(
+    net: Network, honest: bool, max_nodes: int, max_states: int, view: _QuorumView | None = None
+) -> QuorumReport:
     """The plain (``honest`` false) or honest check behind the public entry points."""
     if len(net.nodes) > max_nodes:
         raise BudgetExceededError(
             f"{len(net.nodes)} nodes exceeds the quorum-intersection budget of {max_nodes}"
         )
-    masks = _Masks(net)
-    top = masks.max_quorum(masks.full)
+    if view is None:
+        view = _QuorumView(net)
+    masks, top = view.masks, view.top
     counted = masks.honest_mask if honest else masks.full
     if not (top & counted):
         return QuorumReport(True, None, 0)
@@ -678,11 +760,9 @@ def _check_qi(net: Network, honest: bool, max_nodes: int, max_states: int) -> Qu
     if honest:
         # Every honest node is split; the Byzantine members of top join
         # both sides, which keeps only the honest parts disjoint.
-        examined, witness = _scan_split(
-            masks, masks.honest_mask, top & masks.byz_mask, max_states
-        )
+        examined, witness = _scan_split(view, masks.honest_mask, top & masks.byz_mask, max_states)
     else:
-        examined, witness = _scan_split(masks, top, 0, max_states)
+        examined, witness = _scan_split(view, top, 0, max_states)
     if witness is None:
         return QuorumReport(True, None, examined)
     q1, q2 = witness
@@ -694,13 +774,16 @@ def check_quorum_intersection(
     *,
     max_nodes: int = DEFAULT_QI_MAX_NODES,
     max_states: int = DEFAULT_MAX_SEARCH_STATES,
+    view: _QuorumView | None = None,
 ) -> QuorumReport:
     """Decide whether every two quora of ``net`` intersect.
 
     Exact and witness-producing: a ``holds=False`` report carries a
     disjoint quorum pair. Budget overruns raise instead of guessing.
+    ``view``, a :class:`_QuorumView` of ``net``, shares its prepared
+    state with the command's other searches; the report is the same.
     """
-    return _check_qi(net, False, max_nodes, max_states)
+    return _check_qi(net, False, max_nodes, max_states, view)
 
 
 def check_qi_honest(
@@ -708,6 +791,7 @@ def check_qi_honest(
     *,
     max_nodes: int = DEFAULT_QI_MAX_NODES,
     max_states: int = DEFAULT_MAX_SEARCH_STATES,
+    view: _QuorumView | None = None,
 ) -> QuorumReport:
     """Decide whether every two quora share at least one honest node.
 
@@ -715,8 +799,9 @@ def check_qi_honest(
     honest parts are disjoint is exactly what lets two honest groups
     settle on opposite values, so this check reports weak safety of a
     vetoed network. Purely Byzantine quora can never witness a violation.
+    ``view`` is as for :func:`check_quorum_intersection`.
     """
-    return _check_qi(net, True, max_nodes, max_states)
+    return _check_qi(net, True, max_nodes, max_states, view)
 
 
 def find_strong_fork(

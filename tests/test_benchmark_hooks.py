@@ -3,17 +3,21 @@
 ``perfbench/tracing.py`` replaces module attributes by name with timing
 wrappers, and its counters read fields of a call's arguments or result; a
 renamed or removed attribute or field would otherwise fail only in a
-traced benchmark run.
+traced benchmark run. One traced ``qi`` command must record one span for
+its check and one for its minimal-quora display, and count the quora its
+report says were examined.
 """
 
 import importlib
+import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import nets
-from quorumlens import influence_matrix
+from quorumlens import GenParams, cli, influence_matrix, random_quota_network, save_network
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -60,3 +64,27 @@ def test_every_counter_reads_a_real_call(tracing):
         assert all(isinstance(v, int) and v >= 0 for v in values), f"{module_name}.{attr}"
         seen.add(name)
     assert seen == counted
+
+
+@pytest.mark.parametrize("honest", [False, True])
+@pytest.mark.parametrize("byz", [0, 1])
+def test_one_qi_command_records_one_check_and_one_display(tracing, tmp_path, capsys, honest, byz):
+    # The display reads the check's table, except under --honest with a
+    # Byzantine node, where it builds its own. Either way each is one call
+    # from the CLI.
+    net = random_quota_network(GenParams(12, 10, Fraction(3, 4), byz, 7, "clique"))
+    path = tmp_path / "net.json"
+    save_network(net, path)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        since = tracer.mark()
+        code = cli.run(["qi", str(path), "--json"] + (["--honest"] if honest else []))
+        summary = tracer.summary(since)
+    finally:
+        tracer.remove()
+    report = json.loads(capsys.readouterr().out)
+    assert code in (0, 1) and report["tables"]["minimal_quora"]
+    assert summary["spans"]["quorum.qi"]["calls"] == 1
+    assert summary["spans"]["quorum.minimal"]["calls"] == 1
+    assert summary["counters"]["quorum.examined"] == report["tables"]["quora_examined"]

@@ -1,9 +1,12 @@
 """Property tests on generated networks of up to six nodes.
 
-The examples are derandomized, so every run draws the same networks.
+The examples are derandomized, so every run draws the same networks. The
+integer threshold is also checked against the rational ceiling on trust
+sets of up to 40 nodes.
 """
 
 import copy
+import math
 from fractions import Fraction
 
 import pytest
@@ -81,6 +84,22 @@ def test_document_round_trip_keeps_thresholds_and_verdict(net):
     else:
         assert loaded.slices == net.slices
     assert check_quorum_intersection(loaded) == check_quorum_intersection(net)
+
+
+# Quotas of 0, 1, above 1 and below 0, then any with a denominator up to 97.
+EDGE_QUOTAS = st.sampled_from([Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 3), Fraction(-2)])
+ANY_QUOTA = st.builds(Fraction, st.integers(-300, 300), st.integers(1, 97))
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.one_of(EDGE_QUOTAS, ANY_QUOTA), st.integers(0, 40))
+@example(Fraction(0), 0)
+@example(Fraction(5, 6), 6)
+@example(Fraction(96, 97), 40)
+def test_threshold_is_the_exact_ceiling(quota, size):
+    trustees = tuple(f"t{k}" for k in range(size))
+    net = QuotaNetwork(("x", *trustees), frozenset(), {"x": frozenset(trustees)}, {"x": quota})
+    assert threshold(net, "x") == math.ceil(quota * size)
 
 
 # Mutations for the label-check equivalence test. A label mutation inserts
