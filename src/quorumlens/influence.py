@@ -28,6 +28,7 @@ from .network import (
     Network,
     NodeId,
     QuotaNetwork,
+    _rules,
     threshold,
 )
 
@@ -155,15 +156,15 @@ def influence_matrix(
     Honest rows come from :func:`banzhaf_row`; Byzantine rows are
     degenerate. Every row sums to exactly one.
 
-    A row depends only on the node's game: its trust set and its winning
-    rule, the threshold of a quota node or the set of slices of a slices
-    node. Each distinct game is solved once, for the first of its nodes in
+    A row depends only on the node's game: its trust set and the set of
+    its winning rules (:func:`~quorumlens.network._rules`), one threshold
+    rule for a quota node and one rule per slice for a slices node. Each
+    distinct game is solved once, for the first of its nodes in
     ``net.nodes`` order, and every later node with that game shares the
     same row tuple. So a budget overrun or a degenerate game is reported
     for the first node that has it, and nodes that adopt one common trust
     set cost one row between them.
     """
-    quota = isinstance(net, QuotaNetwork)
     solved: dict[tuple, tuple[Fraction, ...]] = {}
     rows = []
     for i in net.nodes:
@@ -172,7 +173,7 @@ def influence_matrix(
                 tuple(Fraction(1) if j == i else Fraction(0) for j in net.nodes)
             )
             continue
-        game = (net.trust[i], threshold(net, i) if quota else frozenset(net.slices[i]))
+        game = (net.trust[i], frozenset(_rules(net, i)))
         if game not in solved:
             solved[game] = banzhaf_row(net, i, max_trust=max_trust)
         rows.append(solved[game])

@@ -8,6 +8,13 @@ can settle the node's opinion. Two representations exist:
 * :class:`QuotaNetwork` induces slices implicitly: any subset of the
   trust set whose size meets a per-node quota.
 
+Both say which coalitions win for a node in one form, its winning rules
+(:func:`_rules`): ``(set, need)`` pairs, met by a coalition holding
+``need`` members of ``set``. A quota node has one rule, its trust set and
+threshold; a slices node has one rule per slice, which needs the whole
+slice. Validation, fork search, the quorum searches' bit masks and the
+influence matrix's game key all read these rules.
+
 On top of the model this module implements opinion profiles, observed
 sets, validation of a value by a node, and exact fork search. Strong
 forks are two quora sharing no honest node, so their search lives with
@@ -394,11 +401,22 @@ def observed_set(
     return frozenset(members)
 
 
+def _rules(net: Network, i: NodeId) -> list[tuple[frozenset[NodeId], int]]:
+    """Honest ``i``'s winning rules, as ``(set, need)`` pairs.
+
+    A coalition wins for ``i`` when it holds ``need`` members of the set
+    of some rule: one rule ``(T_i, threshold)`` for a quota node, and one
+    rule ``(s, |s|)`` per slice ``s`` of a slices node. Every reader of
+    "does ``i`` win" goes through these rules.
+    """
+    if isinstance(net, QuotaNetwork):
+        return [(net.trust[i], threshold(net, i))]
+    return [(s, len(s)) for s in net.slices[i]]
+
+
 def _wins(net: Network, i: NodeId, members: frozenset[NodeId]) -> bool:
     """True when some winning coalition of honest ``i`` lies inside ``members``."""
-    if isinstance(net, QuotaNetwork):
-        return len(members & net.trust[i]) >= threshold(net, i)
-    return any(s <= members for s in net.slices[i])
+    return any(len(members & s) >= need for s, need in _rules(net, i))
 
 
 def validates(net: Network, profile: OpinionProfile, i: NodeId, x: int) -> bool:
@@ -444,29 +462,6 @@ def _fork_profile(
     return OpinionProfile(opinions, reveals)
 
 
-def _quota_fork_sides(
-    net: QuotaNetwork, i: NodeId, j: NodeId
-) -> tuple[frozenset, frozenset] | None:
-    """Disjoint-on-honest coalition pair (C for i at 1, C' for j at 0), if any.
-
-    Shared honest trustees must be split between the sides; a split with
-    ``x`` of them on i's side works iff both thresholds survive. Byzantine
-    trustees count for both sides since they reveal per observer.
-    """
-    t_i, t_j = net.trust[i], net.trust[j]
-    shared_honest = [n for n in net.nodes if n in t_i and n in t_j and n not in net.byzantine]
-    s = len(shared_honest)
-    need_i, need_j = threshold(net, i), threshold(net, j)
-    lo = max(0, need_i - (len(t_i) - s))
-    hi = min(s, len(t_j) - need_j)
-    if lo > hi:
-        return None
-    taken = frozenset(shared_honest[:lo])
-    side_a = (t_i - frozenset(shared_honest)) | taken
-    side_b = t_j - taken
-    return side_a, side_b
-
-
 def find_fork(
     net: Network,
     *,
@@ -475,14 +470,25 @@ def find_fork(
     """Exact search for a forked profile; ``None`` means the network is safe.
 
     A fork between honest ``i`` and ``j`` (possibly the same node) exists
-    exactly when coalitions C of i and C' of j share no honest node: the
+    exactly when coalitions C of i and C' of j share no honest node, or no
+    node at all when ``i == j``: one observer sees each trustee hold one
+    value, so even Byzantine members cannot serve both of its sides. The
     returned profile gives honest members of C opinion 1, honest members
     of C' opinion 0, filler 0 elsewhere, and dual reveals for Byzantine
     nodes in both coalitions.
 
-    The search is polynomial, so it has no node budget: O(n³) set
-    operations on quota networks, and at most ``max_total_slices``²
-    coalition pairs on slices networks.
+    Each pair of winning rules ``(S, need)`` of i and ``(S', need')`` of j
+    (:func:`_rules`) is one test. The shared members of S and S' that may
+    not be shared are split: C takes S without them plus ``x`` of them,
+    the lowest in node order, and C' takes the rest of S', which works
+    iff both needs survive. A slices rule needs all of its set, so that
+    split is possible only when there is nothing to split. On a valid
+    quota network a node never forks with itself: its whole trust set is
+    split, and each part would need more than half of it.
+
+    The search is polynomial, so it has no node budget: O(n²) rule pairs
+    of O(|T|) set operations each on quota networks, and at most
+    ``max_total_slices``² on slices networks.
 
     Raises:
         BudgetExceededError: when a slices network lists more than
@@ -494,37 +500,24 @@ def find_fork(
             raise BudgetExceededError(
                 f"{total} slices exceeds the search budget of {max_total_slices}"
             )
-    honest = net.honest
     byz = net.byzantine
-    if isinstance(net, QuotaNetwork):
-        # A single node can never validate both values under q > 0.5: the
-        # two observed sets are disjoint yet would each need more than
-        # half the trust set. Only distinct pairs can fork.
-        for i in honest:
-            for j in honest:
-                if i == j:
-                    continue
-                sides = _quota_fork_sides(net, i, j)
-                if sides is None:
-                    continue
-                side_a, side_b = sides
-                profile = _fork_profile(net, side_a, side_b, frozenset({i}), frozenset({j}))
-                return ForkWitness(i, j, 1, 0, profile, "fork", side_a, side_b)
-        return None
-    for i in honest:
-        for j in honest:
-            for c_a in net.slices[i]:
-                for c_b in net.slices[j]:
-                    overlap = c_a & c_b
-                    if i == j:
-                        # One observer sees each trustee hold one value, so
-                        # even Byzantine members cannot serve both sides.
-                        if overlap:
-                            continue
-                    elif any(n not in byz for n in overlap):
+    rules = [(i, _rules(net, i)) for i in net.honest]
+    for i, rules_i in rules:
+        for j, rules_j in rules:
+            for set_a, need_a in rules_i:
+                for set_b, need_b in rules_j:
+                    split = set_a & set_b
+                    if i != j and split:
+                        split -= byz
+                    # C takes the fewest split members that meet need_a, C' the others.
+                    x = max(0, need_a - len(set_a) + len(split))
+                    if x > len(split) or len(set_b) - x < need_b:
                         continue
-                    profile = _fork_profile(net, c_a, c_b, frozenset({i}), frozenset({j}))
-                    return ForkWitness(i, j, 1, 0, profile, "fork", c_a, c_b)
+                    taken = frozenset([n for n in net.nodes if n in split][:x])
+                    side_a = (set_a - split) | taken
+                    side_b = set_b - taken
+                    profile = _fork_profile(net, side_a, side_b, frozenset({i}), frozenset({j}))
+                    return ForkWitness(i, j, 1, 0, profile, "fork", side_a, side_b)
     return None
 
 

@@ -21,9 +21,9 @@ exact searches behind explicit budgets:
 * quota networks use a pivot-fixed scan over the splits of a pool of
   nodes, decided from one numpy table over the count vectors of the
   pool's twin classes (:func:`_scan_split`). Twins are nodes whose swap
-  maps the network onto itself (:meth:`_Masks.twin_classes`). Witnesses
-  and counts are those of a walk over every split code, which the scan
-  never makes.
+  maps the network onto itself (:attr:`_QuorumView.twin_classes`).
+  Witnesses and counts are those of a walk over every split code, which
+  the scan never makes.
 
 :func:`minimal_quora` of a quota network reads the same closed table
 (:func:`_quorum_table`, then :func:`_close_upward`), over the twin
@@ -32,16 +32,16 @@ vectors are the minimal elements of the closed table: the flagged
 vectors none of whose one-digit decrements is flagged.
 
 A :class:`_QuorumView` prepares one network for the searches of one
-``qi`` command: its bitmask view, largest quorum and twin classes are
-built once and shared by the check and :func:`minimal_quora`. A split
-scan of the whole largest quorum with no ``base`` leaves its closed
-table on the view, and :func:`minimal_quora` reads the minimal-quora
-table off it, where it counts no Byzantine node, instead of building
-one. That is every plain check. The honest scan counts the largest
-quorum's Byzantine members on both sides, and a Byzantine node, which
-needs only itself, is always in the largest quorum; so the honest check
-shares its table only when the network has no Byzantine node and every
-node is in the largest quorum.
+``qi`` command: the bit masks of every node's winning rules, the
+largest quorum and the twin classes are built once and shared by the
+check and :func:`minimal_quora`. A split scan of the whole largest
+quorum with no ``base`` leaves its closed table on the view, and
+:func:`minimal_quora` reads the minimal-quora table off it, where it
+counts no Byzantine node, instead of building one. That is every plain
+check. The honest scan counts the largest quorum's Byzantine members on
+both sides, and a Byzantine node, which needs only itself, is always in
+the largest quorum; so the honest check shares its table only when the
+network has no Byzantine node and every node is in the largest quorum.
 
 Single sets (the largest quorum, :func:`max_quorum_within`,
 :func:`minimal_quora`) use a scalar worklist fixpoint that re-checks
@@ -52,8 +52,9 @@ budget overrun is always a distinct outcome, never a verdict.
 :func:`check_slice_addition` is the plain check on the network with the
 new slice added; the base is checked only when that check fails.
 :func:`find_strong_fork` reads the honest check's witness as a strong
-fork. :func:`is_quorum` tests the definition member by member, sharing
-no code with the searches whose witnesses it re-checks.
+fork. :func:`is_quorum` tests the definition member by member on the
+network's winning rules, sharing no code with the searches whose
+witnesses it re-checks.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ from .network import (
     NodeId,
     TrustNetwork,
     _fork_profile,
+    _rules,
     _wins,
-    threshold,
 )
 
 DEFAULT_QI_MAX_NODES = 20
@@ -101,46 +102,57 @@ class QuorumReport:
     quora_examined: int
 
 
-class _Masks:
-    """Bitmask view of a network: node order fixes bit positions."""
+class _QuorumView:
+    """One network prepared for the quorum searches of one command.
+
+    Node order fixes bit positions. Node ``k`` wins inside a set when the
+    set holds ``rule_needs[k][r]`` members of ``rule_masks[k][r]`` for some
+    ``r``: the masks and needs of its winning rules (:func:`_rules`), in
+    two parallel lists so that the slices searches read masks alone. A
+    Byzantine node's one rule is its own singleton.
+
+    The largest quorum and the twin classes are built on first use and
+    shared by every search that is handed the view:
+    :func:`check_quorum_intersection`, :func:`check_qi_honest` and
+    :func:`minimal_quora` give the same reports with it as without. A
+    quota split scan whose table holds the minimal-quora table leaves a
+    reference to it here, and the next :func:`minimal_quora` call takes
+    it instead of building its own. A view caches nothing on the network
+    and is meant to live for one command, so a table that no display
+    takes is freed with it.
+    """
 
     def __init__(self, net: Network):
-        self.net = net
         self.order = list(net.nodes)
-        self.index = {n: k for k, n in enumerate(self.order)}
+        index = self.index = {n: k for k, n in enumerate(self.order)}
         self.full = (1 << len(self.order)) - 1
         self.byz_mask = self._mask(net.byzantine)
         self.honest_mask = self.full & ~self.byz_mask
-        if isinstance(net, TrustNetwork):
-            self.slice_masks: list[list[int]] = []
-            for n in self.order:
-                if n in net.byzantine:
-                    self.slice_masks.append([1 << self.index[n]])
-                else:
-                    self.slice_masks.append([self._mask(s) for s in net.slices[n]])
-            self.quota_req = None
-        else:
-            self.slice_masks = []
-            self.quota_req = []
-            for n in self.order:
-                if n in net.byzantine:
-                    self.quota_req.append((1 << self.index[n], 1))
-                else:
-                    self.quota_req.append((self._mask(net.trust[n]), threshold(net, n)))
-        # users[k]: the nodes whose coalitions can use node k, i.e. those
-        # that may lose their last coalition when k leaves a set.
-        self.users = [0] * len(self.order)
+        self.rule_masks: list[list[int]] = []
+        self.rule_needs: list[list[int]] = []
+        # users[k]: the nodes whose rules can use node k, i.e. those that
+        # may lose their last winning coalition when k leaves a set.
+        users = self.users = [0] * len(self.order)
         for i, n in enumerate(self.order):
-            if self.quota_req is None:
-                deps = 0
-                for s in self.slice_masks[i]:
-                    deps |= s
+            bit = 1 << i
+            if n in net.byzantine:
+                masks, needs = [bit], [1]
+                users[i] |= bit
             else:
-                deps = self.quota_req[i][0]
-            while deps:
-                low = deps & -deps
-                deps ^= low
-                self.users[low.bit_length() - 1] |= 1 << i
+                masks, needs = [], []
+                for s, need in _rules(net, n):
+                    m = 0
+                    for x in s:
+                        k = index[x]
+                        m |= 1 << k
+                        users[k] |= bit
+                    masks.append(m)
+                    needs.append(need)
+            self.rule_masks.append(masks)
+            self.rule_needs.append(needs)
+        # The closed split table of the whole largest quorum and its twin
+        # classes, left by a scan for the next minimal_quora call.
+        self.closed: tuple[np.ndarray, list[list[int]]] | None = None
 
     def _mask(self, labels) -> int:
         m = 0
@@ -155,31 +167,33 @@ class _Masks:
         """Largest quorum contained in ``within`` (0 when none exists).
 
         A worklist greatest fixpoint: every member is checked once, and a
-        member with no coalition inside the surviving set is removed,
-        which re-queues only its surviving users. Every unqueued survivor
-        keeps a coalition, so the result is the unique fixpoint, and it
-        contains every quorum that fits in ``within``.
+        member with no winning rule met inside the surviving set is
+        removed, which re-queues only its surviving users. Every unqueued
+        survivor keeps a rule, so the result is the unique fixpoint, and
+        it contains every quorum that fits in ``within``.
         """
         current = queue = within
-        slices, quota, users = self.slice_masks, self.quota_req, self.users
+        rule_masks, rule_needs, users = self.rule_masks, self.rule_needs, self.users
         while queue:
             low = queue & -queue
             queue ^= low
             idx = low.bit_length() - 1
-            if quota is None:
-                for s in slices[idx]:
-                    if s & current == s:
-                        break
-                else:
-                    current ^= low
-                    queue |= users[idx] & current
+            needs, r = rule_needs[idx], 0
+            for m in rule_masks[idx]:
+                if (m & current).bit_count() >= needs[r]:
+                    break
+                r += 1
             else:
-                tmask, need = quota[idx]
-                if (tmask & current).bit_count() < need:
-                    current ^= low
-                    queue |= users[idx] & current
+                current ^= low
+                queue |= users[idx] & current
         return current
 
+    @cached_property
+    def top(self) -> int:
+        """The largest quorum, as a mask."""
+        return self.max_quorum(self.full)
+
+    @cached_property
     def twin_classes(self) -> list[list[int]]:
         """Bit positions of each twin class of a quota network, lowest first.
 
@@ -196,12 +210,12 @@ class _Masks:
         # Twins agree on this key, so only classes sharing it are compared.
         buckets: dict[tuple[int, int, int, int], list[list[int]]] = {}
         classes: list[list[int]] = []
-        for b, (tb, need) in enumerate(self.quota_req):
+        for b, ([tb], [need]) in enumerate(zip(self.rule_masks, self.rule_needs)):
             key = (need, (self.byz_mask >> b) & 1, tb.bit_count(), self.users[b].bit_count())
             bucket = buckets.setdefault(key, [])
             for members in bucket:
                 a = members[0]
-                ta = self.quota_req[a][0]
+                ta = self.rule_masks[a][0]
                 pair = (1 << a) | (1 << b)
                 moved = ((ta >> a) ^ (ta >> b)) & 1
                 swapped = ta ^ (moved << a | moved << b)
@@ -213,40 +227,6 @@ class _Masks:
                 classes.append(bucket[-1])
         return classes
 
-
-class _QuorumView:
-    """One network prepared for the quorum searches of one command.
-
-    The bitmask view, the largest quorum and the twin classes are built
-    on first use and shared by every search that is handed the view:
-    :func:`check_quorum_intersection`, :func:`check_qi_honest` and
-    :func:`minimal_quora` give the same reports with it as without. A
-    quota split scan whose table holds the minimal-quora table leaves a
-    reference to it here, and the next :func:`minimal_quora` call takes
-    it instead of building its own. A view caches nothing on the network
-    and is meant to live for one command, so a table that no display
-    takes is freed with it.
-    """
-
-    def __init__(self, net: Network):
-        self.net = net
-        # The closed split table of the whole largest quorum and its twin
-        # classes, left by a scan for the next minimal_quora call.
-        self.closed: tuple[np.ndarray, list[list[int]]] | None = None
-
-    @cached_property
-    def masks(self) -> _Masks:
-        return _Masks(self.net)
-
-    @cached_property
-    def top(self) -> int:
-        """The largest quorum, as a mask."""
-        return self.masks.max_quorum(self.masks.full)
-
-    @cached_property
-    def twin_classes(self) -> list[list[int]]:
-        return self.masks.twin_classes()
-
     def classes_within(self, pool: int) -> list[list[int]]:
         """The twin classes inside ``pool``, a union of them, lowest first."""
         return [members for members in self.twin_classes if (pool >> members[0]) & 1]
@@ -255,8 +235,9 @@ class _QuorumView:
 def is_quorum(net: Network, q) -> bool:
     """True when ``q`` is non-empty and every honest member wins inside it.
 
-    Decided on the definition, one member at a time, with none of the
-    search machinery, so it can re-check the searches' witnesses.
+    Decided on the definition, one member at a time against its winning
+    rules, with none of the search machinery (no masks, tables or
+    fixpoints), so it can re-check the searches' witnesses.
     """
     members = frozenset(q)
     unknown = sorted(members - set(net.nodes))
@@ -273,8 +254,8 @@ def max_quorum_within(net: Network, s) -> frozenset[NodeId]:
     unknown = sorted(members - set(net.nodes))
     if unknown:
         raise ValueError(f"unknown nodes in candidate set: {', '.join(unknown)}")
-    masks = _Masks(net)
-    return masks.labels(masks.max_quorum(masks._mask(members)))
+    view = _QuorumView(net)
+    return view.labels(view.max_quorum(view._mask(members)))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +263,7 @@ def max_quorum_within(net: Network, s) -> frozenset[NodeId]:
 
 
 def _iter_generated_quora(
-    masks: _Masks,
+    view: _QuorumView,
     universe: int,
     seeds: int,
     max_states: int,
@@ -304,7 +285,7 @@ def _iter_generated_quora(
     members below the branching one as ``known`` and skips them when it
     looks for its own first lacking member.
     """
-    slices = masks.slice_masks
+    slices = view.rule_masks
     visited: set[int] = set()
     room = universe
     while seeds:
@@ -346,7 +327,7 @@ def _iter_generated_quora(
         room &= ~seed
 
 
-def _quorum_table(masks: _Masks, classes: list[list[int]], base: int = 0) -> np.ndarray:
+def _quorum_table(view: _QuorumView, classes: list[list[int]], base: int = 0) -> np.ndarray:
     """Flat flags of the quorum count vectors over ``classes``, a byte each.
 
     Digit ``j`` of an index counts the members of ``classes[j]`` in a set,
@@ -360,10 +341,10 @@ def _quorum_table(masks: _Masks, classes: list[list[int]], base: int = 0) -> np.
     high and a low half, so each class costs one outer comparison of two
     arrays of about the square root of the table's size.
     """
-    width = (len(masks.order) + 7) // 8
+    width = (len(view.order) + 7) // 8
     checks, trusts, needs = [], [], []
     for j, members in enumerate(classes):
-        tmask, need = masks.quota_req[members[0]]
+        [tmask], [need] = view.rule_masks[members[0]], view.rule_needs[members[0]]
         need -= (tmask & base).bit_count()
         if need > 0:
             checks.append(j)
@@ -470,8 +451,8 @@ def _minimal_quota_quora(view: _QuorumView, max_states: int) -> list[tuple[int, 
         BudgetExceededError: when the table exceeds ``max_states`` count
             vectors, or more than ``max_states`` quora would be listed.
     """
-    masks, top = view.masks, view.top
-    classes = view.classes_within(top & masks.honest_mask)
+    top = view.top
+    classes = view.classes_within(top & view.honest_mask)
     radix = [len(members) + 1 for members in classes]
     size = prod(radix)
     if size > max_states:
@@ -480,14 +461,14 @@ def _minimal_quota_quora(view: _QuorumView, max_states: int) -> list[tuple[int, 
         )
     shared, view.closed = view.closed, None
     if shared is None:
-        table = _close_upward(_quorum_table(masks, classes), radix)
+        table = _close_upward(_quorum_table(view, classes), radix)
     else:
         # No Byzantine node is counted or checked where the scan counts
         # none, so there its table is this one: a copy when it has
         # Byzantine classes, else the scan's table itself.
         has, scanned = shared
         scanned = scanned[::-1]
-        at = tuple(0 if (masks.byz_mask >> m[0]) & 1 else slice(None) for m in scanned)
+        at = tuple(0 if (view.byz_mask >> m[0]) & 1 else slice(None) for m in scanned)
         has = has.reshape([len(m) + 1 for m in scanned])[at]
         table = np.ascontiguousarray(has).reshape(-1)
         del has, shared
@@ -498,8 +479,8 @@ def _minimal_quota_quora(view: _QuorumView, max_states: int) -> list[tuple[int, 
         _digits(table, r, stride)[:, 1:] &= _digits(free, r, stride)[:, :-1]
         stride *= r
     del free
-    byzantine = top & masks.byz_mask
-    quora = [(b,) for b in range(len(masks.order)) if (byzantine >> b) & 1]
+    byzantine = top & view.byz_mask
+    quora = [(b,) for b in range(len(view.order)) if (byzantine >> b) & 1]
     # picks[v]: the classes a minimal vector draws on, with their counts.
     picks, listed = [], len(quora)
     for index in np.flatnonzero(table).tolist():
@@ -550,19 +531,18 @@ def minimal_quora(
         )
     if view is None:
         view = _QuorumView(net)
-    masks = view.masks
     if isinstance(net, TrustNetwork):
         top = view.top
-        candidates = list(_iter_generated_quora(masks, top, top, max_states))
+        candidates = list(_iter_generated_quora(view, top, top, max_states))
         minimal = [
-            tuple(b for b in range(len(masks.order)) if (q >> b) & 1)
+            tuple(b for b in range(len(view.order)) if (q >> b) & 1)
             for q in candidates
             if not any(o != q and o & q == o for o in candidates)
         ]
     else:
         minimal = _minimal_quota_quora(view, max_states)
     minimal.sort(key=lambda q: (len(q), q))
-    label = masks.order.__getitem__
+    label = view.order.__getitem__
     return tuple(frozenset(map(label, q)) for q in minimal)
 
 
@@ -605,8 +585,7 @@ def _scan_split(
     Raises:
         BudgetExceededError: when the table exceeds ``max_states`` vectors.
     """
-    masks = view.masks
-    bits = [b for b in range(len(masks.order)) if (pool >> b) & 1]
+    bits = [b for b in range(len(view.order)) if (pool >> b) & 1]
     # Classes lie wholly inside or outside the pool, since permutations
     # inside classes keep it; the first holds the pivot, its lowest member.
     classes = view.classes_within(pool)
@@ -616,7 +595,7 @@ def _scan_split(
         raise BudgetExceededError(
             f"a split table of {size} count vectors exceeds {max_states} states"
         )
-    has = _close_upward(_quorum_table(masks, classes, base), radix)
+    has = _close_upward(_quorum_table(view, classes, base), radix)
     if not base and pool == view.top:
         view.closed = has, classes
     # Axis -1 - j of the violations is digit j; the pivot's class counts at least 1.
@@ -638,7 +617,7 @@ def _scan_split(
             lo[j] = r + 1
     side = sum(1 << b for j, members in enumerate(classes) for b in members[: lo[j]])
     code = sum(1 << k for k, b in enumerate(bits[1:]) if (side >> b) & 1)
-    return code + 1, (masks.max_quorum(side | base), masks.max_quorum(pool & ~side | base))
+    return code + 1, (view.max_quorum(side | base), view.max_quorum(pool & ~side | base))
 
 
 def _to_words(masks: list[int], width: int) -> np.ndarray:
@@ -651,7 +630,7 @@ def _from_words(row: np.ndarray) -> int:
     return int.from_bytes(row.astype("<u8").tobytes(), "little")
 
 
-def _first_disjoint(masks: _Masks, top: int, counted: int, max_states: int) -> QuorumReport:
+def _first_disjoint(view: _QuorumView, top: int, counted: int, max_states: int) -> QuorumReport:
     """Grow quora inside ``top`` until one leaves room for a counted-disjoint quorum.
 
     Quora grow from the singletons of top's ``counted`` nodes, each
@@ -681,11 +660,11 @@ def _first_disjoint(masks: _Masks, top: int, counted: int, max_states: int) -> Q
     otherwise does the overrun propagate, so the budget trips exactly
     when a one-at-a-time search would.
     """
-    width = (len(masks.order) + 63) // 64
+    width = (len(view.order) + 63) // 64
     coalitions, owners = [], []
-    for k in range(len(masks.order)):
+    for k in range(len(view.order)):
         if (top >> k) & 1:
-            for s in masks.slice_masks[k]:
+            for s in view.rule_masks[k]:
                 if not s & ~top:
                     coalitions.append(s)
                     owners.append(k)
@@ -712,7 +691,7 @@ def _first_disjoint(masks: _Masks, top: int, counted: int, max_states: int) -> Q
 
     counted_words = _to_words([counted], width)
     inside = top & counted
-    quora = _iter_generated_quora(masks, top, inside, max_states, counted, inside.bit_count() // 2)
+    quora = _iter_generated_quora(view, top, inside, max_states, counted, inside.bit_count() // 2)
     examined, size = 0, _SLICES_CHUNK_FIRST
     while True:
         chunk, overrun = [], None
@@ -729,7 +708,7 @@ def _first_disjoint(masks: _Masks, top: int, counted: int, max_states: int) -> Q
             if hits.size:
                 j = int(hits[0])
                 other = _from_words(rest[j])
-                witness = (masks.labels(chunk[j]), masks.labels(other))
+                witness = (view.labels(chunk[j]), view.labels(other))
                 return QuorumReport(False, witness, examined + j + 1)
         if overrun is not None:
             raise overrun
@@ -749,24 +728,24 @@ def _check_qi(
         )
     if view is None:
         view = _QuorumView(net)
-    masks, top = view.masks, view.top
-    counted = masks.honest_mask if honest else masks.full
+    top = view.top
+    counted = view.honest_mask if honest else view.full
     if not (top & counted):
         return QuorumReport(True, None, 0)
 
     if isinstance(net, TrustNetwork):
-        return _first_disjoint(masks, top, counted, max_states)
+        return _first_disjoint(view, top, counted, max_states)
 
     if honest:
         # Every honest node is split; the Byzantine members of top join
         # both sides, which keeps only the honest parts disjoint.
-        examined, witness = _scan_split(view, masks.honest_mask, top & masks.byz_mask, max_states)
+        examined, witness = _scan_split(view, view.honest_mask, top & view.byz_mask, max_states)
     else:
         examined, witness = _scan_split(view, top, 0, max_states)
     if witness is None:
         return QuorumReport(True, None, examined)
     q1, q2 = witness
-    return QuorumReport(False, (masks.labels(q1), masks.labels(q2)), examined)
+    return QuorumReport(False, (view.labels(q1), view.labels(q2)), examined)
 
 
 def check_quorum_intersection(

@@ -290,6 +290,24 @@ class TestFindFork:
         with pytest.raises(BudgetExceededError):
             find_fork(nets.two_triangles(), max_total_slices=2)
 
+    def test_self_fork_on_unvalidated_quota_network(self):
+        # Quota 1/2 fails validation: a need of 2 out of 4 trustees lets
+        # one node settle on both values, each backed by two Byzantine
+        # trustees, or by itself and one.
+        net = QuotaNetwork(
+            nodes=("a", "x", "y", "w"),
+            byzantine=frozenset("xyw"),
+            trust={"a": frozenset("axyw")},
+            quota={"a": Fraction(1, 2)},
+        )
+        witness = find_fork(net)
+        assert witness is not None
+        assert witness.node_a == witness.node_b == "a"
+        assert validates(net, witness.profile, "a", witness.value_a)
+        assert validates(net, witness.profile, "a", witness.value_b)
+        assert witness.value_a != witness.value_b
+        assert oracles.forked_by_profile_enumeration(net)
+
 
 class TestClosure:
     def test_unique_selector_reaches_triangle(self):

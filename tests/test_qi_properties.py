@@ -57,7 +57,7 @@ from quorumlens import (
     slice_addition_instance,
 )
 from quorumlens.quorum import _SLICES_CHUNK_FIRST as FIRST_CHUNK
-from quorumlens.quorum import _Masks
+from quorumlens.quorum import _QuorumView
 
 QUOTAS = (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(1))
 TOPOLOGIES = ("clique", "overlapping-groups", "centralised")
@@ -414,7 +414,7 @@ def generated_nets(seed: int, count: int, min_nodes: int, max_nodes: int, topolo
 
 
 def largest_class(net) -> int:
-    return max(len(members) for members in _Masks(net).twin_classes())
+    return max(len(members) for members in _QuorumView(net).twin_classes)
 
 
 def test_twin_classes_are_exactly_the_swaps():
@@ -431,7 +431,7 @@ def test_twin_classes_are_exactly_the_swaps():
     ]
     merged = 0
     for net in nets:
-        classes = _Masks(net).twin_classes()
+        classes = _QuorumView(net).twin_classes
         assert sorted(k for members in classes for k in members) == list(range(len(net.nodes)))
         assert all(members == sorted(members) for members in classes)
         assert [members[0] for members in classes] == sorted(members[0] for members in classes)
