@@ -29,6 +29,7 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import influence as influence_mod
 from .instances import (
+    TOPOLOGIES,
     DimacsError,
     GenParams,
     cnf_to_network,
@@ -42,6 +43,7 @@ from .network import (
     NetworkValidationError,
     QuotaNetwork,
     QuotaRangeWarning,
+    _range_findings,
     find_fork,
     network_violations,
     profile_violations,
@@ -146,13 +148,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", type=_at_least_one, required=True)
     p.add_argument("--trust", type=_at_least_one, required=True)
     p.add_argument("--quota", type=_rational, required=True)
-    p.add_argument("--byz", type=_non_negative, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--topology",
-        choices=["clique", "overlapping-groups", "centralised"],
-        default="clique",
-    )
+    p.add_argument("--byz", type=_non_negative, default=GenParams.byzantine_count)
+    p.add_argument("--seed", type=int, default=GenParams.seed)
+    p.add_argument("--topology", choices=TOPOLOGIES, default=GenParams.topology)
     p.add_argument("-o", "--output", required=True)
     return parser
 
@@ -326,8 +324,8 @@ def _run_safety(args):
     quotas = {net.quota[i] for i in honest}
     summary = {
         "quota_uniform": len(quotas) == 1,
-        "quota_in_recommended_range": all(
-            Fraction(3, 4) <= q <= 1 for q in quotas
+        "quota_in_recommended_range": not any(
+            _range_findings(q, None) for q in quotas
         ),
         "overlap_all_pass": overlap_all_pass,
         "common_trust_nonempty": bool(common),

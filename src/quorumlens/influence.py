@@ -49,9 +49,6 @@ class InfluenceMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
     byzantine_rows: frozenset[NodeId]
 
-    def as_float(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.entries], dtype=float)
-
     def row(self, node: NodeId) -> tuple[Fraction, ...]:
         return self.entries[self.order.index(node)]
 

@@ -273,15 +273,19 @@ def slice_addition_instance(
 # ---------------------------------------------------------------------------
 # Random quota networks
 
+# The topologies random_quota_network builds, in the order the CLI lists them.
+TOPOLOGIES = ("clique", "overlapping-groups", "centralised")
+
 
 @dataclass(frozen=True)
 class GenParams:
     """Parameters of the seeded random quota-network generator.
 
-    ``topology`` is one of ``clique`` (one shared trust set),
-    ``overlapping-groups`` (groups sharing a core of ``overlap * trust_size``
-    nodes) or ``centralised`` (a core trusted by everyone; core members
-    trust themselves, each other, and every Byzantine node).
+    ``topology`` is one of :data:`TOPOLOGIES`: ``clique`` (one shared
+    trust set), ``overlapping-groups`` (groups sharing a core of
+    ``overlap * trust_size`` nodes) or ``centralised`` (a core trusted by
+    everyone; core members trust themselves, each other, and every
+    Byzantine node).
     """
 
     node_count: int

@@ -13,11 +13,11 @@ exact searches behind explicit budgets:
   against the largest quorum of its complement; the checks stop growing
   candidates at half the size of the largest quorum. Candidates are
   grown incrementally (a grown candidate skips the members its parent
-  already found satisfied) and judged in chunks: one numpy greatest
-  fixpoint finds the largest quorum of every complement in the chunk at
-  once, over masks of ``ceil(n/64)`` ``uint64`` words. A budget overrun
-  while a chunk fills still judges the candidates already drawn, so the
-  search stops exactly where a one-at-a-time loop would;
+  already found satisfied), and each search state carries the largest
+  quorum of its complement, shrunk as the state grows: removing the
+  state's new members re-checks only their users. So every quorum is
+  judged as it is grown, and a budget overrun stops the search exactly
+  where it trips;
 * quota networks use a pivot-fixed scan over the splits of a pool of
   nodes, decided from one numpy table over the count vectors of the
   pool's twin classes (:func:`_scan_split`). Twins are nodes whose swap
@@ -43,9 +43,10 @@ both sides, and a Byzantine node, which needs only itself, is always in
 the largest quorum; so the honest check shares its table only when the
 network has no Byzantine node and every node is in the largest quorum.
 
-Single sets (the largest quorum, :func:`max_quorum_within`,
-:func:`minimal_quora`) use a scalar worklist fixpoint that re-checks
-only the nodes depending on a removed member.
+Every largest quorum (of the network, of :func:`max_quorum_within`, of
+a split's sides and of a generated quorum's complement) comes from one
+scalar worklist greatest fixpoint, :meth:`_QuorumView.max_quorum`, that
+re-checks only the nodes depending on a removed member.
 
 Both report a witness pair of quora whenever intersection fails, and a
 budget overrun is always a distinct outcome, never a verdict.
@@ -163,16 +164,21 @@ class _QuorumView:
     def labels(self, mask: int) -> frozenset[NodeId]:
         return frozenset(self.order[k] for k in range(len(self.order)) if (mask >> k) & 1)
 
-    def max_quorum(self, within: int) -> int:
+    def max_quorum(self, within: int, queue: int | None = None) -> int:
         """Largest quorum contained in ``within`` (0 when none exists).
 
-        A worklist greatest fixpoint: every member is checked once, and a
-        member with no winning rule met inside the surviving set is
+        A worklist greatest fixpoint: every queued member is checked once,
+        and a member with no winning rule met inside the surviving set is
         removed, which re-queues only its surviving users. Every unqueued
         survivor keeps a rule, so the result is the unique fixpoint, and
-        it contains every quorum that fits in ``within``.
+        it contains every quorum that fits in ``within``. ``queue``
+        defaults to all of ``within``; queueing fewer members is valid
+        only when every member left out already meets a rule inside
+        ``within``, as the members of a quorum that do not use a removed
+        node do.
         """
-        current = queue = within
+        current = within
+        queue = within if queue is None else queue & within
         rule_masks, rule_needs, users = self.rule_masks, self.rule_needs, self.users
         while queue:
             low = queue & -queue
@@ -267,10 +273,10 @@ def _iter_generated_quora(
     universe: int,
     seeds: int,
     max_states: int,
-    counted: int = -1,
+    counted: int = 0,
     max_size: int | None = None,
 ):
-    """Yield quorum masks grown from the singleton of each node of ``seeds``.
+    """Yield ``(q, rest)`` for each quorum ``q`` grown from a seed's singleton.
 
     Seeds go in bit order, and the search from a seed never adds an
     earlier seed. Every inclusion-minimal quorum inside ``universe`` that
@@ -284,16 +290,44 @@ def _iter_generated_quora(
     keeps its members' coalitions, so each child carries the parent's
     members below the branching one as ``known`` and skips them when it
     looks for its own first lacking member.
+
+    ``rest`` is ``view.max_quorum(universe & ~(q & counted))`` whenever
+    that holds a counted node, and 0 otherwise; ``universe`` must be a
+    quorum. Each state carries ``max_quorum(universe & ~(p & counted))``
+    for an ancestor ``p`` (or for no members at all, at a seed), which
+    contains the state's own, because the greatest fixpoint only shrinks
+    as the set it searches shrinks. It is shrunk to the state's own
+    complement by removing the state's counted members and re-queueing
+    only their users, at a quorum and at a state with two or more
+    children to push; a lone child inherits it unshrunk and removes the
+    parent's members with its own. A ``rest`` without a counted node
+    keeps none in any descendant, so it travels as 0 and is never
+    shrunk: with ``counted`` 0, no ``rest`` is ever computed.
     """
-    slices = view.rule_masks
+    slices, users = view.rule_masks, view.users
+
+    def shrink(rest: int, q: int) -> int:
+        gone = rest & q & counted
+        if not gone:
+            return rest
+        rest ^= gone
+        queue = 0
+        while gone:
+            low = gone & -gone
+            gone ^= low
+            queue |= users[low.bit_length() - 1]
+        rest = view.max_quorum(rest, queue)
+        return rest if rest & counted else 0
+
     visited: set[int] = set()
     room = universe
+    alive = universe if universe & counted else 0
     while seeds:
         seed = seeds & -seeds
         seeds ^= seed
-        stack = [(seed, 0)]
+        stack = [(seed, 0, alive)]
         while stack:
-            q, known = stack.pop()
+            q, known, rest = stack.pop()
             if q in visited:
                 continue
             if max_size is not None and (q & counted).bit_count() > max_size:
@@ -315,15 +349,17 @@ def _iter_generated_quora(
                     unsat = low
                     break
             if not unsat:
-                yield q
+                yield q, shrink(rest, q)
                 continue
             known = q & (unsat - 1)
-            for smask in slices[unsat.bit_length() - 1]:
-                child = q | smask
-                if child & ~room:
-                    continue
-                if child not in visited:
-                    stack.append((child, known))
+            children = [
+                child
+                for smask in slices[unsat.bit_length() - 1]
+                if not (child := q | smask) & ~room and child not in visited
+            ]
+            if len(children) > 1:
+                rest = shrink(rest, q)
+            stack.extend((child, known, rest) for child in children)
         room &= ~seed
 
 
@@ -533,7 +569,7 @@ def minimal_quora(
         view = _QuorumView(net)
     if isinstance(net, TrustNetwork):
         top = view.top
-        candidates = list(_iter_generated_quora(view, top, top, max_states))
+        candidates = [q for q, _ in _iter_generated_quora(view, top, top, max_states)]
         minimal = [
             tuple(b for b in range(len(view.order)) if (q >> b) & 1)
             for q in candidates
@@ -548,14 +584,6 @@ def minimal_quora(
 
 # ---------------------------------------------------------------------------
 # Quorum-intersection checks
-
-# The slices search judges generated quora in chunks that start small, so
-# an early witness costs little, and double up to a cap. A chunk pays for
-# every quorum generated past the witness, so it starts at 16, and it
-# holds a (chunk, coalitions) temporary per round, so it stops at 256.
-_SLICES_CHUNK_FIRST = 16
-_SLICES_CHUNK_MAX = 256
-
 
 def _scan_split(
     view: _QuorumView, pool: int, base: int, max_states: int
@@ -620,16 +648,6 @@ def _scan_split(
     return code + 1, (view.max_quorum(side | base), view.max_quorum(pool & ~side | base))
 
 
-def _to_words(masks: list[int], width: int) -> np.ndarray:
-    """One row of ``width`` little-endian ``uint64`` words per mask."""
-    raw = b"".join(m.to_bytes(8 * width, "little") for m in masks)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), width).copy()
-
-
-def _from_words(row: np.ndarray) -> int:
-    return int.from_bytes(row.astype("<u8").tobytes(), "little")
-
-
 def _first_disjoint(view: _QuorumView, top: int, counted: int, max_states: int) -> QuorumReport:
     """Grow quora inside ``top`` until one leaves room for a counted-disjoint quorum.
 
@@ -642,80 +660,22 @@ def _first_disjoint(view: _QuorumView, top: int, counted: int, max_states: int) 
     on the way is one of its subsets), and the other quorum fits in that
     quorum's complement.
 
-    For each generated quorum ``q`` the largest quorum avoiding the
-    counted members of ``q`` is computed; when it holds a counted node,
-    the pair is a witness, and ``quora_examined`` is the index of ``q``
-    in generation order + 1.
-
-    Generated quora are judged in chunks of ``_SLICES_CHUNK_FIRST``
-    doubling up to ``_SLICES_CHUNK_MAX``. Each chunk runs one greatest
-    fixpoint on all of its complements ``top & ~(q & counted)`` at once:
-    masks are rows of ``ceil(n/64)`` ``uint64`` words, and each round
-    keeps the members that still hold a coalition inside their row, read
-    off a flat table of the coalitions inside top and their owners, until
-    no row changes.
-
-    When the state budget trips while a chunk fills, the quora already
-    drawn are judged first: a witness among them is returned, and only
-    otherwise does the overrun propagate, so the budget trips exactly
-    when a one-at-a-time search would.
+    Each generated quorum ``q`` comes with the largest quorum of
+    ``top & ~(q & counted)`` when that holds a counted node, which the
+    search carries down from state to state
+    (:func:`_iter_generated_quora`). The first such pair is the witness,
+    and ``quora_examined`` is the index of ``q`` in generation order + 1.
+    Quora are judged one at a time as they are grown, so a budget
+    overrun propagates exactly where the search trips.
     """
-    width = (len(view.order) + 63) // 64
-    coalitions, owners = [], []
-    for k in range(len(view.order)):
-        if (top >> k) & 1:
-            for s in view.rule_masks[k]:
-                if not s & ~top:
-                    coalitions.append(s)
-                    owners.append(k)
-    need = _to_words(coalitions, width)
-    # owned[c, k] = 1 when coalition c belongs to node k; a product with
-    # it counts, per bit position, the node's coalitions inside a set. It
-    # is float32 so the product runs in BLAS; the counts stay exact.
-    owned = np.zeros((len(coalitions), 64 * width), dtype=np.float32)
-    owned[np.arange(len(coalitions)), owners] = 1
-
-    def largest_quora(cur):
-        live = np.arange(len(cur))
-        while live.size:
-            rows = cur[live]
-            missing = need[:, 0] & ~rows[:, 0, None]
-            for w in range(1, width):
-                missing |= need[:, w] & ~rows[:, w, None]
-            held = (missing == 0).astype(np.float32) @ owned > 0
-            shrunk = rows & np.packbits(held, axis=1, bitorder="little").view("<u8")
-            moved = (shrunk != rows).any(axis=1)
-            live = live[moved]
-            cur[live] = shrunk[moved]
-        return cur
-
-    counted_words = _to_words([counted], width)
     inside = top & counted
     quora = _iter_generated_quora(view, top, inside, max_states, counted, inside.bit_count() // 2)
-    examined, size = 0, _SLICES_CHUNK_FIRST
-    while True:
-        chunk, overrun = [], None
-        try:
-            for q in quora:
-                chunk.append(q)
-                if len(chunk) == size:
-                    break
-        except BudgetExceededError as exc:
-            overrun = exc
-        if chunk:
-            rest = largest_quora(_to_words([top & ~(q & counted) for q in chunk], width))
-            hits = np.flatnonzero((rest & counted_words).any(axis=1))
-            if hits.size:
-                j = int(hits[0])
-                other = _from_words(rest[j])
-                witness = (view.labels(chunk[j]), view.labels(other))
-                return QuorumReport(False, witness, examined + j + 1)
-        if overrun is not None:
-            raise overrun
-        examined += len(chunk)
-        if len(chunk) < size:
-            return QuorumReport(True, None, examined)
-        size = min(2 * size, _SLICES_CHUNK_MAX)
+    examined = 0
+    for q, rest in quora:
+        examined += 1
+        if rest:
+            return QuorumReport(False, (view.labels(q), view.labels(rest)), examined)
+    return QuorumReport(True, None, examined)
 
 
 def _check_qi(

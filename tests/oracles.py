@@ -18,6 +18,8 @@ import random
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
+import numpy as np
+
 from quorumlens import (
     Cnf,
     GenParams,
@@ -443,6 +445,11 @@ def is_idempotent_exact(m: InfluenceMatrix) -> bool:
     return multiply_exact(m, m).entries == m.entries
 
 
+def as_float(m: InfluenceMatrix) -> np.ndarray:
+    """The entries of influence matrix ``m`` as a float array, row by row."""
+    return np.array([[float(x) for x in row] for row in m.entries], dtype=float)
+
+
 def limit_by_squaring(m, squarings: int = 16):
     """Float limit of the powers of influence matrix ``m`` by repeated squaring.
 
@@ -451,7 +458,7 @@ def limit_by_squaring(m, squarings: int = 16):
     move an entry by 0.1), so the default raises ``m`` to the power 65,536,
     far past the mixing time of the small networks the suites use.
     """
-    power = m.as_float()
+    power = as_float(m)
     for _ in range(squarings):
         power = power @ power
     return power

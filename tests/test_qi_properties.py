@@ -8,14 +8,14 @@ share no node (no honest node, for the honest check). They must also
 reproduce the scalar generated-quorum search of
 ``oracles.first_generated_witness`` exactly: verdict, witness, quora
 examined and the state budget at which the search gives up. The library
-judges generated quora in chunks over masks of 64-bit words, so those
-inputs include witnesses on and next to a chunk boundary and networks
-of more than 64 nodes. Every slices search grows each quorum from its
-lowest seed alone, and a slice addition is the full check on the
-extended network: the addition must refuse exactly the bases that pair
-enumeration finds split, slices ``minimal_quora`` must equal the
-oracle's, and an unsatisfiable 10-variable reduction, and the slice
-addition that restores it, must be decided within a few thousand
+carries each search state's largest complement quorum down the search,
+so those inputs include witnesses at several depths of generation order
+and networks of more than 64 nodes. Every slices search grows each
+quorum from its lowest seed alone, and a slice addition is the full
+check on the extended network: the addition must refuse exactly the
+bases that pair enumeration finds split, slices ``minimal_quora`` must
+equal the oracle's, and an unsatisfiable 10-variable reduction, and the
+slice addition that restores it, must be decided within a few thousand
 states.
 
 The quota split scan works up to twin symmetry, so it is also checked on
@@ -56,8 +56,7 @@ from quorumlens import (
     random_quota_network,
     slice_addition_instance,
 )
-from quorumlens.quorum import _SLICES_CHUNK_FIRST as FIRST_CHUNK
-from quorumlens.quorum import _QuorumView
+from quorumlens.quorum import DEFAULT_MAX_SEARCH_STATES, _iter_generated_quora, _QuorumView
 
 QUOTAS = (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(1))
 TOPOLOGIES = ("clique", "overlapping-groups", "centralised")
@@ -175,9 +174,9 @@ def fixed_cnfs(picks):
 
 
 # Reductions whose witness is the 15th, 16th or 17th generated quorum:
-# the last rows of the first chunk and the first row of the second.
+# witnesses found after a run of quora that each leave no disjoint one.
 BOUNDARY_CNFS = ((4, 26), (4, 36), (5, 30))
-# 11 and 12 variables give 82 and 89 nodes (two words per mask); each
+# 11 and 12 variables give 82 and 89 nodes (masks past 64 bits); each
 # of these is satisfiable with a witness within the first 200 quora.
 WIDE_CNFS = ((11, 7), (11, 10), (11, 34), (12, 7), (12, 25))
 
@@ -186,8 +185,8 @@ def assert_same_search(run, expected):
     """``run(max_states=...)`` reports ``expected`` and stops at its state count.
 
     A budget of exactly the witness's state count trips at the next new
-    state, while the witness's chunk is still filling unless the witness
-    ends it; the quora already drawn must still be judged.
+    state, after the witness is judged, so the report is unchanged; one
+    state less trips before the witness is reached.
     """
     holds, witness, examined, states = expected
     report = run()
@@ -218,8 +217,53 @@ def test_slice_searches_match_the_scalar_generated_search():
             if not expected[0]:
                 witness_rows.add(expected[2])
     assert min(seen[False] + seen[True]) >= 10, seen
-    assert {1, FIRST_CHUNK - 1, FIRST_CHUNK, FIRST_CHUNK + 1} <= witness_rows
+    assert {1, 15, 16, 17} <= witness_rows
     assert max(len(net.nodes) for net in nets) > 64
+
+
+def test_generated_quora_carry_the_largest_quorum_of_their_complement():
+    # Each generated quorum q comes with rest, the largest quorum of
+    # top & ~(q & counted) whenever that holds a counted node, carried
+    # down the search; a rest without one travels as 0. Restarting the
+    # fixpoint from a quorum minus a set needs only that set's users.
+    rng = random.Random(227)
+    byzantine = [
+        oracles.random_explicit_net(
+            rng,
+            rng.randint(4, 10),
+            max_slices=rng.randint(1, 4),
+            max_slice_size=rng.randint(1, 4),
+            byz_count=rng.randint(1, 3),
+        )
+        for _ in range(60)
+    ]
+    reductions = [cnf_to_network(cnf) for cnf in [*cnfs(229, 12), *fixed_cnfs(WIDE_CNFS)]]
+    seen = {"live": 0, "dead": 0, "byzantine in q": 0}
+    for net in [*slice_nets(233, 80), *reductions, *byzantine]:
+        view = _QuorumView(net)
+        top = view.top
+        for counted in (view.full, view.honest_mask):
+            seeds = top & counted
+            quora = _iter_generated_quora(
+                view, top, seeds, DEFAULT_MAX_SEARCH_STATES, counted, seeds.bit_count() // 2
+            )
+            for q, rest in itertools.islice(quora, 300):
+                removed = q & counted
+                expected = view.max_quorum(top & ~removed)
+                assert bool(rest & counted) == bool(expected & counted), (net, q)
+                if rest & counted:
+                    assert rest == expected, (net, q)
+                    seen["live"] += 1
+                    seen["byzantine in q"] += bool(q & view.byz_mask & expected)
+                else:
+                    seen["dead"] += 1
+                users = 0
+                for k in range(len(view.order)):
+                    if (removed >> k) & 1:
+                        users |= view.users[k]
+                assert view.max_quorum(top & ~removed, users) == expected, (net, q)
+    assert min(seen.values()) >= 20, seen
+    assert max(len(net.nodes) for net in reductions) > 64
 
 
 def extended_network(base, node, new_slice):
