@@ -11,6 +11,9 @@ strongly connected component must be aperiodic, and a unique closed
 component makes the limit rows identical. The limit itself is solved in
 exact rationals from the stationary distributions of the closed
 components and the absorption probabilities of the other nodes.
+
+numpy is imported inside the winning-table builder,
+:func:`_winning_table`, only, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .bounds import common_trust_set
 from .graphs import component_period, strongly_connected_components
@@ -65,6 +66,8 @@ def _winning_table(net: Network, i: NodeId, members: list[NodeId]) -> bytes:
     zeta transform over OR): for each bit, every mask with the bit clear
     passes its flag to the same mask with the bit set.
     """
+    import numpy as np
+
     k = len(members)
     if isinstance(net, QuotaNetwork):
         count = np.zeros(1, dtype=np.uint8)

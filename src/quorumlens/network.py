@@ -146,12 +146,15 @@ class QuotaNetwork:
         quota = {k: as_fraction(v) for k, v in self.quota.items()}
         object.__setattr__(self, "quota", quota)
         fractions = {k: as_fraction(v) for k, v in self.byz_fraction.items()}
-        defaults: dict[Fraction, Fraction] = {}
+        # Keyed by (numerator, denominator): hashing a Fraction costs a
+        # modular inverse per lookup, hashing a pair of ints does not.
+        defaults: dict[tuple[int, int], Fraction] = {}
         for node, q in quota.items():
             if node not in fractions:
-                b = defaults.get(q)
+                key = q.numerator, q.denominator
+                b = defaults.get(key)
                 if b is None:
-                    b = defaults[q] = 1 - q
+                    b = defaults[key] = 1 - q
                 fractions[node] = b
         object.__setattr__(self, "byz_fraction", fractions)
 
@@ -323,15 +326,17 @@ def network_violations(net: Network) -> list[str]:
                 problems.append(f"missing quota for: {', '.join(missing)}")
             if extra:
                 problems.append(f"quota given for non-honest nodes: {', '.join(extra)}")
+        # Keyed by integers, as the defaults in QuotaNetwork.__post_init__.
         judged: dict[tuple, list[tuple[bool, str]]] = {}
         for i in honest:
             q = net.quota.get(i)
             if q is None:
                 continue
             b = net.byz_fraction.get(i)
-            findings = judged.get((q, b))
+            key = q.numerator, q.denominator, None if b is None else (b.numerator, b.denominator)
+            findings = judged.get(key)
             if findings is None:
-                findings = judged[q, b] = _range_findings(q, b)
+                findings = judged[key] = _range_findings(q, b)
             for is_problem, finding in findings:
                 if is_problem:
                     problems.append(f"node {i}: {finding}")

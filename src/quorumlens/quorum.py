@@ -56,6 +56,11 @@ new slice added; the base is checked only when that check fails.
 fork. :func:`is_quorum` tests the definition member by member on the
 network's winning rules, sharing no code with the searches whose
 witnesses it re-checks.
+
+numpy is imported inside the two table builders only,
+:func:`_quorum_table` and :func:`_minimal_quota_quora`, so a command that
+builds no quota table (every explicit-slice search among them) never
+loads it.
 """
 
 from __future__ import annotations
@@ -64,8 +69,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
 from math import comb, prod
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .network import (
     BudgetExceededError,
@@ -77,6 +81,9 @@ from .network import (
     _rules,
     _wins,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_QI_MAX_NODES = 20
 DEFAULT_MINIMAL_MAX_NODES = 16
@@ -377,6 +384,8 @@ def _quorum_table(view: _QuorumView, classes: list[list[int]], base: int = 0) ->
     high and a low half, so each class costs one outer comparison of two
     arrays of about the square root of the table's size.
     """
+    import numpy as np
+
     width = (len(view.order) + 7) // 8
     checks, trusts, needs = [], [], []
     for j, members in enumerate(classes):
@@ -487,6 +496,8 @@ def _minimal_quota_quora(view: _QuorumView, max_states: int) -> list[tuple[int, 
         BudgetExceededError: when the table exceeds ``max_states`` count
             vectors, or more than ``max_states`` quora would be listed.
     """
+    import numpy as np
+
     top = view.top
     classes = view.classes_within(top & view.honest_mask)
     radix = [len(members) + 1 for members in classes]
