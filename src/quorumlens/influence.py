@@ -11,9 +11,6 @@ strongly connected component must be aperiodic, and a unique closed
 component makes the limit rows identical. The limit itself is solved in
 exact rationals from the stationary distributions of the closed
 components and the absorption probabilities of the other nodes.
-
-numpy is imported inside the winning-table builder,
-:func:`_winning_table`, only, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -32,6 +29,7 @@ from .network import (
     _rules,
     threshold,
 )
+from .quorum import _digit_in
 
 DEFAULT_BANZHAF_MAX_TRUST = 24
 
@@ -54,34 +52,39 @@ class InfluenceMatrix:
         return self.entries[self.order.index(node)]
 
 
+# PLUS_ONE maps a count byte c to c + 1; BITS maps the digits "0" and "1"
+# to the bytes 0 and 1.
+PLUS_ONE = bytes(range(1, 256)) + b"\0"
+BITS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _winning_table(net: Network, i: NodeId, members: list[NodeId]) -> bytes:
     """Win flag (0 or 1) of every coalition mask over ``members``, i's trust set.
 
-    Bit ``b`` of a mask stands for ``members[b]``. Both branches take
-    ``len(members)`` numpy passes over a ``2 ** len(members)``-byte array,
-    whatever the threshold or the number of slices, and never hold an
-    integer array of the masks. A quota table compares each mask's
-    popcount, built by doubling a ``uint8`` array, with the threshold. A
-    slices table is the upward closure of the slice masks (the superset
-    zeta transform over OR): for each bit, every mask with the bit clear
-    passes its flag to the same mask with the bit set.
+    Bit ``b`` of a mask stands for ``members[b]``, and the table holds a
+    byte per mask; it never holds a list or an integer per mask. A quota
+    table reads each mask's popcount, built as bytes by doubling (the
+    masks with the next bit set count one more), against the threshold,
+    with ``bytes.translate``. A slices table is the upward closure of the
+    slice masks (the superset zeta transform over OR) on an int with a bit
+    per mask: for each bit, every mask with the bit clear passes its flag
+    to the same mask with the bit set. Its binary digits, reversed, are
+    the flags as the bytes ``"0"`` and ``"1"``.
     """
-    import numpy as np
-
     k = len(members)
     if isinstance(net, QuotaNetwork):
-        count = np.zeros(1, dtype=np.uint8)
+        count = b"\0"
         for _ in range(k):
-            count = np.concatenate((count, count + 1))
-        return (count >= threshold(net, i)).tobytes()
+            count += count.translate(PLUS_ONE)
+        t = threshold(net, i)
+        return count.translate(bytes(t) + b"\1" * (256 - t))
     index = {n: b for b, n in enumerate(members)}
-    table = np.zeros(1 << k, dtype=bool)
+    table = 0
     for s in net.slices[i]:
-        table[sum(1 << index[n] for n in s)] = True
+        table |= 1 << sum(1 << index[n] for n in s)
     for b in range(k):
-        view = table.reshape(-1, 2, 1 << b)
-        view[:, 1, :] |= view[:, 0, :]
-    return table.tobytes()
+        table |= (table & _digit_in(1 << k, 1 << b, 2, 0, 1)) << (1 << b)
+    return f"{table:0{1 << k}b}"[::-1].encode().translate(BITS)
 
 
 def banzhaf_raw_row(

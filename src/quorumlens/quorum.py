@@ -19,8 +19,8 @@ exact searches behind explicit budgets:
   judged as it is grown, and a budget overrun stops the search exactly
   where it trips;
 * quota networks use a pivot-fixed scan over the splits of a pool of
-  nodes, decided from one numpy table over the count vectors of the
-  pool's twin classes (:func:`_scan_split`). Twins are nodes whose swap
+  nodes, decided from one table over the count vectors of the pool's
+  twin classes (:func:`_scan_split`). Twins are nodes whose swap
   maps the network onto itself (:attr:`_QuorumView.twin_classes`).
   Witnesses and counts are those of a walk over every split code, which
   the scan never makes.
@@ -28,8 +28,12 @@ exact searches behind explicit budgets:
 :func:`minimal_quora` of a quota network reads the same closed table
 (:func:`_quorum_table`, then :func:`_close_upward`), over the twin
 classes of the honest members of the largest quorum. Its minimal count
-vectors are the minimal elements of the closed table: the flagged
-vectors none of whose one-digit decrements is flagged.
+vectors are the minimal elements of the closed table: the vectors in it
+none of whose one-digit decrements is.
+
+A table is a Python int with one bit per count vector, digit 0 of the
+vector varying fastest, so it is built and read with shifts, ANDs and
+ORs over whole tables: a table of 2^20 vectors takes 128 KB.
 
 A :class:`_QuorumView` prepares one network for the searches of one
 ``qi`` command: the bit masks of every node's winning rules, the
@@ -56,11 +60,6 @@ new slice added; the base is checked only when that check fails.
 fork. :func:`is_quorum` tests the definition member by member on the
 network's winning rules, sharing no code with the searches whose
 witnesses it re-checks.
-
-numpy is imported inside the two table builders only,
-:func:`_quorum_table` and :func:`_minimal_quota_quora`, so a command that
-builds no quota table (every explicit-slice search among them) never
-loads it.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
 from math import comb, prod
-from typing import TYPE_CHECKING
+from typing import Sequence
 
 from .network import (
     BudgetExceededError,
@@ -81,9 +80,6 @@ from .network import (
     _rules,
     _wins,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_QI_MAX_NODES = 20
 DEFAULT_MINIMAL_MAX_NODES = 16
@@ -123,9 +119,9 @@ class _QuorumView:
     shared by every search that is handed the view:
     :func:`check_quorum_intersection`, :func:`check_qi_honest` and
     :func:`minimal_quora` give the same reports with it as without. A
-    quota split scan whose table holds the minimal-quora table leaves a
-    reference to it here, and the next :func:`minimal_quora` call takes
-    it instead of building its own. A view caches nothing on the network
+    quota split scan whose table holds the minimal-quora table leaves
+    that table here, and the next :func:`minimal_quora` call takes it
+    instead of building its own. A view caches nothing on the network
     and is meant to live for one command, so a table that no display
     takes is freed with it.
     """
@@ -158,9 +154,9 @@ class _QuorumView:
                     needs.append(need)
             self.rule_masks.append(masks)
             self.rule_needs.append(needs)
-        # The closed split table of the whole largest quorum and its twin
-        # classes, left by a scan for the next minimal_quora call.
-        self.closed: tuple[np.ndarray, list[list[int]]] | None = None
+        # The closed split table of the whole largest quorum where it counts
+        # no Byzantine node, left by a scan for the next minimal_quora call.
+        self.closed: int | None = None
 
     def _mask(self, labels) -> int:
         m = 0
@@ -370,107 +366,123 @@ def _iter_generated_quora(
         room &= ~seed
 
 
-def _quorum_table(view: _QuorumView, classes: list[list[int]], base: int = 0) -> np.ndarray:
-    """Flat flags of the quorum count vectors over ``classes``, a byte each.
+def _digit_in(size: int, stride: int, radix: int, lo: int, hi: int) -> int:
+    """The indices below ``size`` whose digit of ``stride`` is in ``range(lo, hi)``.
+
+    The digit has radix ``radix``. One block of its period is repeated by
+    doubling.
+    """
+    block = ((1 << stride * (hi - lo)) - 1) << stride * lo
+    period, count = stride * radix, size // (stride * radix)
+    out = filled = 0
+    while count:
+        if count & 1:
+            out |= block << filled
+            filled += period
+        count >>= 1
+        if count:
+            block |= block << period
+            period *= 2
+    return out
+
+
+def _reaching(gains: list[Sequence[int]], need: int) -> int:
+    """The count vectors whose gains sum to at least ``need``, which is positive.
+
+    ``gains[j][v]`` is what value ``v`` of digit ``j`` adds: never
+    negative, and 0 for value 0. Built digit by digit from digit 0:
+    ``reach[t]`` holds the prefixes over the digits so far whose gains sum
+    to at least ``t``, for each threshold ``t`` that those digits can
+    reach and the digits still to come can lift to ``need``; a prefix
+    extended by value ``v`` moves up ``v`` strides. Any other positive
+    threshold holds no prefix.
+    """
+    tops = [max(gain) for gain in gains]
+    rest = [0] * (len(gains) + 1)
+    for j in reversed(range(len(gains))):
+        rest[j] = rest[j + 1] + tops[j]
+    reach: dict[int, int] = {}
+    width, done = 1, 0
+    for j, gain in enumerate(gains):
+        every = (1 << width) - 1
+        done += tops[j]
+        extended = {}
+        for t in range(max(1, need - rest[j + 1]), min(need, done) + 1):
+            bits, shift = reach.get(t, 0), 0
+            for g in gain[1:]:
+                shift += width
+                bits |= (every if t <= g else reach.get(t - g, 0)) << shift
+            extended[t] = bits
+        reach, width = extended, width * len(gain)
+    return reach.get(need, 0)
+
+
+def _quorum_table(view: _QuorumView, classes: list[list[int]], base: int = 0) -> int:
+    """The quorum count vectors over ``classes``, as the bits of an int.
 
     Digit ``j`` of an index counts the members of ``classes[j]`` in a set,
-    and digit 0 varies fastest. A set is a quorum when it is non-empty and
-    every member finds ``need`` of its trustees in it or in ``base``,
-    Byzantine nodes that every set holds.
+    digit 0 varies fastest, and bit ``i`` is set when vector ``i`` is a
+    quorum's. A set is a quorum when it is non-empty and every member
+    finds ``need`` of its trustees in it or in ``base``, Byzantine nodes
+    that every set holds.
     The classes must be twin classes: members of one class stand or fall
     together, and each trusts every member of another class or none, and
     every other member of its own or none, so one member per class is
-    checked against a sum of one term per digit. An index splits into a
-    high and a low half, so each class costs one outer comparison of two
-    arrays of about the square root of the table's size.
+    checked against a sum of one gain per digit. Each checked class's
+    satisfied vectors are built digit by digit as shifted ORs
+    (:func:`_reaching`), the vectors where the class is absent are added,
+    and the table is the AND over the checked classes.
     """
-    import numpy as np
-
-    width = (len(view.order) + 7) // 8
-    checks, trusts, needs = [], [], []
-    for j, members in enumerate(classes):
+    radix = [len(members) + 1 for members in classes]
+    size = prod(radix)
+    table = (1 << size) - 2  # every vector but the empty set's
+    stride = 1
+    for c, members in enumerate(classes):
         [tmask], [need] = view.rule_masks[members[0]], view.rule_needs[members[0]]
         need -= (tmask & base).bit_count()
         if need > 0:
-            checks.append(j)
-            trusts.append(tmask.to_bytes(width, "little"))
-            needs.append(need)
-    trusted = np.unpackbits(
-        np.frombuffer(b"".join(trusts), dtype=np.uint8).reshape(len(checks), width),
-        axis=1,
-        bitorder="little",
-    )
-    # weight[c, d]: what each member of class d adds to the trustee count
-    # of a member of class checks[c]; inside its own class, what another
-    # member adds. own[c, checks[c]] corrects that for the member itself
-    # and subtracts its need, once the class is present.
-    rows = np.arange(len(checks))
-    weight = trusted[:, [members[0] for members in classes]].astype(np.int32)
-    itself = weight[rows, checks]
-    weight[rows, checks] = trusted[rows, [classes[j][-1] for j in checks]]
-    own = np.zeros_like(weight)
-    own[rows, checks] = itself - weight[rows, checks] - np.array(needs, dtype=np.int32)
-    radix = [len(members) + 1 for members in classes]
-    size = prod(radix)
-    split, low = 0, 1
-    while split < len(radix) and (low * radix[split]) ** 2 <= size:
-        low *= radix[split]
-        split += 1
-
-    def terms(digits: range, count: int) -> np.ndarray:
-        # Each checked class's count over these digits, at every index of
-        # their half; a class outside them contributes nothing.
-        x = np.empty((len(digits), count), dtype=np.int32)
-        rest = np.arange(count, dtype=np.int32)
-        for row, d in enumerate(digits):
-            rest, x[row] = np.divmod(rest, radix[d])
-        return weight[:, digits] @ x + own[:, digits] @ (x > 0).astype(np.int32)
-
-    # Class c holds when short[c, h] <= have[c, l] for the halves h and l.
-    have = terms(range(split), low)
-    short = -terms(range(split, len(radix)), size // low)
-    table = np.ones((short.shape[1], low), dtype=bool)
-    table[0, 0] = False
-    # Classes in groups whose comparisons fill about 64 KB: few numpy calls
-    # for a small table, one class at a time for a large one.
-    step = max(1, min(len(checks), (1 << 16) // size))
-    scratch = np.empty((step, *table.shape), dtype=bool)
-    for r in range(0, len(checks), step):
-        part = scratch[: len(checks) - r]
-        np.less_equal(short[r : r + step, :, None], have[r : r + step, None, :], out=part)
-        for row in part:
-            table &= row
-    return table.reshape(-1)
+            # What v members of each class add to the trustee count of a
+            # member of this one; in its own class, v counts the member too.
+            gains = [range(r) if (tmask >> m[0]) & 1 else (0,) * r for m, r in zip(classes, radix)]
+            itself, other = (tmask >> members[0]) & 1, (tmask >> members[-1]) & 1
+            gains[c] = [0] + [itself + other * (v - 1) for v in range(1, radix[c])]
+            table &= _reaching(gains, need) | _digit_in(size, stride, radix[c], 0, 1)
+        stride *= radix[c]
+    return table
 
 
-def _close_upward(table: np.ndarray, radix: list[int]) -> np.ndarray:
-    """Flag, in place, every count vector that holds a flagged one; return ``table``.
+def _close_upward(table: int, radix: list[int]) -> int:
+    """Every count vector that holds a vector of ``table``, as bits.
 
-    The prefix-OR along each digit of radix ``radix[j]``, digit 0 fastest
-    (the superset zeta transform over OR): a vector ends up flagged when
-    it is at least a flagged vector in every digit.
+    The prefix OR along each digit of radix ``radix[j]``, digit 0 fastest
+    (the superset zeta transform over OR): each digit value passes its
+    bits one stride up, to the next value. A vector ends up set when it is
+    at least a vector of ``table`` in every digit.
     """
+    size = prod(radix)
     stride = 1
     for r in radix:
-        view = _digits(table, r, stride)
-        for i in range(1, r):
-            view[:, i] |= view[:, i - 1]
+        value = _digit_in(size, stride, r, 0, 1)
+        for _ in range(1, r):
+            table |= (table & value) << stride
+            value <<= stride
         stride *= r
     return table
 
 
-def _digits(table: np.ndarray, r: int, stride: int) -> np.ndarray:
-    """The flat byte table indexed as ``[block, digit value]`` for one digit.
+# REVERSED_BYTES[b] is byte b with its 8 bits in reverse order.
+REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-    A digit of stride 1, 2, 4 or 8 bytes is read as one unsigned word per
-    digit value, so a pass over it is one numpy loop over words; with
-    ``(block, value, byte)`` indexing numpy would run one inner loop of
-    ``stride`` bytes per block. OR and AND act bytewise, so the words
-    combine flags as bytes would. Longer strides keep a byte axis.
+
+def _complement(table: int, size: int) -> int:
+    """``table`` read backwards: bit ``size - 1 - i`` of the result is bit ``i``.
+
+    Reversing a table of count vectors maps each vector to its complement,
+    which has ``radix[j] - 1 - d`` where it has digit ``d``.
     """
-    if stride in (1, 2, 4, 8):
-        return table.view(f"u{stride}").reshape(-1, r)
-    return table.reshape(-1, r, stride)
+    width = (size + 7) // 8
+    flipped = table.to_bytes(width, "little")[::-1].translate(REVERSED_BYTES)
+    return int.from_bytes(flipped, "little") >> (8 * width - size)
 
 
 def _minimal_quota_quora(view: _QuorumView, max_states: int) -> list[tuple[int, ...]]:
@@ -480,24 +492,21 @@ def _minimal_quota_quora(view: _QuorumView, max_states: int) -> list[tuple[int, 
     it forms exactly one minimal quorum, and every other one lies among
     the honest members of ``top``, a union of twin classes. Whether a set
     of them is a quorum, and whether it is a minimal one, depends only on
-    its count vector over those classes: :func:`_quorum_table` flags the
-    quorum vectors and :func:`_close_upward` closes the flags upward, so
-    ``H[v]`` holds when a quorum vector lies at or below ``v``. The
-    minimal quorum vectors are the minimal elements of ``H``: those with
-    ``H[v]`` and no one-digit decrement in ``H``. If ``H[v]`` holds and
-    ``v`` is no quorum vector, the quorum vector below ``v`` lies at or
-    below one of its decrements. Every member choice of a minimal vector
-    is a minimal quorum. When the view's split scan left its table of the
-    whole of ``top``, ``H`` is that table where it counts no Byzantine
-    member; ``H`` is overwritten with the minimality flags, and the flags
-    of the decrements take one more byte a vector.
+    its count vector over those classes: :func:`_quorum_table` sets the
+    quorum vectors and :func:`_close_upward` closes them upward, so bit
+    ``v`` of ``H`` is set when a quorum vector lies at or below ``v``. The
+    minimal quorum vectors are the minimal elements of ``H``, ``H & ~OR_j
+    ((H << stride_j) & digit_j >= 1)``: those none of whose one-digit
+    decrements is in ``H``. If ``v`` is in ``H`` and is no quorum vector,
+    the quorum vector below ``v`` lies at or below one of its decrements.
+    Every member choice of a minimal vector is a minimal quorum. When the
+    view's split scan left its table of the whole of ``top``, ``H`` is
+    that table where it counts no Byzantine member.
 
     Raises:
         BudgetExceededError: when the table exceeds ``max_states`` count
             vectors, or more than ``max_states`` quora would be listed.
     """
-    import numpy as np
-
     top = view.top
     classes = view.classes_within(top & view.honest_mask)
     radix = [len(members) + 1 for members in classes]
@@ -506,38 +515,30 @@ def _minimal_quota_quora(view: _QuorumView, max_states: int) -> list[tuple[int, 
         raise BudgetExceededError(
             f"a minimal-quora table of {size} count vectors exceeds {max_states} states"
         )
-    shared, view.closed = view.closed, None
-    if shared is None:
+    table, view.closed = view.closed, None
+    if table is None:
         table = _close_upward(_quorum_table(view, classes), radix)
-    else:
-        # No Byzantine node is counted or checked where the scan counts
-        # none, so there its table is this one: a copy when it has
-        # Byzantine classes, else the scan's table itself.
-        has, scanned = shared
-        scanned = scanned[::-1]
-        at = tuple(0 if (view.byz_mask >> m[0]) & 1 else slice(None) for m in scanned)
-        has = has.reshape([len(m) + 1 for m in scanned])[at]
-        table = np.ascontiguousarray(has).reshape(-1)
-        del has, shared
-    # Clear, in place, every flagged vector that has a flagged decrement.
-    free = np.logical_not(table)
-    stride = 1
+    minimal, stride = table, 1
     for r in radix:
-        _digits(table, r, stride)[:, 1:] &= _digits(free, r, stride)[:, :-1]
+        minimal &= ~(table << stride) | _digit_in(size, stride, r, 0, 1)
         stride *= r
-    del free
+    del table
     byzantine = top & view.byz_mask
     quora = [(b,) for b in range(len(view.order)) if (byzantine >> b) & 1]
     # picks[v]: the classes a minimal vector draws on, with their counts.
     picks, listed = [], len(quora)
-    for index in np.flatnonzero(table).tolist():
-        pick = []
+    flags = bin(minimal)  # bit i at position len(flags) - 1 - i
+    at = flags.find("1")
+    while at >= 0:
+        index, pick = len(flags) - 1 - at, []
         for members, r in zip(classes, radix):
             index, d = divmod(index, r)
             if d:
                 pick.append((members, d))
         picks.append(pick)
         listed += prod(comb(len(members), d) for members, d in pick)
+        at = flags.find("1", at + 1)
+    del flags
     if listed > max_states:
         raise BudgetExceededError(f"{listed} minimal quora exceed {max_states} states")
     for pick in picks:
@@ -561,8 +562,8 @@ def minimal_quora(
     search visits. Quota networks read them off the split scan's closed
     table over the count vectors of the twin classes of the largest
     quorum's honest members (:func:`_minimal_quota_quora`): the minimal
-    vectors are the flagged ones with no flagged one-digit decrement. It
-    takes a byte per vector and a byte of minimality flags. ``view``, the
+    vectors are those in it with no one-digit decrement in it. The table
+    and its minimal vectors take a bit per vector. ``view``, the
     view of ``net`` that the command's check was handed, lends the table
     its scan left; the result is the same. Both kinds share the
     ``max_nodes`` budget and one sort by size, then node positions.
@@ -609,50 +610,56 @@ def _scan_split(
     code + 1, or all 2^(|pool| - 1) splits and no witness.
 
     A split is decided by its count of side-one members in each twin
-    class, so no code is walked. :func:`_quorum_table` flags the quorum
-    count vectors of the pool's classes; :func:`_close_upward` flags the
+    class, so no code is walked. :func:`_quorum_table` sets the quorum
+    count vectors of the pool's classes; :func:`_close_upward` sets the
     vectors ``has`` that hold a quorum, and the complement of a vector is
-    the flat table read backwards. A split shares its verdict with its
-    canonical form, whose side-one members are each class's lowest and
-    whose code is no higher, so the first violating code is canonical. It
-    is fixed bit by bit from the highest pool position down, narrowing
-    that position's class digit in a view of the violations to keep the
-    bit clear whenever a violation remains. When ``base`` is empty and
-    ``pool`` is the whole largest quorum, ``has`` and the classes are left
-    on the view for :func:`minimal_quora`.
+    the table read backwards (:func:`_complement`). A split shares its
+    verdict with its canonical form, whose side-one members are each
+    class's lowest and whose code is no higher, so the first violating
+    code is canonical. It is fixed bit by bit from the highest pool
+    position down, ANDing the violations with the vectors whose digit
+    keeps that position's bit clear whenever a violation remains.
+    Byzantine classes take the highest digits, so the vectors that count
+    none of them are the lowest: when ``base`` is empty and ``pool`` is the
+    whole largest quorum, that part of ``has`` is the minimal-quora table,
+    and it is left on the view for :func:`minimal_quora`.
 
     Raises:
         BudgetExceededError: when the table exceeds ``max_states`` vectors.
     """
     bits = [b for b in range(len(view.order)) if (pool >> b) & 1]
     # Classes lie wholly inside or outside the pool, since permutations
-    # inside classes keep it; the first holds the pivot, its lowest member.
-    classes = view.classes_within(pool)
+    # inside classes keep it; the pivot is the lowest member of its class.
+    classes = sorted(view.classes_within(pool), key=lambda m: (view.byz_mask >> m[0]) & 1)
     radix = [len(members) + 1 for members in classes]
     size = prod(radix)
     if size > max_states:
         raise BudgetExceededError(
             f"a split table of {size} count vectors exceeds {max_states} states"
         )
+    strides = [prod(radix[:j]) for j in range(len(radix))]
     has = _close_upward(_quorum_table(view, classes, base), radix)
     if not base and pool == view.top:
-        view.closed = has, classes
-    # Axis -1 - j of the violations is digit j; the pivot's class counts at least 1.
-    violations = (has & has[::-1]).reshape(radix[::-1])[..., 1:]
-    if not violations.any():
+        honest = [r for r, members in zip(radix, classes) if not (view.byz_mask >> members[0]) & 1]
+        view.closed = has & ((1 << prod(honest)) - 1)
+    # The pivot's class counts at least 1.
+    pivot = next(j for j, members in enumerate(classes) if members[0] == bits[0])
+    lo = [0] * len(classes)
+    lo[pivot] = 1
+    violations = has & _complement(has, size)
+    violations &= _digit_in(size, strides[pivot], radix[pivot], 1, radix[pivot])
+    del has
+    if not violations:
         return 1 << (len(bits) - 1), None
-    lo = [1] + [0] * (len(classes) - 1)
     where = {b: (j, r) for j, members in enumerate(classes) for r, b in enumerate(members)}
     for b in reversed(bits[1:]):
         j, r = where[b]
         if r < lo[j]:
             continue  # bit b is set in every violation left
-        axis = (slice(None),) * (len(classes) - 1 - j)
-        clear = violations[(*axis, slice(None, r + 1 - lo[j]))]
-        if clear.any():
+        clear = violations & _digit_in(size, strides[j], radix[j], 0, r + 1)
+        if clear:
             violations = clear
         else:
-            violations = violations[(*axis, slice(r + 1 - lo[j], None))]
             lo[j] = r + 1
     side = sum(1 << b for j, members in enumerate(classes) for b in members[: lo[j]])
     code = sum(1 << k for k, b in enumerate(bits[1:]) if (side >> b) & 1)

@@ -533,10 +533,10 @@ def test_minimal_quora_of_a_uniform_clique_are_the_threshold_subsets(size, quota
 
 
 def test_minimal_quora_table_memory():
-    # A ring has no twins, so the flags take a byte for each of the 2 ** 20
-    # count vectors of the 20-node largest quorum, next to a closed copy of
-    # the same size; an int64 array of the vectors alone would take 8 bytes
-    # per vector.
+    # A ring has no twins, so the table holds all 2 ** 20 count vectors of
+    # the 20-node largest quorum, a bit each; the minimal vectors are read
+    # off a string of a character per vector. An int64 array of the vectors
+    # alone would take 8 bytes per vector.
     k = 20
     net = nets.ring(k, Fraction(1))
     tracemalloc.start()
@@ -631,8 +631,8 @@ def test_honest_scan_when_byzantine_trustees_alone_meet_a_need():
 
 def test_split_table_memory():
     # A twin-free pool of 20 nodes takes a table of 2 ** 20 count vectors
-    # at a byte each, with a scratch table of the same size while it is
-    # built, then the flags of the violating vectors.
+    # at a bit each, with a few digit masks and partial tables of that
+    # size while it is built and scanned.
     net = nets.ring(20, Fraction(1))
     tracemalloc.start()
     try:

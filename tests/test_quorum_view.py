@@ -190,21 +190,28 @@ def test_a_view_gives_the_reports_of_its_network():
 
 
 def test_no_table_outlives_a_standalone_call(monkeypatch):
-    # Every closed table, the scan's included, is freed when the call returns.
-    tables = []
+    # A table is an int, which takes no weak reference. Every closed table,
+    # the scan's included, is held by its call or its call's view, so each
+    # view must be freed when its call returns.
+    views, closed = [], []
     close_upward = quorum._close_upward
 
-    def recorded(table, radix):
-        closed = close_upward(table, radix)
-        tables.append(weakref.ref(closed))
-        return closed
+    class Recorded(_QuorumView):
+        def __init__(self, net):
+            super().__init__(net)
+            views.append(weakref.ref(self))
 
-    monkeypatch.setattr(quorum, "_close_upward", recorded)
+    def counted(table, radix):
+        closed.append(radix)
+        return close_upward(table, radix)
+
+    monkeypatch.setattr(quorum, "_QuorumView", Recorded)
+    monkeypatch.setattr(quorum, "_close_upward", counted)
     net = next(generated(241, 1, 10, 10))
-    for call in (check_quorum_intersection, check_qi_honest, minimal_quora):
+    for k, call in enumerate((check_quorum_intersection, check_qi_honest, minimal_quora)):
         call(net)
-    assert len(tables) == 3
-    assert all(ref() is None for ref in tables)
+        assert len(views) == k + 1 and views[k]() is None
+    assert len(closed) == 3
 
 
 def test_minimal_quota_quora_match_every_quorum():
