@@ -29,7 +29,7 @@ from .network import (
     _rules,
     threshold,
 )
-from .quorum import _digit_in
+from .quorum import _close_upward
 
 DEFAULT_BANZHAF_MAX_TRUST = 24
 
@@ -66,10 +66,10 @@ def _winning_table(net: Network, i: NodeId, members: list[NodeId]) -> bytes:
     table reads each mask's popcount, built as bytes by doubling (the
     masks with the next bit set count one more), against the threshold,
     with ``bytes.translate``. A slices table is the upward closure of the
-    slice masks (the superset zeta transform over OR) on an int with a bit
-    per mask: for each bit, every mask with the bit clear passes its flag
-    to the same mask with the bit set. Its binary digits, reversed, are
-    the flags as the bytes ``"0"`` and ``"1"``.
+    slice masks on an int with a bit per mask, :func:`_close_upward` with
+    every digit binary: for each bit, every mask with the bit clear passes
+    its flag to the same mask with the bit set. Its binary digits,
+    reversed, are the flags as the bytes ``"0"`` and ``"1"``.
     """
     k = len(members)
     if isinstance(net, QuotaNetwork):
@@ -82,8 +82,7 @@ def _winning_table(net: Network, i: NodeId, members: list[NodeId]) -> bytes:
     table = 0
     for s in net.slices[i]:
         table |= 1 << sum(1 << index[n] for n in s)
-    for b in range(k):
-        table |= (table & _digit_in(1 << k, 1 << b, 2, 0, 1)) << (1 << b)
+    table = _close_upward(table, [2] * k)
     return f"{table:0{1 << k}b}"[::-1].encode().translate(BITS)
 
 

@@ -251,6 +251,21 @@ def _range_findings(q: Fraction, b: Fraction | None) -> list[tuple[bool, str]]:
     return findings
 
 
+def _listed(labels) -> str:
+    """``labels`` sorted and joined for a message, whatever their type."""
+    return ", ".join(map(str, sorted(labels, key=str)))
+
+
+def _domain_problems(noun: str, given, expected: set) -> list[str]:
+    """What is wrong with a per-node map whose keys should be ``expected``."""
+    keys, problems = set(given), []
+    if missing := expected - keys:
+        problems.append(f"missing {noun} for: {_listed(missing)}")
+    if extra := keys - expected:
+        problems.append(f"{noun} given for non-honest nodes: {_listed(extra)}")
+    return problems
+
+
 def network_violations(net: Network) -> list[str]:
     """Return every broken structural invariant of ``net``, empty if none.
 
@@ -259,18 +274,19 @@ def network_violations(net: Network) -> list[str]:
     violations, so that failure models departing from the default remain
     expressible. The ranges are judged once per distinct
     ``(quota, byz_fraction)`` pair; problems and warnings are still
-    reported per node, in node order.
+    reported per node, in node order. Labels of any type are reported,
+    not raised on: a message lists them sorted by their text.
     """
     problems: list[str] = []
     labels = list(net.nodes)
     if len(set(labels)) != len(labels):
-        dupes = sorted({x for x in labels if labels.count(x) > 1})
-        problems.append(f"duplicate node labels: {', '.join(dupes)}")
+        dupes = _listed({x for x in labels if labels.count(x) > 1})
+        problems.append(f"duplicate node labels: {dupes}")
     for label in labels:
         if not isinstance(label, str) or not label:
             problems.append(f"node label {label!r} is not a non-empty string")
     node_set = set(labels)
-    for b in sorted(net.byzantine):
+    for b in sorted(net.byzantine, key=str):
         if b not in node_set:
             problems.append(f"byzantine node {b!r} is not in the node list")
     honest = [n for n in labels if n not in net.byzantine]
@@ -278,13 +294,7 @@ def network_violations(net: Network) -> list[str]:
         problems.append("no honest nodes")
 
     expected = set(honest)
-    if set(net.trust) != expected:
-        missing = sorted(expected - set(net.trust))
-        extra = sorted(set(net.trust) - expected)
-        if missing:
-            problems.append(f"missing trust sets for: {', '.join(missing)}")
-        if extra:
-            problems.append(f"trust sets given for non-honest nodes: {', '.join(extra)}")
+    problems += _domain_problems("trust sets", net.trust, expected)
     for i in honest:
         t = net.trust.get(i)
         if t is None:
@@ -292,17 +302,10 @@ def network_violations(net: Network) -> list[str]:
         if not t:
             problems.append(f"node {i}: empty trust set")
         if not node_set.issuperset(t):
-            stray = ", ".join(sorted(t - node_set))
-            problems.append(f"node {i}: trust set mentions unknown nodes {stray}")
+            problems.append(f"node {i}: trust set mentions unknown nodes {_listed(t - node_set)}")
 
     if isinstance(net, TrustNetwork):
-        if set(net.slices) != expected:
-            missing = sorted(expected - set(net.slices))
-            extra = sorted(set(net.slices) - expected)
-            if missing:
-                problems.append(f"missing slices for: {', '.join(missing)}")
-            if extra:
-                problems.append(f"slices given for non-honest nodes: {', '.join(extra)}")
+        problems += _domain_problems("slices", net.slices, expected)
         for i in honest:
             family = net.slices.get(i)
             if family is None:
@@ -314,18 +317,11 @@ def network_violations(net: Network) -> list[str]:
                 if not s:
                     problems.append(f"node {i}: empty winning coalition")
                 elif not s <= t:
-                    outside = ", ".join(sorted(s - t))
-                    problems.append(f"node {i}: slice outside trust set ({outside})")
+                    problems.append(f"node {i}: slice outside trust set ({_listed(s - t)})")
             if net.vetoed and frozenset({i}) not in family:
                 problems.append(f"node {i}: vetoed network but {{'{i}'}} is not a slice")
     else:
-        if set(net.quota) != expected:
-            missing = sorted(expected - set(net.quota))
-            extra = sorted(set(net.quota) - expected)
-            if missing:
-                problems.append(f"missing quota for: {', '.join(missing)}")
-            if extra:
-                problems.append(f"quota given for non-honest nodes: {', '.join(extra)}")
+        problems += _domain_problems("quota", net.quota, expected)
         # Keyed by integers, as the defaults in QuotaNetwork.__post_init__.
         judged: dict[tuple, list[tuple[bool, str]]] = {}
         for i in honest:
@@ -412,7 +408,9 @@ def _rules(net: Network, i: NodeId) -> list[tuple[frozenset[NodeId], int]]:
     A coalition wins for ``i`` when it holds ``need`` members of the set
     of some rule: one rule ``(T_i, threshold)`` for a quota node, and one
     rule ``(s, |s|)`` per slice ``s`` of a slices node. Every reader of
-    "does ``i`` win" goes through these rules.
+    "does ``i`` win" goes through these rules, except the quota winning
+    table of :func:`~quorumlens.influence._winning_table`, which compares
+    each coalition's size with :func:`threshold` directly.
     """
     if isinstance(net, QuotaNetwork):
         return [(net.trust[i], threshold(net, i))]

@@ -25,6 +25,12 @@ exact searches behind explicit budgets:
   Witnesses and counts are those of a walk over every split code, which
   the scan never makes.
 
+Both engines take the view, ``counted`` and a state budget, and return
+``(examined, witness masks or None)``. ``counted`` holds the nodes whose
+disjointness is checked: the largest quorum for the plain check, every
+honest node for the honest one, none for slices minimal quora. The pool
+is ``counted``; the base is the largest quorum's other members.
+
 :func:`minimal_quora` of a quota network reads the same closed table
 (:func:`_quorum_table`, then :func:`_close_upward`), over the twin
 classes of the honest members of the largest quorum. Its minimal count
@@ -38,14 +44,12 @@ ORs over whole tables: a table of 2^20 vectors takes 128 KB.
 A :class:`_QuorumView` prepares one network for the searches of one
 ``qi`` command: the bit masks of every node's winning rules, the
 largest quorum and the twin classes are built once and shared by the
-check and :func:`minimal_quora`. A split scan of the whole largest
-quorum with no ``base`` leaves its closed table on the view, and
+check and :func:`minimal_quora`. A split scan that counts the whole
+largest quorum leaves its closed table on the view, and
 :func:`minimal_quora` reads the minimal-quora table off it, where it
 counts no Byzantine node, instead of building one. That is every plain
-check. The honest scan counts the largest quorum's Byzantine members on
-both sides, and a Byzantine node, which needs only itself, is always in
-the largest quorum; so the honest check shares its table only when the
-network has no Byzantine node and every node is in the largest quorum.
+check, and the honest check only when every node is honest and in the
+largest quorum (a Byzantine node, which needs only itself, always is).
 
 Every largest quorum (of the network, of :func:`max_quorum_within`, of
 a split's sides and of a generated quorum's complement) comes from one
@@ -96,9 +100,10 @@ class QuorumReport:
     quora the seed-exclusive search judged, up to and including the
     witness, or all of them when intersection holds; for a slice
     addition, those of the extended network. On quota networks it
-    counts the splits covered: the split code of the witness + 1, or all
-    2^(|pool| - 1) splits when intersection holds, however few count
-    vectors the scan reads.
+    counts the splits of the pool covered: the split code of the witness
+    + 1, or all 2^(|pool| - 1) when intersection holds, however few count
+    vectors the scan reads. The pool is the largest quorum for the plain
+    check and every honest node for the honest one.
     """
 
     holds: bool
@@ -271,43 +276,40 @@ def max_quorum_within(net: Network, s) -> frozenset[NodeId]:
 # Generated-quorum enumeration (explicit-slice networks)
 
 
-def _iter_generated_quora(
-    view: _QuorumView,
-    universe: int,
-    seeds: int,
-    max_states: int,
-    counted: int = 0,
-    max_size: int | None = None,
-):
+def _iter_generated_quora(view: _QuorumView, counted: int, max_states: int):
     """Yield ``(q, rest)`` for each quorum ``q`` grown from a seed's singleton.
 
-    Seeds go in bit order, and the search from a seed never adds an
-    earlier seed. Every inclusion-minimal quorum inside ``universe`` that
-    holds a seed and at most ``max_size`` members of ``counted`` is
-    produced, from the seed of its lowest seed member: from any partial
-    set, the first member still lacking a contained coalition branches
-    over its coalitions. When ``seeds`` is ``universe``, that is every
+    The seeds are the ``counted`` members of the largest quorum ``top``,
+    or all of top when ``counted`` is 0; they go in bit order, and the
+    search from a seed never adds an earlier seed. Every inclusion-minimal
+    quorum inside top that holds a seed and at most half of top's counted
+    members is produced, from the seed of its lowest seed member: from any
+    partial set, the first member still lacking a contained coalition
+    branches over its coalitions. With ``counted`` 0, that is every
     minimal quorum, grown once, from its lowest member. States are
-    memoized, so each partial set expands once; states with more than
-    ``max_size`` counted members are dropped unexpanded. Growing a set
-    keeps its members' coalitions, so each child carries the parent's
-    members below the branching one as ``known`` and skips them when it
-    looks for its own first lacking member.
+    memoized, so each partial set expands once, and a state over the half
+    bound is dropped unexpanded. Growing a set keeps its members'
+    coalitions, so each child carries the parent's members below the
+    branching one as ``known`` and skips them when it looks for its own
+    first lacking member.
 
-    ``rest`` is ``view.max_quorum(universe & ~(q & counted))`` whenever
-    that holds a counted node, and 0 otherwise; ``universe`` must be a
-    quorum. Each state carries ``max_quorum(universe & ~(p & counted))``
-    for an ancestor ``p`` (or for no members at all, at a seed), which
-    contains the state's own, because the greatest fixpoint only shrinks
-    as the set it searches shrinks. It is shrunk to the state's own
-    complement by removing the state's counted members and re-queueing
-    only their users, at a quorum and at a state with two or more
-    children to push; a lone child inherits it unshrunk and removes the
-    parent's members with its own. A ``rest`` without a counted node
-    keeps none in any descendant, so it travels as 0 and is never
-    shrunk: with ``counted`` 0, no ``rest`` is ever computed.
+    ``rest`` is ``view.max_quorum(top & ~(q & counted))`` whenever that
+    holds a counted node, and 0 otherwise. Each state carries
+    ``max_quorum(top & ~(p & counted))`` for an ancestor ``p`` (or for no
+    members at all, at a seed), which contains the state's own, because
+    the greatest fixpoint only shrinks as the set it searches shrinks. It
+    is shrunk to the state's own complement by removing the state's
+    counted members and re-queueing only their users, at a quorum and at a
+    state with two or more children to push; a lone child inherits it
+    unshrunk and removes the parent's members with its own. A ``rest``
+    without a counted node keeps none in any descendant, so it travels as
+    0 and is never shrunk: with ``counted`` 0, no ``rest`` is ever
+    computed.
     """
     slices, users = view.rule_masks, view.users
+    top = view.top
+    seeds = top & counted if counted else top
+    max_size = (top & counted).bit_count() // 2
 
     def shrink(rest: int, q: int) -> int:
         gone = rest & q & counted
@@ -323,8 +325,8 @@ def _iter_generated_quora(
         return rest if rest & counted else 0
 
     visited: set[int] = set()
-    room = universe
-    alive = universe if universe & counted else 0
+    room = top
+    alive = top if top & counted else 0
     while seeds:
         seed = seeds & -seeds
         seeds ^= seed
@@ -333,7 +335,7 @@ def _iter_generated_quora(
             q, known, rest = stack.pop()
             if q in visited:
                 continue
-            if max_size is not None and (q & counted).bit_count() > max_size:
+            if (q & counted).bit_count() > max_size:
                 continue
             visited.add(q)
             if len(visited) > max_states:
@@ -580,8 +582,7 @@ def minimal_quora(
     if view is None:
         view = _QuorumView(net)
     if isinstance(net, TrustNetwork):
-        top = view.top
-        candidates = [q for q, _ in _iter_generated_quora(view, top, top, max_states)]
+        candidates = [q for q, _ in _iter_generated_quora(view, 0, max_states)]
         minimal = [
             tuple(b for b in range(len(view.order)) if (q >> b) & 1)
             for q in candidates
@@ -597,17 +598,20 @@ def minimal_quora(
 # ---------------------------------------------------------------------------
 # Quorum-intersection checks
 
-def _scan_split(
-    view: _QuorumView, pool: int, base: int, max_states: int
-) -> tuple[int, tuple[int, int] | None]:
-    """First split of ``pool`` into two disjoint quora (quota networks).
+# What an engine returns: the quora or splits examined, and the witness masks.
+_Found = tuple[int, tuple[int, int] | None]
 
-    The lowest pool node (the pivot) always sits on side one; split code
-    ``c`` puts the k-th other pool node on side one when bit k of ``c`` is
-    set. Each side also holds ``base``, Byzantine nodes that every
-    candidate keeps. Returns (splits covered, witness): the largest quorum
-    of each side for the lowest code where both keep a pool node, and that
-    code + 1, or all 2^(|pool| - 1) splits and no witness.
+
+def _scan_split(view: _QuorumView, counted: int, max_states: int) -> _Found:
+    """First split of the ``counted`` nodes into two disjoint quora (quota networks).
+
+    The pool is ``counted``, and the base is top's other members,
+    Byzantine nodes that every candidate keeps on both sides. The lowest
+    pool node (the pivot) always sits on side one; split code ``c`` puts
+    the k-th other pool node on side one when bit k of ``c`` is set.
+    Returns (splits covered, witness): the largest quorum of each side for
+    the lowest code where both keep a pool node, and that code + 1, or all
+    2^(|pool| - 1) splits and no witness.
 
     A split is decided by its count of side-one members in each twin
     class, so no code is walked. :func:`_quorum_table` sets the quorum
@@ -620,13 +624,14 @@ def _scan_split(
     position down, ANDing the violations with the vectors whose digit
     keeps that position's bit clear whenever a violation remains.
     Byzantine classes take the highest digits, so the vectors that count
-    none of them are the lowest: when ``base`` is empty and ``pool`` is the
-    whole largest quorum, that part of ``has`` is the minimal-quora table,
-    and it is left on the view for :func:`minimal_quora`.
+    none of them are the lowest: when ``counted`` is all of top, the base
+    is empty and that part of ``has`` is the minimal-quora table, which is
+    left on the view for :func:`minimal_quora`.
 
     Raises:
         BudgetExceededError: when the table exceeds ``max_states`` vectors.
     """
+    pool, base = counted, view.top & ~counted
     bits = [b for b in range(len(view.order)) if (pool >> b) & 1]
     # Classes lie wholly inside or outside the pool, since permutations
     # inside classes keep it; the pivot is the lowest member of its class.
@@ -639,7 +644,7 @@ def _scan_split(
         )
     strides = [prod(radix[:j]) for j in range(len(radix))]
     has = _close_upward(_quorum_table(view, classes, base), radix)
-    if not base and pool == view.top:
+    if counted == view.top:
         honest = [r for r, members in zip(radix, classes) if not (view.byz_mask >> members[0]) & 1]
         view.closed = has & ((1 << prod(honest)) - 1)
     # The pivot's class counts at least 1.
@@ -666,8 +671,8 @@ def _scan_split(
     return code + 1, (view.max_quorum(side | base), view.max_quorum(pool & ~side | base))
 
 
-def _first_disjoint(view: _QuorumView, top: int, counted: int, max_states: int) -> QuorumReport:
-    """Grow quora inside ``top`` until one leaves room for a counted-disjoint quorum.
+def _first_disjoint(view: _QuorumView, counted: int, max_states: int) -> _Found:
+    """Grow quora inside top until one leaves room for a counted-disjoint quorum.
 
     Quora grow from the singletons of top's ``counted`` nodes, each
     search never adding a node of an earlier seed, and states with more
@@ -681,49 +686,43 @@ def _first_disjoint(view: _QuorumView, top: int, counted: int, max_states: int) 
     Each generated quorum ``q`` comes with the largest quorum of
     ``top & ~(q & counted)`` when that holds a counted node, which the
     search carries down from state to state
-    (:func:`_iter_generated_quora`). The first such pair is the witness,
-    and ``quora_examined`` is the index of ``q`` in generation order + 1.
-    Quora are judged one at a time as they are grown, so a budget
-    overrun propagates exactly where the search trips.
+    (:func:`_iter_generated_quora`). Returns (quora examined, witness):
+    the first such pair and the index of ``q`` in generation order + 1,
+    or every quorum generated and no witness. Quora are judged one at a
+    time as they are grown, so a budget overrun propagates exactly where
+    the search trips.
     """
-    inside = top & counted
-    quora = _iter_generated_quora(view, top, inside, max_states, counted, inside.bit_count() // 2)
     examined = 0
-    for q, rest in quora:
+    for q, rest in _iter_generated_quora(view, counted, max_states):
         examined += 1
         if rest:
-            return QuorumReport(False, (view.labels(q), view.labels(rest)), examined)
-    return QuorumReport(True, None, examined)
+            return examined, (q, rest)
+    return examined, None
 
 
 def _check_qi(
     net: Network, honest: bool, max_nodes: int, max_states: int, view: _QuorumView | None = None
 ) -> QuorumReport:
-    """The plain (``honest`` false) or honest check behind the public entry points."""
+    """The plain (``honest`` false) or honest check behind the public entry points.
+
+    ``counted`` is top, or every honest node; slices networks grow quora
+    (:func:`_first_disjoint`) and quota networks scan splits
+    (:func:`_scan_split`).
+    """
     if len(net.nodes) > max_nodes:
         raise BudgetExceededError(
             f"{len(net.nodes)} nodes exceeds the quorum-intersection budget of {max_nodes}"
         )
     if view is None:
         view = _QuorumView(net)
-    top = view.top
-    counted = view.honest_mask if honest else view.full
-    if not (top & counted):
+    counted = view.honest_mask if honest else view.top
+    if not (view.top & counted):
         return QuorumReport(True, None, 0)
-
-    if isinstance(net, TrustNetwork):
-        return _first_disjoint(view, top, counted, max_states)
-
-    if honest:
-        # Every honest node is split; the Byzantine members of top join
-        # both sides, which keeps only the honest parts disjoint.
-        examined, witness = _scan_split(view, view.honest_mask, top & view.byz_mask, max_states)
-    else:
-        examined, witness = _scan_split(view, top, 0, max_states)
+    search = _first_disjoint if isinstance(net, TrustNetwork) else _scan_split
+    examined, witness = search(view, counted, max_states)
     if witness is None:
         return QuorumReport(True, None, examined)
-    q1, q2 = witness
-    return QuorumReport(False, (view.labels(q1), view.labels(q2)), examined)
+    return QuorumReport(False, tuple(map(view.labels, witness)), examined)
 
 
 def check_quorum_intersection(

@@ -49,6 +49,39 @@ class TestDimacs:
         with pytest.raises(DimacsError, match=f"line 2: negative count in header '{header}'"):
             parse_dimacs(f"c comment\n{header}\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p cnf 1 1\np cnf 1 1\n1 0", "line 2: duplicate header"),
+            ("1 0\np cnf 1 1", "line 1: clause before header"),
+            ("p cnf 2 1\n1 two 0", "line 2: bad token 'two'"),
+            ("p cnf 1 1\n1 0 0", "line 2: empty clause"),
+            ("p cnf 2 1\n1 -2", "unterminated clause at end of input"),
+            ("c no header\n", "missing header"),
+            ("p cnf 1\n1 0", "line 1: malformed header 'p cnf 1'"),
+            ("p cnf one 1\n1 0", "line 1: malformed header 'p cnf one 1'"),
+        ],
+    )
+    def test_parse_errors(self, text, message):
+        with pytest.raises(DimacsError) as exc:
+            parse_dimacs(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "clause, message",
+        [
+            ((1, 2), "clause (1, 2) does not have exactly 3 literals"),
+            ((1, 2, 2, 1), "clause (1, 2, 2, 1) does not have exactly 3 literals"),
+            ((1, 3, 2), "literal 3 out of range for 2 variables"),
+            ((1, 0, 2), "literal 0 out of range for 2 variables"),
+            ((-3, 1, 2), "literal -3 out of range for 2 variables"),
+        ],
+    )
+    def test_cnf_rejects_bad_clauses(self, clause, message):
+        with pytest.raises(ValueError) as exc:
+            Cnf(2, ((1, 2, -1), clause))
+        assert str(exc.value) == message
+
     def test_negative_variable_count_rejected(self):
         with pytest.raises(ValueError, match="negative variable count -3"):
             Cnf(-3, ())

@@ -173,6 +173,20 @@ class TestNetworkFiles:
         assert back == net
         assert all(threshold(back, i) == threshold(net, i) == 5 for i in net.honest)
 
+    def test_roundtrip_keeps_per_node_byzantine_fractions(self, tmp_path):
+        # Two different fractions cannot share one uniform value, so each
+        # node's is written out; nodes left at 1 - quota are written too.
+        trust = {n: frozenset("1234") for n in "1234"}
+        fractions = {"1": Fraction(1, 5), "2": Fraction(1, 10)}
+        net = QuotaNetwork(tuple("1234"), frozenset(), trust, {n: Fraction(3, 4) for n in "1234"}, fractions)
+        path = tmp_path / "q.json"
+        save_network(net, path)
+        doc = json.loads(path.read_text())
+        assert "byz_fraction_uniform" not in doc
+        assert doc["byz_fraction"] == {"1": "1/5", "2": "1/10", "3": "1/4", "4": "1/4"}
+        back = load_network(path)
+        assert back == net and back.byz_fraction == net.byz_fraction
+
     def test_rationals_as_strings_or_numbers(self, tmp_path):
         doc = shared_five_doc()
         doc["quota_uniform"] = "4/5"
@@ -223,6 +237,27 @@ class TestCliContract:
         doc["slices"]["2"] = []  # an empty family is not
         bad = write(tmp_path, "bad.json", doc)
         assert run(["check", bad]) == 2
+
+    def test_check_reports_a_parsed_network_that_fails_validation(self, tmp_path, capsys):
+        # The file parses, but a quota of 1/2 is out of range: the verdict is
+        # invalid, with one violation per node, not an input error.
+        doc = {"nodes": ["a", "b", "c"], "kind": "quota", "quota_uniform": "1/2",
+               "trust": {n: ["a", "b", "c"] for n in "abc"}}
+        path = write(tmp_path, "half.json", doc)
+        violations = [f"node {n}: quota 1/2 out of range (0.5, 1]" for n in "abc"]
+        with pytest.warns(QuotaRangeWarning, match="byzantine fraction 1/2"):
+            assert run(["check", path, "--json"]) == cli_mod.EXIT_INPUT == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "invalid" and report["witness"] is None
+        assert report["tables"] == {"violations": violations}
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(report, SCHEMA)
+        with pytest.warns(QuotaRangeWarning):
+            assert run(["check", path]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[lines.index("verdict: invalid") + 1:] == [
+            "violations:", *(f"  - {v}" for v in violations)
+        ]
 
     def test_check_warns_once_per_quota_out_of_range(self, tmp_path, capsys):
         path = str(tmp_path / "split.json")

@@ -15,6 +15,7 @@ from quorumlens import (
     QuotaNetwork,
     QuotaRangeWarning,
     TrustNetwork,
+    as_fraction,
     find_fork,
     find_strong_fork,
     network_violations,
@@ -129,6 +130,79 @@ class TestValidation:
             "node h: quota 7/10 below the recommended [0.75, 1] range",
             "node h: byzantine fraction 3/10 above the assumed 0.25 cap",
         ]
+
+    def test_slices_structure_messages_in_order(self):
+        net = TrustNetwork(
+            nodes=("a", "b", "c", "d", 7, "e"),
+            byzantine=frozenset({"d", "x"}),
+            trust={"a": {"a", "b", "q", "p"}, "b": {"b"}, "c": {"c"}, "d": {"d"}},
+            slices={"a": ({"a", "b"},), "b": (), "c": (frozenset(),), "x": ({"x"},)},
+        )
+        assert network_violations(net) == [
+            "node label 7 is not a non-empty string",
+            "byzantine node 'x' is not in the node list",
+            "missing trust sets for: 7, e",
+            "trust sets given for non-honest nodes: d",
+            "node a: trust set mentions unknown nodes p, q",
+            "missing slices for: 7, e",
+            "slices given for non-honest nodes: x",
+            "node b: no winning coalitions",
+            "node c: empty winning coalition",
+        ]
+
+    def test_quota_domain_messages_in_order(self):
+        net = QuotaNetwork(
+            nodes=("a", "b", "c", "z"),
+            byzantine=frozenset({"z"}),
+            trust={"a": {"a", "b", "c"}, "c": {"a", "b", "c"}, "z": {"z"}},
+            quota={"a": 1, "z": 1},
+        )
+        assert network_violations(net) == [
+            "missing trust sets for: b",
+            "trust sets given for non-honest nodes: z",
+            "missing quota for: b, c",
+            "quota given for non-honest nodes: z",
+        ]
+
+    def test_non_string_labels_are_reported_not_raised(self):
+        net = TrustNetwork(("a", 1), frozenset(), {"a": {"a"}}, {"a": ({"a"},)})
+        assert network_violations(net) == [
+            "node label 1 is not a non-empty string",
+            "missing trust sets for: 1",
+            "missing slices for: 1",
+        ]
+        net = TrustNetwork(("a",), frozenset({2, "z"}), {"a": {"a"}}, {"a": ({"a"},)})
+        assert network_violations(net) == [
+            "byzantine node 2 is not in the node list",
+            "byzantine node 'z' is not in the node list",
+        ]
+        net = TrustNetwork((1, 1, "a", "a"), frozenset(), {}, {})
+        assert network_violations(net)[:3] == [
+            "duplicate node labels: 1, a",
+            "node label 1 is not a non-empty string",
+            "node label 1 is not a non-empty string",
+        ]
+
+
+class TestAsFraction:
+    def test_each_accepted_type(self):
+        half = Fraction(1, 2)
+        assert as_fraction(half) is half
+        assert as_fraction(3) == Fraction(3) and type(as_fraction(3)) is Fraction
+        assert as_fraction(0.8) == Fraction(4, 5)
+        assert as_fraction("2/3") == Fraction(2, 3)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "boolean is not a valid rational value"),
+            ([1], r"cannot interpret \[1\] as a rational"),
+            (None, "cannot interpret None as a rational"),
+        ],
+    )
+    def test_rejected_types(self, value, message):
+        with pytest.raises(TypeError, match=message):
+            as_fraction(value)
 
 
 class TestObservedSet:

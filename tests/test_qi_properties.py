@@ -243,10 +243,7 @@ def test_generated_quora_carry_the_largest_quorum_of_their_complement():
         view = _QuorumView(net)
         top = view.top
         for counted in (view.full, view.honest_mask):
-            seeds = top & counted
-            quora = _iter_generated_quora(
-                view, top, seeds, DEFAULT_MAX_SEARCH_STATES, counted, seeds.bit_count() // 2
-            )
+            quora = _iter_generated_quora(view, counted, DEFAULT_MAX_SEARCH_STATES)
             for q, rest in itertools.islice(quora, 300):
                 removed = q & counted
                 expected = view.max_quorum(top & ~removed)
