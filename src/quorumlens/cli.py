@@ -576,9 +576,17 @@ def run(argv: list[str]) -> int:
     return code
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    # One plain line per finding: the library's file and source line mean
+    # nothing to the reader of a command's output.
+    print(f"warning: {message}", file=sys.stderr if file is None else file)
+
+
 def entry() -> None:
     try:
-        code = run(sys.argv[1:])
+        with warnings.catch_warnings():
+            warnings.showwarning = _show_warning
+            code = run(sys.argv[1:])
         sys.stdout.flush()
     except BrokenPipeError:
         # Nobody reads the report, and exit 1 would read as a verdict.

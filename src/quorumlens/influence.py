@@ -29,7 +29,7 @@ from .network import (
     _rules,
     threshold,
 )
-from .quorum import _close_upward
+from .quorum import _close_upward, _digit_in
 
 DEFAULT_BANZHAF_MAX_TRUST = 24
 
@@ -52,38 +52,73 @@ class InfluenceMatrix:
         return self.entries[self.order.index(node)]
 
 
-# PLUS_ONE maps a count byte c to c + 1; BITS maps the digits "0" and "1"
-# to the bytes 0 and 1.
+# PLUS_ONE maps a count byte c to c + 1.
 PLUS_ONE = bytes(range(1, 256)) + b"\0"
-BITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _winning_table(net: Network, i: NodeId, members: list[NodeId]) -> bytes:
-    """Win flag (0 or 1) of every coalition mask over ``members``, i's trust set.
+def _quota_table(net: QuotaNetwork, i: NodeId, k: int) -> bytes:
+    """Win flag (0 or 1) of every coalition mask over quota node i's ``k`` trustees.
 
-    Bit ``b`` of a mask stands for ``members[b]``, and the table holds a
-    byte per mask; it never holds a list or an integer per mask. A quota
-    table reads each mask's popcount, built as bytes by doubling (the
-    masks with the next bit set count one more), against the threshold,
-    with ``bytes.translate``. A slices table is the upward closure of the
-    slice masks on an int with a bit per mask, :func:`_close_upward` with
-    every digit binary: for each bit, every mask with the bit clear passes
-    its flag to the same mask with the bit set. Its binary digits,
-    reversed, are the flags as the bytes ``"0"`` and ``"1"``.
+    The table holds a byte per mask, never a list or an integer per mask.
+    It reads each mask's popcount, built as bytes by doubling (the masks
+    with the next bit set count one more), against the threshold, with
+    ``bytes.translate``.
+    """
+    count = b"\0"
+    for _ in range(k):
+        count += count.translate(PLUS_ONE)
+    t = threshold(net, i)
+    return count.translate(bytes(t) + b"\1" * (256 - t))
+
+
+def _quota_pivots(net: QuotaNetwork, i: NodeId, members: list[NodeId]) -> list[int]:
+    """Pivot count of each of ``members``, in ``|T_i| * 2 ** |T_i|`` Python steps."""
+    table = _quota_table(net, i, len(members))
+    size = 1 << len(members)
+    counts = []
+    for b in range(len(members)):
+        bit = 1 << b
+        pivots = 0
+        for mask in range(size):
+            if mask & bit:
+                continue
+            if table[mask | bit] and not table[mask]:
+                pivots += 1
+        counts.append(pivots)
+    return counts
+
+
+def _slices_table(net: Network, i: NodeId, members: list[NodeId]) -> int:
+    """Win flags of every coalition mask over slices node i's trust set, as an int.
+
+    Bit ``mask`` of the int is the flag of ``mask``, so the table takes
+    ``2 ** k / 8`` bytes. Each slice sets the bit of its mask in a
+    ``bytearray``, and :func:`_close_upward` with every digit binary closes
+    the int upward: for each bit, every mask with the bit clear passes its
+    flag to the same mask with the bit set.
     """
     k = len(members)
-    if isinstance(net, QuotaNetwork):
-        count = b"\0"
-        for _ in range(k):
-            count += count.translate(PLUS_ONE)
-        t = threshold(net, i)
-        return count.translate(bytes(t) + b"\1" * (256 - t))
     index = {n: b for b, n in enumerate(members)}
-    table = 0
+    flags = bytearray(((1 << k) + 7) // 8)
     for s in net.slices[i]:
-        table |= 1 << sum(1 << index[n] for n in s)
-    table = _close_upward(table, [2] * k)
-    return f"{table:0{1 << k}b}"[::-1].encode().translate(BITS)
+        mask = sum(1 << index[n] for n in s)
+        flags[mask >> 3] |= 1 << (mask & 7)
+    return _close_upward(int.from_bytes(flags, "little"), [2] * k)
+
+
+def _slices_pivots(net: Network, i: NodeId, members: list[NodeId]) -> list[int]:
+    """Pivot count of each of ``members``, with bit operations on the int table.
+
+    Member ``b``'s pivots are the set bits of ``(T >> 2 ** b) & ~T`` among
+    the masks with bit ``b`` clear: ``|T_i|`` passes over ``2 ** |T_i|``
+    bits.
+    """
+    table = _slices_table(net, i, members)
+    size = 1 << len(members)
+    return [
+        ((table >> (1 << b)) & ~table & _digit_in(size, 1 << b, 2, 0, 1)).bit_count()
+        for b in range(len(members))
+    ]
 
 
 def banzhaf_raw_row(
@@ -97,13 +132,15 @@ def banzhaf_raw_row(
     dummies and get exactly zero; enumerating over all nodes instead of
     the trust set would double both the pivot count and the denominator.
 
-    A row costs a ``2 ** |T_i|``-byte winning table from
-    :func:`_winning_table`, for quota and slices nodes alike and for any
-    number of slices, plus ``|T_i| * 2 ** |T_i|`` pivot checks in Python.
-    ``max_trust`` is checked before the table is built. The row depends
-    only on ``i``'s trust set and winning rule, so
-    :func:`influence_matrix` pays this once per distinct game, not once
-    per node.
+    Bit ``b`` of a coalition mask stands for the ``b``-th trustee in node
+    order. A quota row costs a ``2 ** |T_i|``-byte winning table from
+    :func:`_quota_table` plus ``|T_i| * 2 ** |T_i|`` pivot checks in
+    Python. A slices row, for any number of slices, costs a
+    ``2 ** |T_i|``-bit int table from :func:`_slices_table` plus
+    ``|T_i|`` bit-operation passes over it. ``max_trust`` is checked
+    before any table is built. The row depends only on ``i``'s trust set
+    and winning rule, so :func:`influence_matrix` pays this once per
+    distinct game, not once per node.
 
     Raises:
         BudgetExceededError: when the trust set exceeds ``max_trust``.
@@ -117,19 +154,9 @@ def banzhaf_raw_row(
         raise BudgetExceededError(
             f"node {i}: trust set of {len(members)} exceeds the enumeration budget of {max_trust}"
         )
-    table = _winning_table(net, i, members)
-    size = 1 << len(members)
+    pivots = (_quota_pivots if isinstance(net, QuotaNetwork) else _slices_pivots)(net, i, members)
     denom = 1 << (len(members) - 1)
-    raw: dict[NodeId, Fraction] = {}
-    for k, member in enumerate(members):
-        bit = 1 << k
-        pivots = 0
-        for mask in range(size):
-            if mask & bit:
-                continue
-            if table[mask | bit] and not table[mask]:
-                pivots += 1
-        raw[member] = Fraction(pivots, denom)
+    raw = {member: Fraction(p, denom) for member, p in zip(members, pivots)}
     return tuple(raw.get(n, Fraction(0)) for n in net.nodes)
 
 

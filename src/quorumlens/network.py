@@ -409,7 +409,7 @@ def _rules(net: Network, i: NodeId) -> list[tuple[frozenset[NodeId], int]]:
     of some rule: one rule ``(T_i, threshold)`` for a quota node, and one
     rule ``(s, |s|)`` per slice ``s`` of a slices node. Every reader of
     "does ``i`` win" goes through these rules, except the quota winning
-    table of :func:`~quorumlens.influence._winning_table`, which compares
+    table of :func:`~quorumlens.influence._quota_table`, which compares
     each coalition's size with :func:`threshold` directly.
     """
     if isinstance(net, QuotaNetwork):

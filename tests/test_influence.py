@@ -26,7 +26,8 @@ from quorumlens import (
     random_quota_network,
     threshold,
 )
-from quorumlens.influence import _winning_table
+from quorumlens import influence as influence_mod
+from quorumlens.influence import _quota_table, _slices_table
 
 
 def dictator_net():
@@ -93,7 +94,7 @@ class TestBanzhafRow:
                 for j, value in zip(net.nodes, raw):
                     assert value == oracles.banzhaf_raw_global(net, i, j), (net, i, j)
 
-    @pytest.mark.parametrize("size", [14, 16])
+    @pytest.mark.parametrize("size", [14, 16, 18, 20])
     @pytest.mark.parametrize("byz", [0, 2])
     def test_expanded_quota_rows_match_the_closed_form(self, size, byz):
         # Beyond the global oracle's reach: a quota game is symmetric in its
@@ -102,15 +103,25 @@ class TestBanzhafRow:
         expanded = expand_quota_network(net)
         t = threshold(net, "x0")
         assert len(expanded.slices["x0"]) == math.comb(size, t)
-        closed = Fraction(math.comb(size - 1, t - 1), 2 ** (size - 1))
-        raw = banzhaf_raw_row(net, "x0")
-        assert raw == (closed,) * size
-        assert banzhaf_raw_row(expanded, "x0") == raw
+        closed = (Fraction(math.comb(size - 1, t - 1), 2 ** (size - 1)),) * size
+        assert banzhaf_raw_row(expanded, "x0") == closed
+        if size <= 16:
+            # The quota row's byte loop takes seconds beyond trust 16.
+            assert banzhaf_raw_row(net, "x0") == closed
+
+    def test_expansions_match_their_quota_networks(self):
+        # Explicit-slice twins of seeded quota networks play the same games:
+        # the int table's bit counts must give the byte table's matrices.
+        for net in oracles.seeded_quota_networks(31, 40, max_nodes=8):
+            m = influence_matrix(expand_quota_network(net))
+            assert m.entries == influence_matrix(net).entries, net
 
     @pytest.mark.parametrize("kind", ["quota", "slices"])
     def test_winning_table_memory(self, kind):
-        # One byte per coalition and a few passes over it; an int64 array
-        # of the 2 ** k masks alone would take 8 bytes per coalition.
+        # A quota table takes one byte per coalition and a few passes over
+        # it, a slices table one bit per coalition and a few ints of that
+        # size; an int64 array of the 2 ** k masks alone would take 8 bytes
+        # per coalition.
         k = 20
         if kind == "quota":
             net = nets.quota_clique(k)
@@ -121,12 +132,19 @@ class TestBanzhafRow:
         members = sorted(net.trust["x0"], key=net.nodes.index)
         tracemalloc.start()
         try:
-            table = _winning_table(net, "x0", members)
+            if kind == "quota":
+                table = _quota_table(net, "x0", k)
+            else:
+                table = _slices_table(net, "x0", members)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(table) == 1 << k
-        assert peak < 4 * (1 << k)
+        if kind == "quota":
+            assert len(table) == 1 << k
+            assert peak < 4 * (1 << k)
+        else:
+            assert table.bit_length() == 1 << k  # the full coalition wins
+            assert peak < 1 << k
 
     def test_budget(self):
         net = QuotaNetwork(
@@ -137,6 +155,19 @@ class TestBanzhafRow:
         )
         with pytest.raises(BudgetExceededError):
             banzhaf_row(net, "x0")
+
+    def test_slices_budget_is_checked_before_the_table(self, monkeypatch):
+        # 2 ** 25 coalitions: the trust set is refused before any table.
+        trustees = [f"y{b}" for b in range(25)]
+        slices = {"x0": (frozenset(trustees[:20]), frozenset(trustees[5:]))}
+        net = TrustNetwork(("x0", *trustees), frozenset(trustees), {"x0": frozenset(trustees)}, slices)
+
+        def no_table(*args):
+            raise AssertionError("a winning table was built")
+
+        monkeypatch.setattr(influence_mod, "_slices_table", no_table)
+        with pytest.raises(BudgetExceededError, match="^node x0: trust set of 25 exceeds"):
+            banzhaf_raw_row(net, "x0")
 
     def test_byzantine_node_rejected(self):
         with pytest.raises(ValueError):

@@ -7,8 +7,9 @@ for every count vector: with radices above 2, with a ``base`` of
 Byzantine nodes, and with Byzantine nodes ahead of honest ones in node
 order, whose classes the split scan moves to the highest digits.
 ``_complement`` must reverse the index of a table of any length, bytes
-or not. ``_winning_table`` must give every coalition of a quota or
-slices game the verdict of the node's winning rules.
+or not. ``_quota_table`` and ``_slices_table`` must give every coalition
+of a quota game (a byte each) or a slices game (a bit each) the verdict
+of the node's winning rules.
 """
 
 import random
@@ -18,7 +19,7 @@ from math import prod
 import oracles
 import pytest
 from quorumlens import QuotaNetwork, is_quorum
-from quorumlens.influence import _winning_table
+from quorumlens.influence import _quota_table, _slices_table
 from quorumlens.network import _wins
 from quorumlens.quorum import _close_upward, _complement, _quorum_table, _QuorumView
 
@@ -136,11 +137,16 @@ def test_winning_table_matches_the_winning_rules():
     for net in games:
         for i in net.honest:
             members = sorted(net.trust[i], key=net.nodes.index)
-            table = _winning_table(net, i, members)
+            masks = range(1 << len(members))
             coalitions = (
-                frozenset(m for b, m in enumerate(members) if (mask >> b) & 1)
-                for mask in range(1 << len(members))
+                frozenset(m for b, m in enumerate(members) if (mask >> b) & 1) for mask in masks
             )
-            assert list(table) == [int(_wins(net, i, c)) for c in coalitions], (net, i)
+            if isinstance(net, QuotaNetwork):
+                flags = list(_quota_table(net, i, len(members)))  # a byte per coalition
+            else:
+                table = _slices_table(net, i, members)
+                assert table >> len(masks) == 0
+                flags = [(table >> mask) & 1 for mask in masks]  # a bit per coalition
+            assert flags == [int(_wins(net, i, c)) for c in coalitions], (net, i)
             sizes["quota" if isinstance(net, QuotaNetwork) else "slices"].add(len(members))
     assert {1, 10} <= sizes["quota"] and {1, 10} <= sizes["slices"], sizes

@@ -661,6 +661,28 @@ class TestReportDiscipline:
         assert proc.returncode == 1
         assert "violated" in proc.stdout
 
+    def test_console_prints_one_plain_line_per_warning(self, tmp_path):
+        # Each node of a 4-node 2/3 clique has a quota below the recommended
+        # range and a Byzantine fraction above the cap: eight findings, each
+        # on one line, with no library path or source line.
+        path = str(tmp_path / "clique.json")
+        save_network(nets.quota_clique(4, Fraction(2, 3)), path)
+        proc = subprocess.run(
+            [sys.executable, "-m", "quorumlens", "qi", path],
+            capture_output=True,
+            text=True,
+            cwd=REPO,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == [
+            f"warning: node x{k}: {finding}"
+            for k in range(4)
+            for finding in (
+                "quota 2/3 below the recommended [0.75, 1] range",
+                "byzantine fraction 1/3 above the assumed 0.25 cap",
+            )
+        ]
+
     def test_closed_stdout_exits_141_without_a_traceback(self, tmp_path):
         # Exit 1 would read as a violated verdict; 141 is no verdict.
         path = write(tmp_path, "fig.json", triangles_doc())
