@@ -21,6 +21,7 @@ from .network import (
     OpinionProfile,
     QuotaNetwork,
     TrustNetwork,
+    _require_honest,
     observed_set,
     threshold,
 )
@@ -36,9 +37,7 @@ def shared_byzantine_bound(net: QuotaNetwork, i: NodeId, j: NodeId) -> Fraction:
     ``min(|T_i & T_j|, b_i * |T_i|, b_j * |T_j|)``, kept as an exact
     rational (the budgets are not rounded).
     """
-    for n in (i, j):
-        if n in net.byzantine or n not in net.trust:
-            raise ValueError(f"node {n!r} is not an honest node of the network")
+    _require_honest(net, i, j)
     t_i, t_j = net.trust[i], net.trust[j]
     return min(
         Fraction(len(t_i & t_j)),
@@ -95,13 +94,10 @@ def observation_bounds(
     is bounded above, both in terms of the trust overlap and the shared
     Byzantine cap. Requires ``i`` to see at least one supporter of ``x``.
     """
-    for n in (i, j):
-        if n in net.byzantine or n not in net.trust:
-            raise ValueError(f"node {n!r} is not an honest node of the network")
+    cap = shared_byzantine_bound(net, i, j)  # raises for a non-honest observer
     seen_i = len(observed_set(net, profile, i, x))
     if seen_i == 0:
         raise ValueError(f"premise violated: {i} observes no support for {x}")
-    cap = shared_byzantine_bound(net, i, j)
     t_i, t_j = net.trust[i], net.trust[j]
     overlap = len(t_i & t_j)
 

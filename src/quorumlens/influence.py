@@ -26,6 +26,7 @@ from .network import (
     Network,
     NodeId,
     QuotaNetwork,
+    _require_honest,
     _rules,
     threshold,
 )
@@ -146,8 +147,7 @@ def banzhaf_raw_row(
         BudgetExceededError: when the trust set exceeds ``max_trust``.
         ValueError: for a non-honest node.
     """
-    if i in net.byzantine or i not in net.trust:
-        raise ValueError(f"node {i!r} is not an honest node of the network")
+    _require_honest(net, i)
     order = {n: k for k, n in enumerate(net.nodes)}
     members = sorted(net.trust[i], key=order.get)
     if len(members) > max_trust:

@@ -184,6 +184,13 @@ def threshold(net: QuotaNetwork, node: NodeId) -> int:
     return -(-q.numerator * len(net.trust[node]) // q.denominator)
 
 
+def _require_honest(net: Network, *nodes: NodeId) -> None:
+    """Raise ``ValueError`` for the first of ``nodes`` that is not honest in ``net``."""
+    for n in nodes:
+        if n in net.byzantine or n not in net.trust:
+            raise ValueError(f"node {n!r} is not an honest node of the network")
+
+
 @dataclass(frozen=True)
 class OpinionProfile:
     """One snapshot of everyone's revealed opinions.

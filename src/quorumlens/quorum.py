@@ -81,6 +81,7 @@ from .network import (
     NodeId,
     TrustNetwork,
     _fork_profile,
+    _require_honest,
     _rules,
     _wins,
 )
@@ -815,8 +816,7 @@ def check_slice_addition(
     if not isinstance(base, TrustNetwork):
         raise TypeError("slice addition expects an explicit-slice network")
     slice_set = frozenset(new_slice)
-    if node in base.byzantine or node not in base.trust:
-        raise ValueError(f"node {node!r} is not an honest node of the network")
+    _require_honest(base, node)
     if not slice_set or not slice_set <= base.trust[node]:
         raise ValueError("new slice must be a non-empty subset of the node's trust set")
     slices = dict(base.slices)

@@ -14,6 +14,7 @@ import pytest
 import nets
 import quorumlens.cli as cli_mod
 import quorumlens.influence as influence_mod
+import quorumlens.network as network_mod
 from quorumlens import (
     NetworkFormatError,
     NetworkValidationError,
@@ -28,6 +29,7 @@ from quorumlens import (
     load_network,
     load_network_file,
     network_document,
+    network_violations,
     parse_dimacs,
     parse_network_document,
     save_network,
@@ -267,6 +269,33 @@ class TestCliContract:
             assert run(["check", path]) == 0
         quota = [str(w.message) for w in caught if issubclass(w.category, QuotaRangeWarning)]
         assert len(quota) == len(set(quota)) == 8
+
+    def test_check_validates_a_loaded_network_once(self, tmp_path, capsys, monkeypatch):
+        # load_network has validated the file, so check reports its empty
+        # violation list without validating again. The validation runs
+        # through either name: validate_network calls the network module's.
+        calls = []
+
+        def counting(original):
+            def wrapper(net):
+                calls.append(net)
+                return original(net)
+
+            return wrapper
+
+        for module in (network_mod, cli_mod):
+            monkeypatch.setattr(module, "network_violations", counting(network_violations))
+        doc = {"nodes": ["a", "b", "c"], "kind": "quota", "quota_uniform": "2/3",
+               "trust": {n: ["a", "b", "c"] for n in "abc"}}
+        path = write(tmp_path, "two-thirds.json", doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["check", path, "--json"]) == 0
+        assert len(calls) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "valid" and report["tables"]["violations"] == []
+        quota = [str(w.message) for w in caught if issubclass(w.category, QuotaRangeWarning)]
+        assert len(quota) == len(set(quota)) == 6
 
     def test_fork_exit_codes(self, tmp_path, capsys):
         split = {

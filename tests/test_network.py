@@ -16,11 +16,15 @@ from quorumlens import (
     QuotaRangeWarning,
     TrustNetwork,
     as_fraction,
+    banzhaf_raw_row,
+    check_slice_addition,
     find_fork,
     find_strong_fork,
     network_violations,
+    observation_bounds,
     observed_set,
     profile_violations,
+    shared_byzantine_bound,
     threshold,
     validate_network,
     validates,
@@ -531,3 +535,34 @@ def test_enumerate_profiles_counts():
     net = nets.split_quota()
     # 4 honest bits, one Byzantine node revealing to 4 observers.
     assert sum(1 for _ in enumerate_profiles(net)) == 2**4 * 2**4
+
+
+# Each entry point that takes an honest node, called on a quota network
+# ``q``, a slices network ``s`` and a profile ``p`` with node "x" in its
+# first or its second honest-node argument.
+HONEST_GUARDED = {
+    "shared_byzantine_bound": lambda q, s, p: shared_byzantine_bound(q, "a", "x"),
+    "observation_bounds": lambda q, s, p: observation_bounds(q, p, "x", "a", 1),
+    "banzhaf_raw_row": lambda q, s, p: banzhaf_raw_row(q, "x"),
+    "check_slice_addition": lambda q, s, p: check_slice_addition(s, "x", {"a"}),
+}
+
+
+@pytest.mark.parametrize("byzantine", [True, False], ids=["byzantine", "no-trust-set"])
+@pytest.mark.parametrize("entry", sorted(HONEST_GUARDED))
+def test_entry_points_reject_a_node_that_is_not_honest(entry, byzantine):
+    # "x" is either a Byzantine member of every trust set or a label the
+    # network does not have; honest a, b and c all trust one another.
+    labels = "abcx" if byzantine else "abc"
+    trust = {n: frozenset(labels) for n in "abc"}
+    quota = QuotaNetwork(tuple(labels), frozenset("x" if byzantine else ""), trust,
+                         {n: Fraction(3, 4) for n in "abc"})
+    slices = TrustNetwork(quota.nodes, quota.byzantine, trust, {n: (trust[n],) for n in "abc"})
+    reveals = {"x": {n: 1 for n in "abc"}} if byzantine else {}
+    profile = OpinionProfile({n: 1 for n in "abc"}, reveals)
+    assert network_violations(quota) == network_violations(slices) == []
+    assert profile_violations(quota, profile) == []
+    with pytest.raises(ValueError) as caught:
+        HONEST_GUARDED[entry](quota, slices, profile)
+    assert type(caught.value) is ValueError
+    assert caught.value.args == ("node 'x' is not an honest node of the network",)
