@@ -22,8 +22,8 @@ from .network import (
     QuotaNetwork,
     TrustNetwork,
     _require_honest,
+    _rules,
     observed_set,
-    threshold,
 )
 
 DEFAULT_EXPANSION_MAX_SLICES = 100_000
@@ -135,12 +135,11 @@ class OverlapReport:
     pair: tuple[NodeId, NodeId]
     intersection_size: int
     bound: Fraction
-    shared_cap: Fraction
     satisfies: bool
 
 
 def check_overlap_bounds(net: QuotaNetwork) -> list[OverlapReport]:
-    """Overlap reports for every unordered honest pair of a uniform network.
+    """Overlap reports for every unordered honest pair of a uniform network, in node order.
 
     Raises:
         ValueError: when quotas or Byzantine fractions are not uniform.
@@ -155,9 +154,8 @@ def check_overlap_bounds(net: QuotaNetwork) -> list[OverlapReport]:
         raise ValueError("overlap bounds require a uniform byzantine fraction")
     b = next(iter(fractions))
     factor = b / (1 - b)
-    order = {n: k for k, n in enumerate(net.nodes)}
     reports = []
-    for i, j in combinations(sorted(net.honest, key=order.get), 2):
+    for i, j in combinations(net.honest, 2):
         size = len(net.trust[i] & net.trust[j])
         bound = factor * (len(net.trust[i]) + len(net.trust[j]))
         reports.append(
@@ -165,7 +163,6 @@ def check_overlap_bounds(net: QuotaNetwork) -> list[OverlapReport]:
                 pair=(i, j),
                 intersection_size=size,
                 bound=bound,
-                shared_cap=shared_byzantine_bound(net, i, j),
                 satisfies=size > bound,
             )
         )
@@ -216,7 +213,7 @@ def expand_quota_network(
     coalitions: dict[tuple[frozenset[NodeId], int], tuple[frozenset[NodeId], ...]] = {}
     slices: dict[NodeId, tuple[frozenset[NodeId], ...]] = {}
     for i in net.honest:
-        need = threshold(net, i)
+        ((_, need),) = _rules(net, i)
         count = comb(len(net.trust[i]), need)
         if count > max_slices_per_node:
             raise BudgetExceededError(

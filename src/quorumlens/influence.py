@@ -28,7 +28,6 @@ from .network import (
     QuotaNetwork,
     _require_honest,
     _rules,
-    threshold,
 )
 from .quorum import _close_upward, _digit_in
 
@@ -68,7 +67,7 @@ def _quota_table(net: QuotaNetwork, i: NodeId, k: int) -> bytes:
     count = b"\0"
     for _ in range(k):
         count += count.translate(PLUS_ONE)
-    t = threshold(net, i)
+    ((_, t),) = _rules(net, i)
     return count.translate(bytes(t) + b"\1" * (256 - t))
 
 

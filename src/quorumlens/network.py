@@ -2,7 +2,8 @@
 
 A network is a set of nodes, a Byzantine subset, and, for every honest
 node, a trust set plus the winning coalitions (slices) drawn from it that
-can settle the node's opinion. Two representations exist:
+can settle the node's opinion. Two representations exist, both built on
+one base that holds the nodes, the Byzantine set and the trust sets:
 
 * :class:`TrustNetwork` lists every slice explicitly.
 * :class:`QuotaNetwork` induces slices implicitly: any subset of the
@@ -27,7 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 NodeId = str
 
@@ -78,38 +79,50 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
-def _freeze_sets(mapping: Mapping[NodeId, Iterable[NodeId]]) -> dict[NodeId, frozenset]:
-    return {k: frozenset(v) for k, v in mapping.items()}
-
-
 @dataclass(frozen=True)
-class TrustNetwork:
-    """Trust network with explicitly listed winning coalitions.
+class _TrustModel:
+    """What both network kinds share: nodes, the Byzantine set, trust sets.
 
     Fields:
         nodes: all node labels, in a fixed order used for deterministic output.
         byzantine: labels of Byzantine nodes; the rest are honest.
         trust: per honest node, the set of nodes it listens to.
-        slices: per honest node, its winning coalitions, each a subset of
-            the trust set. A coalition wins as soon as the observed set
-            contains it (superset-closed reading).
-        vetoed: if set, every honest node must have its own singleton
-            among its slices.
 
-    Byzantine nodes carry no trust set or slices; they behave as if their
-    only winning coalition were their own singleton.
+    Byzantine nodes carry no trust set; they behave as if their only
+    winning coalition were their own singleton.
     """
 
     nodes: tuple[NodeId, ...]
     byzantine: frozenset[NodeId]
     trust: Mapping[NodeId, frozenset[NodeId]]
-    slices: Mapping[NodeId, tuple[frozenset[NodeId], ...]]
-    vetoed: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "byzantine", frozenset(self.byzantine))
-        object.__setattr__(self, "trust", _freeze_sets(self.trust))
+        object.__setattr__(self, "trust", {k: frozenset(v) for k, v in self.trust.items()})
+
+    @property
+    def honest(self) -> tuple[NodeId, ...]:
+        return tuple(n for n in self.nodes if n not in self.byzantine)
+
+
+@dataclass(frozen=True)
+class TrustNetwork(_TrustModel):
+    """Trust network with explicitly listed winning coalitions.
+
+    Fields beyond the shared ``nodes``, ``byzantine`` and ``trust``:
+        slices: per honest node, its winning coalitions, each a subset of
+            the trust set. A coalition wins as soon as the observed set
+            contains it (superset-closed reading).
+        vetoed: if set, every honest node must have its own singleton
+            among its slices.
+    """
+
+    slices: Mapping[NodeId, tuple[frozenset[NodeId], ...]]
+    vetoed: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
         # Drop repeated slices, keeping first occurrences in order; a
         # coalition that is already a frozenset is kept as the same object.
         normalized = {
@@ -118,13 +131,9 @@ class TrustNetwork:
         }
         object.__setattr__(self, "slices", normalized)
 
-    @property
-    def honest(self) -> tuple[NodeId, ...]:
-        return tuple(n for n in self.nodes if n not in self.byzantine)
-
 
 @dataclass(frozen=True)
-class QuotaNetwork:
+class QuotaNetwork(_TrustModel):
     """Trust network whose slices are induced by per-node quotas.
 
     A coalition C subset of T_i wins for honest ``i`` exactly when
@@ -133,16 +142,11 @@ class QuotaNetwork:
     it defaults to ``1 - quota[i]``.
     """
 
-    nodes: tuple[NodeId, ...]
-    byzantine: frozenset[NodeId]
-    trust: Mapping[NodeId, frozenset[NodeId]]
     quota: Mapping[NodeId, Fraction]
     byz_fraction: Mapping[NodeId, Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "byzantine", frozenset(self.byzantine))
-        object.__setattr__(self, "trust", _freeze_sets(self.trust))
+        super().__post_init__()
         quota = {k: as_fraction(v) for k, v in self.quota.items()}
         object.__setattr__(self, "quota", quota)
         fractions = {k: as_fraction(v) for k, v in self.byz_fraction.items()}
@@ -157,10 +161,6 @@ class QuotaNetwork:
                     b = defaults[key] = 1 - q
                 fractions[node] = b
         object.__setattr__(self, "byz_fraction", fractions)
-
-    @property
-    def honest(self) -> tuple[NodeId, ...]:
-        return tuple(n for n in self.nodes if n not in self.byzantine)
 
     @property
     def vetoed(self) -> bool:
@@ -189,6 +189,12 @@ def _require_honest(net: Network, *nodes: NodeId) -> None:
     for n in nodes:
         if n in net.byzantine or n not in net.trust:
             raise ValueError(f"node {n!r} is not an honest node of the network")
+
+
+def _require_known(net: Network, members: frozenset, what: str) -> None:
+    """Raise ``ValueError`` listing the ``members`` that are not nodes of ``net``."""
+    if unknown := members - set(net.nodes):
+        raise ValueError(f"unknown nodes in candidate {what}: {_listed(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -396,9 +402,11 @@ def observed_set(
     Honest trustees contribute their single opinion; Byzantine trustees
     contribute whatever they reveal to this specific observer, and are
     left out of both value classes if they reveal nothing to it.
+
+    Raises:
+        ValueError: for an observer that is not an honest node.
     """
-    if observer in net.byzantine:
-        raise ValueError(f"observer {observer!r} is not honest")
+    _require_honest(net, observer)
     members = []
     for i in net.trust[observer]:
         if i in net.byzantine:
@@ -415,9 +423,7 @@ def _rules(net: Network, i: NodeId) -> list[tuple[frozenset[NodeId], int]]:
     A coalition wins for ``i`` when it holds ``need`` members of the set
     of some rule: one rule ``(T_i, threshold)`` for a quota node, and one
     rule ``(s, |s|)`` per slice ``s`` of a slices node. Every reader of
-    "does ``i`` win" goes through these rules, except the quota winning
-    table of :func:`~quorumlens.influence._quota_table`, which compares
-    each coalition's size with :func:`threshold` directly.
+    "does ``i`` win" goes through these rules.
     """
     if isinstance(net, QuotaNetwork):
         return [(net.trust[i], threshold(net, i))]

@@ -82,6 +82,7 @@ from .network import (
     TrustNetwork,
     _fork_profile,
     _require_honest,
+    _require_known,
     _rules,
     _wins,
 )
@@ -255,9 +256,7 @@ def is_quorum(net: Network, q) -> bool:
     fixpoints), so it can re-check the searches' witnesses.
     """
     members = frozenset(q)
-    unknown = sorted(members - set(net.nodes))
-    if unknown:
-        raise ValueError(f"unknown nodes in candidate quorum: {', '.join(unknown)}")
+    _require_known(net, members, "quorum")
     return bool(members) and all(
         n in net.byzantine or _wins(net, n, members) for n in members
     )
@@ -266,9 +265,7 @@ def is_quorum(net: Network, q) -> bool:
 def max_quorum_within(net: Network, s) -> frozenset[NodeId]:
     """The unique largest quorum contained in ``s``; empty if none exists."""
     members = frozenset(s)
-    unknown = sorted(members - set(net.nodes))
-    if unknown:
-        raise ValueError(f"unknown nodes in candidate set: {', '.join(unknown)}")
+    _require_known(net, members, "set")
     view = _QuorumView(net)
     return view.labels(view.max_quorum(view._mask(members)))
 

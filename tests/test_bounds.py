@@ -156,6 +156,28 @@ class TestOverlapBounds:
         with pytest.raises(ValueError, match="uniform"):
             check_overlap_bounds(net)
 
+    def test_requires_uniform_byzantine_fraction(self):
+        net = QuotaNetwork(
+            nodes=("a", "b"),
+            byzantine=frozenset(),
+            trust={"a": frozenset("ab"), "b": frozenset("ab")},
+            quota={"a": Fraction(4, 5), "b": Fraction(4, 5)},
+            byz_fraction={"a": Fraction(1, 5), "b": Fraction(1, 10)},
+        )
+        with pytest.raises(ValueError, match="uniform byzantine fraction"):
+            check_overlap_bounds(net)
+
+    def test_requires_a_quota_network(self):
+        with pytest.raises(TypeError, match="apply to quota networks"):
+            check_overlap_bounds(nets.two_triangles())
+
+    def test_pairs_follow_node_order(self):
+        # Node order, not label order: "c" comes first.
+        trust = {n: frozenset("cab") for n in "cab"}
+        net = QuotaNetwork(("c", "a", "b"), frozenset(), trust, {n: Fraction(4, 5) for n in "cab"})
+        pairs = [r.pair for r in check_overlap_bounds(net)]
+        assert pairs == [("c", "a"), ("c", "b"), ("a", "b")]
+
     def test_safe_networks_pass_all_pairs(self):
         # Small inline version of the full property suite: every network
         # certified fork-free across admissible Byzantine placements obeys

@@ -201,6 +201,11 @@ class TestReduction:
                 seen_unsat += 1
         assert seen_sat >= 10 and seen_unsat >= 5
 
+    def test_witness_without_z0_is_rejected(self):
+        cnf = Cnf(1, ((1, 1, 1),))
+        with pytest.raises(ValueError, match="no side of the witness contains z0"):
+            decode_qi_witness(cnf, (frozenset({"y1"}), frozenset({"n1"})))
+
 
 class TestSliceAddition:
     def test_positive_unit_instance(self):
@@ -219,6 +224,10 @@ class TestSliceAddition:
     def test_premise_checked_not_assumed(self):
         with pytest.raises(ValueError, match="premise"):
             slice_addition_instance(Cnf(1, ((-1, -1, -1),)))
+
+    def test_formula_without_variables_is_rejected(self):
+        with pytest.raises(ValueError, match="formula has no variables"):
+            slice_addition_instance(Cnf(0, ()))
 
     def test_random_eligible_formulas(self):
         rng = random.Random(13)
@@ -274,3 +283,18 @@ class TestRandomQuotaNetwork:
             random_quota_network(GenParams(6, 3, Fraction(4, 5), byzantine_count=6))
         with pytest.raises(ValueError):
             random_quota_network(GenParams(8, 3, Fraction(4, 5), byzantine_count=3, topology="centralised"))
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            # Six nodes of which four are Byzantine leave 2 honest nodes
+            # for a core of trust_size // 2 = 3.
+            (GenParams(6, 6, Fraction(4, 5), byzantine_count=4, topology="centralised"),
+             "not enough honest nodes for the core"),
+            (GenParams(6, 3, Fraction(4, 5), topology="ring"), "unknown topology 'ring'"),
+        ],
+    )
+    def test_infeasible_parameter_messages(self, params, message):
+        with pytest.raises(ValueError) as caught:
+            random_quota_network(params)
+        assert caught.value.args == (message,)

@@ -18,6 +18,7 @@ import quorumlens.network as network_mod
 from quorumlens import (
     NetworkFormatError,
     NetworkValidationError,
+    OpinionProfile,
     QuorumReport,
     QuotaNetwork,
     QuotaRangeWarning,
@@ -480,6 +481,9 @@ class TestCliContract:
             (False, {"value_a": 0, "value_b": 1}),  # node 1 sees only 1s, so 0 does not validate
             (True, {"supporting_a": frozenset("12")}),  # {1, 2} is not a quorum
             (True, {"supporting_b": frozenset("123456")}),  # a quorum, but it holds 1, 2 and 3
+            (False, {"profile": OpinionProfile({"1": 1}, {})}),  # no opinion for 2 to 6
+            (False, {"node_b": "9"}),  # no such node, so not an honest one
+            (True, {"node_a": "4"}),  # honest, but outside the quorum {1, 2, 3}
         ],
     )
     def test_fork_witness_failing_its_recheck_exits_two(

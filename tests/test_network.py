@@ -249,6 +249,25 @@ class TestObservedSet:
         partial = OpinionProfile({"1": 1, "2": 1, "4": 0, "5": 0}, {"3": {"1": 1}})
         assert any("no reveal" in p for p in profile_violations(net, partial))
 
+    @pytest.mark.parametrize(
+        "opinions, reveals, message",
+        [
+            ({"1": 1, "2": 1, "4": 0}, None, "honest opinion domain differs from the honest node set"),
+            ({"1": 2, "2": 1, "4": 0, "5": 0}, None, "node 1: opinion 2 not in {0, 1}"),
+            (None, {}, "reveal domain differs from the Byzantine node set"),
+            (None, {"3": {"1": 1, "2": 1, "4": 0, "5": 7}}, "byzantine node 3: reveal 7 to 5 not in {0, 1}"),
+        ],
+        ids=["opinion-domain", "opinion-value", "reveal-domain", "reveal-value"],
+    )
+    def test_profile_violation_messages(self, opinions, reveals, message):
+        # Each case breaks one part of the fitting split_quota profile.
+        fitting = nets.split_quota_profile()
+        profile = OpinionProfile(
+            fitting.honest_opinions if opinions is None else opinions,
+            fitting.byzantine_reveals if reveals is None else reveals,
+        )
+        assert profile_violations(nets.split_quota(), profile) == [message]
+
 
 class TestValidates:
     def test_quota_threshold_met(self):
@@ -545,6 +564,8 @@ HONEST_GUARDED = {
     "observation_bounds": lambda q, s, p: observation_bounds(q, p, "x", "a", 1),
     "banzhaf_raw_row": lambda q, s, p: banzhaf_raw_row(q, "x"),
     "check_slice_addition": lambda q, s, p: check_slice_addition(s, "x", {"a"}),
+    "observed_set": lambda q, s, p: observed_set(q, p, "x", 1),
+    "validates": lambda q, s, p: validates(s, p, "x", 1),
 }
 
 

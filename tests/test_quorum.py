@@ -43,6 +43,11 @@ class TestIsQuorum:
         with pytest.raises(ValueError, match="unknown"):
             is_quorum(nets.two_triangles(), {"9"})
 
+    def test_unknown_label_of_another_type_rejected(self):
+        with pytest.raises(ValueError) as caught:
+            is_quorum(nets.two_triangles(), {7})
+        assert caught.value.args == ("unknown nodes in candidate quorum: 7",)
+
     def test_definition_matches_both_fixpoints(self):
         # A non-empty set is a quorum exactly when it is its own largest
         # quorum, by the oracle's fixpoint and by the library's.
@@ -91,6 +96,11 @@ class TestMaxQuorumWithin:
 
     def test_empty_input(self):
         assert max_quorum_within(nets.two_triangles(), frozenset()) == frozenset()
+
+    def test_unknown_labels_listed_by_their_text(self):
+        with pytest.raises(ValueError) as caught:
+            max_quorum_within(nets.two_triangles(), {"zz", 7})
+        assert caught.value.args == ("unknown nodes in candidate set: 7, zz",)
 
     def test_result_is_quorum_or_empty(self):
         rng = random.Random(19)
@@ -297,6 +307,10 @@ class TestSliceAddition:
     def test_slice_must_come_from_trust_set(self):
         with pytest.raises(ValueError, match="trust set"):
             check_slice_addition(nets.two_triangles_bridged(), "1", frozenset("145"))
+
+    def test_base_must_list_its_slices(self):
+        with pytest.raises(TypeError, match="explicit-slice network"):
+            check_slice_addition(nets.split_quota(), "1", frozenset("12"))
 
     def test_matches_full_check_on_extended_network(self):
         from quorumlens import TrustNetwork
