@@ -8,16 +8,31 @@ One network per file. Top-level keys:
 * slices kind: ``slices`` maps each honest label to an array of arrays of
   labels; a node's trust set is the union of its slices (and, for the
   ``slice_addition`` node, of the candidate slice too).
-* quota kind: ``trust`` maps each honest label to an array of labels,
-  plus exactly one of ``quota_uniform`` (a rational) or ``quota`` (object
-  label to rational); optionally one of ``byz_fraction_uniform`` or
-  ``byz_fraction`` in the same two shapes. A rational is a ``"p/q"``
-  string, which is what :func:`network_document` writes, or a JSON number.
+* quota kind: ``trust`` maps each honest label to an array of labels; the
+  quota is required and the Byzantine fraction optional, each as one of
+  its two rational forms. None of these five keys belongs to a slices
+  file.
 * ``vetoed``: boolean, default false.
 * ``slice_addition``: optional generator metadata for a slices network, an
   object with ``node`` (an honest label) and ``slice`` describing a
   candidate slice to add. The slice is drawn from the node's trust set,
   so its members join that trust set.
+
+File rules, each checked in one place:
+
+* A per-node object (``slices``, ``trust``, ``quota``) is keyed by exactly
+  the honest nodes; ``byz_fraction`` by some of them, the rest keeping
+  the default ``1 - quota``.
+* A rational per node is given once for all honest nodes as
+  ``<key>_uniform`` or per node as the ``<key>`` object, never both:
+  ``quota`` needs exactly one form, ``byz_fraction`` at most one. A
+  rational is a ``"p/q"`` string, which is what :func:`network_document`
+  writes (the uniform form whenever all values are equal), or a JSON
+  number.
+* No JSON object of a file may repeat a key.
+* A quota file may say ``"vetoed": true`` only when every honest node's
+  threshold is 1 and it trusts itself; that claim is judged after
+  validation.
 
 Unknown keys are rejected, every referenced label must appear in
 ``nodes``, and the parsed network must pass full validation.
@@ -55,19 +70,9 @@ class NetworkFormatError(ValueError):
     """The document does not match the network file schema."""
 
 
-_TOP_KEYS = {
-    "nodes",
-    "byzantine",
-    "kind",
-    "slices",
-    "trust",
-    "quota",
-    "quota_uniform",
-    "byz_fraction",
-    "byz_fraction_uniform",
-    "vetoed",
-    "slice_addition",
-}
+# A quota network's trust sets and rationals: no slices file carries them.
+_QUOTA_KEYS = ("trust", "quota", "quota_uniform", "byz_fraction", "byz_fraction_uniform")
+_TOP_KEYS = {"nodes", "byzantine", "kind", "slices", *_QUOTA_KEYS, "vetoed", "slice_addition"}
 
 
 @dataclass(frozen=True)
@@ -175,6 +180,54 @@ def _number(value, key: str) -> Fraction:
     return as_fraction(value)
 
 
+def _honest_map(doc: dict, key: str, honest: list[str], exact: bool = True) -> dict:
+    """The required object under ``key``, keyed by the honest nodes.
+
+    It must hold every honest node when ``exact``, and some of them
+    otherwise.
+    """
+    _expect(key in doc, f'missing required key "{key}"')
+    raw = doc[key]
+    _expect(isinstance(raw, dict), f'key "{key}": expected an object')
+    if exact:
+        _expect(set(raw) == set(honest), f'key "{key}": domain must be exactly the honest nodes')
+    else:
+        _expect(set(raw) <= set(honest), f'key "{key}": domain must be honest nodes')
+    return raw
+
+
+def _rationals(doc: dict, key: str, honest: list[str], required: bool) -> dict[str, Fraction]:
+    """The per-node rationals under ``<key>_uniform`` or ``<key>``.
+
+    ``<key>_uniform`` holds one rational for every honest node, and the
+    ``<key>`` object one per node. A ``required`` key takes exactly one of
+    the two forms, and its object covers every honest node. Otherwise the
+    key takes at most one form, its object covers some honest nodes, and
+    without either form the result is empty.
+    """
+    uniform = f"{key}_uniform"
+    forms = (uniform in doc) + (key in doc)
+    if required:
+        _expect(forms == 1, f'exactly one of "{uniform}" or "{key}" is required')
+    else:
+        _expect(forms <= 1, f'at most one of "{uniform}" or "{key}" is allowed')
+    if uniform in doc:
+        return dict.fromkeys(honest, _number(doc[uniform], uniform))
+    if key not in doc:
+        return {}
+    raw = _honest_map(doc, key, honest, exact=required)
+    return {label: _number(v, f"{key}[{label!r}]") for label, v in raw.items()}
+
+
+def _put_rationals(doc: dict, key: str, values: dict[str, Fraction]) -> None:
+    """Write ``values`` as ``<key>_uniform`` if all are equal, else as the ``<key>`` object."""
+    distinct = set(values.values())
+    if len(distinct) == 1:
+        doc[f"{key}_uniform"] = str(distinct.pop())
+    else:
+        doc[key] = {label: str(v) for label, v in values.items()}
+
+
 def parse_network_document(doc) -> LoadedNetwork:
     """Build a validated network from a decoded JSON document.
 
@@ -223,15 +276,9 @@ def parse_network_document(doc) -> LoadedNetwork:
         addition = (target, members)
 
     if kind == "slices":
-        for forbidden in ("trust", "quota", "quota_uniform", "byz_fraction", "byz_fraction_uniform"):
+        for forbidden in _QUOTA_KEYS:
             _expect(forbidden not in doc, f"key {forbidden!r} does not belong to a slices network")
-        _expect("slices" in doc, 'missing required key "slices"')
-        raw = doc["slices"]
-        _expect(isinstance(raw, dict), 'key "slices": expected an object')
-        _expect(
-            set(raw) == set(honest),
-            'key "slices": domain must be exactly the honest nodes',
-        )
+        raw = _honest_map(doc, "slices", honest)
         families = [raw[label] for label in honest]
         parsed = _parse_families(families, node_set)
         if parsed is None:
@@ -243,60 +290,47 @@ def parse_network_document(doc) -> LoadedNetwork:
         net: Network = TrustNetwork(tuple(nodes), byzantine, trust, slices, vetoed)
     else:
         _expect("slices" not in doc, 'key "slices" does not belong to a quota network')
-        _expect("trust" in doc, 'missing required key "trust"')
-        raw = doc["trust"]
-        _expect(isinstance(raw, dict), 'key "trust": expected an object')
-        _expect(set(raw) == set(honest), 'key "trust": domain must be exactly the honest nodes')
+        raw = _honest_map(doc, "trust", honest)
         if not _label_arrays([raw[label] for label in honest], node_set):
             for label in honest:
                 _walk_labels(raw[label], f"trust[{label!r}]", node_set)
         trust = {label: frozenset(raw[label]) for label in honest}
-        _expect(
-            ("quota_uniform" in doc) != ("quota" in doc),
-            'exactly one of "quota_uniform" or "quota" is required',
-        )
-        if "quota_uniform" in doc:
-            q = _number(doc["quota_uniform"], "quota_uniform")
-            quota = {label: q for label in honest}
-        else:
-            raw_q = doc["quota"]
-            _expect(isinstance(raw_q, dict), 'key "quota": expected an object')
-            _expect(set(raw_q) == set(honest), 'key "quota": domain must be exactly the honest nodes')
-            quota = {label: _number(v, f"quota[{label!r}]") for label, v in raw_q.items()}
-        _expect(
-            not ("byz_fraction_uniform" in doc and "byz_fraction" in doc),
-            'at most one of "byz_fraction_uniform" or "byz_fraction" is allowed',
-        )
-        byz_fraction = {}
-        if "byz_fraction_uniform" in doc:
-            b = _number(doc["byz_fraction_uniform"], "byz_fraction_uniform")
-            byz_fraction = {label: b for label in honest}
-        elif "byz_fraction" in doc:
-            raw_b = doc["byz_fraction"]
-            _expect(isinstance(raw_b, dict), 'key "byz_fraction": expected an object')
-            _expect(
-                set(raw_b) <= set(honest),
-                'key "byz_fraction": domain must be honest nodes',
-            )
-            byz_fraction = {label: _number(v, f"byz_fraction[{label!r}]") for label, v in raw_b.items()}
+        quota = _rationals(doc, "quota", honest, required=True)
+        byz_fraction = _rationals(doc, "byz_fraction", honest, required=False)
         net = QuotaNetwork(tuple(nodes), byzantine, trust, quota, byz_fraction)
-        if vetoed and not net.vetoed:
-            raise NetworkFormatError(
-                'key "vetoed": quota network does not induce veto slices (thresholds above 1)'
-            )
 
     validate_network(net)
+    if vetoed and not net.vetoed:  # only a quota network can differ from its claim
+        raise NetworkFormatError(
+            'key "vetoed": quota network does not induce veto slices (thresholds above 1)'
+        )
     return LoadedNetwork(net, addition)
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One decoded JSON object; raise on its first key that repeats.
+
+    ``json.loads`` would keep only the last value of a repeated key.
+    """
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            _expect(key not in seen, f"repeated key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def load_network_file(path) -> LoadedNetwork:
     """Parse and validate a network file, keeping generator metadata."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except UnicodeDecodeError as exc:
         raise NetworkFormatError(f"{path}: cannot decode text: {exc}") from exc
     except (json.JSONDecodeError, RecursionError) as exc:
         raise NetworkFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except NetworkFormatError as exc:
+        raise NetworkFormatError(f"{path}: {exc}") from None
     return parse_network_document(doc)
 
 
@@ -327,18 +361,9 @@ def network_document(
     else:
         doc["kind"] = "quota"
         doc["trust"] = {i: ordered(net.trust[i]) for i in net.honest}
-        quotas = {net.quota[i] for i in net.honest}
-        if len(quotas) == 1:
-            doc["quota_uniform"] = str(next(iter(quotas)))
-        else:
-            doc["quota"] = {i: str(net.quota[i]) for i in net.honest}
-        defaults = all(net.byz_fraction[i] == 1 - net.quota[i] for i in net.honest)
-        if not defaults:
-            fractions = {net.byz_fraction[i] for i in net.honest}
-            if len(fractions) == 1:
-                doc["byz_fraction_uniform"] = str(next(iter(fractions)))
-            else:
-                doc["byz_fraction"] = {i: str(net.byz_fraction[i]) for i in net.honest}
+        _put_rationals(doc, "quota", {i: net.quota[i] for i in net.honest})
+        if any(net.byz_fraction[i] != 1 - net.quota[i] for i in net.honest):
+            _put_rationals(doc, "byz_fraction", {i: net.byz_fraction[i] for i in net.honest})
     if slice_addition is not None:
         node, members = slice_addition
         doc["slice_addition"] = {"node": node, "slice": ordered(members)}

@@ -708,9 +708,9 @@ def walk_network_document(doc) -> LoadedNetwork:
             expect(set(raw_b) <= set(honest), 'key "byz_fraction": domain must be honest nodes')
             byz_fraction = {label: _number(v, f"byz_fraction[{label!r}]") for label, v in raw_b.items()}
         net = QuotaNetwork(tuple(nodes), byzantine, trust, quota, byz_fraction)
-        if vetoed and not net.vetoed:
-            raise NetworkFormatError(
-                'key "vetoed": quota network does not induce veto slices (thresholds above 1)'
-            )
     validate_network(net)
+    if isinstance(net, QuotaNetwork) and vetoed and not net.vetoed:
+        raise NetworkFormatError(
+            'key "vetoed": quota network does not induce veto slices (thresholds above 1)'
+        )
     return LoadedNetwork(net, addition)

@@ -1,5 +1,6 @@
 """Network file format and the command-line contract."""
 
+import copy
 import dataclasses
 import json
 import os
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import nets
+import oracles
 import quorumlens.cli as cli_mod
 import quorumlens.influence as influence_mod
 import quorumlens.network as network_mod
@@ -87,6 +89,92 @@ def with_number_text(key, text):
     return json.dumps(doc).replace('"@"', text)
 
 
+# The honest nodes 1 to 5 of shared_five_doc once node 6 is Byzantine.
+HONEST_FIVE = {"byzantine": ["6"], "trust": {n: ["1", "2", "3", "4", "5"] for n in "12345"}}
+QUOTA_KEYS = ("trust", "quota", "quota_uniform", "byz_fraction", "byz_fraction_uniform")
+
+# Each per-node-block and kind-key error: a base document, the keys to set
+# (None removes one), and the exact message.
+BLOCK_ERRORS = {
+    "quota-not-object": (
+        shared_five_doc, {"quota_uniform": None, "quota": "4/5"}, 'key "quota": expected an object'
+    ),
+    "byz-fraction-not-object": (
+        shared_five_doc, {"byz_fraction": ["1/5"]}, 'key "byz_fraction": expected an object'
+    ),
+    "quota-missing-node": (
+        shared_five_doc,
+        {"quota_uniform": None, "quota": {n: "4/5" for n in "12345"}},
+        'key "quota": domain must be exactly the honest nodes',
+    ),
+    "quota-byzantine-node": (
+        shared_five_doc,
+        {**HONEST_FIVE, "quota_uniform": None, "quota": {n: "4/5" for n in "123456"}},
+        'key "quota": domain must be exactly the honest nodes',
+    ),
+    "byz-fraction-byzantine-node": (
+        shared_five_doc,
+        {**HONEST_FIVE, "byz_fraction": {"6": "1/5"}},
+        'key "byz_fraction": domain must be honest nodes',
+    ),
+    "quota-both-forms": (
+        shared_five_doc,
+        {"quota": {n: "4/5" for n in "123456"}},
+        'exactly one of "quota_uniform" or "quota" is required',
+    ),
+    "quota-neither-form": (
+        shared_five_doc,
+        {"quota_uniform": None},
+        'exactly one of "quota_uniform" or "quota" is required',
+    ),
+    "byz-fraction-both-forms": (
+        shared_five_doc,
+        {"byz_fraction_uniform": "1/5", "byz_fraction": {"1": "1/5"}},
+        'at most one of "byz_fraction_uniform" or "byz_fraction" is allowed',
+    ),
+    "slices-not-object": (
+        triangles_doc, {"slices": [["1", "2", "3"]]}, 'key "slices": expected an object'
+    ),
+    "slices-byzantine-node": (
+        triangles_doc, {"byzantine": ["6"]}, 'key "slices": domain must be exactly the honest nodes'
+    ),
+    "trust-not-object": (shared_five_doc, {"trust": ["1"]}, 'key "trust": expected an object'),
+    "trust-missing-node": (
+        shared_five_doc,
+        {"trust": HONEST_FIVE["trust"]},
+        'key "trust": domain must be exactly the honest nodes',
+    ),
+    **{
+        f"{key}-in-slices-file": (
+            triangles_doc, {key: "4/5"}, f"key {key!r} does not belong to a slices network"
+        )
+        for key in QUOTA_KEYS
+    },
+    "slices-in-quota-file": (
+        shared_five_doc, {"slices": {}}, 'key "slices" does not belong to a quota network'
+    ),
+    "slices-missing": (triangles_doc, {"slices": None}, 'missing required key "slices"'),
+    "trust-missing": (shared_five_doc, {"trust": None}, 'missing required key "trust"'),
+}
+
+# Two slices for node "a" under one key: json.loads would keep the second,
+# and a network with a violated quorum intersection would load as one that
+# holds.
+REPEATED_SLICES = (
+    '{"nodes": ["a", "b"], "kind": "slices", '
+    '"slices": {"a": [["a"]], "b": [["b"]], "a": [["a", "b"]]}}'
+)
+
+# A quota file that claims veto slices, with node a's trust set empty.
+VETOED_EMPTY_TRUST = {
+    "nodes": ["a", "b"],
+    "kind": "quota",
+    "trust": {"a": [], "b": ["a", "b"]},
+    "quota_uniform": "3/4",
+    "vetoed": True,
+}
+
+
 class TestNetworkFiles:
     def test_load_slices_network(self, tmp_path):
         net = load_network(write(tmp_path, "fig.json", triangles_doc()))
@@ -126,6 +214,57 @@ class TestNetworkFiles:
         doc["quota"] = {n: 0.8 for n in "123456"}
         with pytest.raises(NetworkFormatError, match="exactly one"):
             load_network(write(tmp_path, "bad.json", doc))
+
+    @pytest.mark.parametrize("name", BLOCK_ERRORS)
+    def test_per_node_block_messages(self, name):
+        base, changes, message = BLOCK_ERRORS[name]
+        doc = base()
+        for key, value in changes.items():
+            if value is None:
+                del doc[key]
+            else:
+                doc[key] = value
+        for parse in (parse_network_document, oracles.walk_network_document):
+            with pytest.raises(NetworkFormatError) as caught:
+                parse(copy.deepcopy(doc))
+            assert type(caught.value) is NetworkFormatError
+            assert str(caught.value) == message
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"nodes": ["a"], "kind": "slices", "nodes": ["b"], "slices": {}}', "nodes"),
+            (REPEATED_SLICES, "a"),
+            ('{"nodes": ["a"], "kind": "slices", "slices": {"a": [["a"]]}, '
+             '"slice_addition": {"node": "a", "slice": ["a"], "node": "a"}}', "node"),
+        ],
+        ids=["top-level", "slices", "slice-addition"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, text, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(text)
+        with pytest.raises(NetworkFormatError) as caught:
+            load_network_file(path)
+        assert str(caught.value) == f"{path}: repeated key {key!r}"
+
+    def test_vetoed_claim_judged_after_validation(self, tmp_path):
+        with pytest.raises(NetworkValidationError) as caught:
+            load_network(write(tmp_path, "vetoed.json", VETOED_EMPTY_TRUST))
+        assert caught.value.violations == ["node a: empty trust set"]
+        for parse in (parse_network_document, oracles.walk_network_document):
+            with pytest.raises(NetworkValidationError):
+                parse(copy.deepcopy(VETOED_EMPTY_TRUST))
+
+    def test_vetoed_claim_follows_the_range_warnings(self):
+        # A valid 2/3 clique is not vetoed: its nodes are warned about their
+        # quotas and Byzantine fractions before the claim is refused.
+        doc = {"nodes": ["a", "b", "c"], "kind": "quota", "quota_uniform": "2/3", "vetoed": True,
+               "trust": {n: ["a", "b", "c"] for n in "abc"}}
+        for parse in (parse_network_document, oracles.walk_network_document):
+            with pytest.warns(QuotaRangeWarning) as caught:
+                with pytest.raises(NetworkFormatError, match='key "vetoed"'):
+                    parse(copy.deepcopy(doc))
+            assert len(caught) == 6  # a quota and a Byzantine fraction per node
 
     def test_validation_failure_surfaces(self, tmp_path):
         doc = triangles_doc()
@@ -356,6 +495,27 @@ class TestCliContract:
         assert err.startswith("error: ") and str(path) in err
         assert not (tmp_path / "out.json").exists()
 
+    def test_repeated_key_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "repeated.json"
+        path.write_text(REPEATED_SLICES)
+        assert run(["qi", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: repeated key 'a'\n"
+        # Without the second "a", the file is violated by {a} and {b}.
+        path.write_text(REPEATED_SLICES.replace(', "a": [["a", "b"]]', ""))
+        assert run(["qi", str(path)]) == 1
+        assert "{a}" in capsys.readouterr().out
+
+    def test_vetoed_quota_file_with_an_empty_trust_set_is_invalid(self, tmp_path, capsys):
+        path = write(tmp_path, "vetoed.json", VETOED_EMPTY_TRUST)
+        assert run(["check", path]) == 2
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        violations = lines[lines.index("verdict: invalid") + 1:]
+        assert violations == ["violations:", "  - node a: empty trust set"]
+        assert "thresholds above 1" not in captured.err
+
     def test_unknown_subcommand_exit_two(self, capsys):
         assert run(["frobnicate"]) == 2
 
@@ -447,17 +607,27 @@ class TestCliContract:
         assert captured.out == ""
         assert "not a finite number" in captured.err
 
+    # Each case names the re-check that must fire; explicit ids keep the
+    # message out of the test names.
     @pytest.mark.parametrize(
-        "honest, pair",
+        "honest, pair, message",
         [
-            (False, ("123", "123")),  # both sides quora, but they intersect
-            (False, ("12", "456")),  # {1, 2} is not a quorum
-            (True, ("123", "1234")),  # an honest node on both sides
-            (True, ("4", "123")),  # the Byzantine singleton holds no honest node
+            # both sides quora, but they intersect
+            pytest.param(False, ("123", "123"), "the witness quora share a node", id="False-pair0"),
+            # {1, 2} is not a quorum
+            pytest.param(False, ("12", "456"), "a side of the witness is not a quorum", id="False-pair1"),
+            # an honest node on both sides
+            pytest.param(
+                True, ("123", "1234"), "the witness quora do not split the honest nodes", id="True-pair2"
+            ),
+            # the Byzantine singleton holds no honest node
+            pytest.param(
+                True, ("4", "123"), "the witness quora do not split the honest nodes", id="True-pair3"
+            ),
         ],
     )
     def test_qi_witness_failing_its_recheck_exits_two(
-        self, tmp_path, capsys, monkeypatch, honest, pair
+        self, tmp_path, capsys, monkeypatch, honest, pair, message
     ):
         doc = triangles_doc()
         doc["byzantine"] = ["4"]
@@ -470,24 +640,63 @@ class TestCliContract:
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "internal error" in err
+        assert err == f"internal error: {message}\n"
         monkeypatch.undo()
         assert run(argv) == 1  # the real witness passes the re-check
 
     @pytest.mark.parametrize(
-        "strong, change",
+        "strong, change, message",
         [
-            (False, {"node_b": "2", "value_b": 1}),  # both nodes validate 1
-            (False, {"value_a": 0, "value_b": 1}),  # node 1 sees only 1s, so 0 does not validate
-            (True, {"supporting_a": frozenset("12")}),  # {1, 2} is not a quorum
-            (True, {"supporting_b": frozenset("123456")}),  # a quorum, but it holds 1, 2 and 3
-            (False, {"profile": OpinionProfile({"1": 1}, {})}),  # no opinion for 2 to 6
-            (False, {"node_b": "9"}),  # no such node, so not an honest one
-            (True, {"node_a": "4"}),  # honest, but outside the quorum {1, 2, 3}
+            # both nodes validate 1
+            pytest.param(
+                False,
+                {"node_b": "2", "value_b": 1},
+                "the fork witness nodes settle on the same value",
+                id="False-change0",
+            ),
+            # node 1 sees only 1s, so 0 does not validate
+            pytest.param(
+                False,
+                {"value_a": 0, "value_b": 1},
+                "a side of the fork witness does not validate its value",
+                id="False-change1",
+            ),
+            # {1, 2} is not a quorum
+            pytest.param(
+                True,
+                {"supporting_a": frozenset("12")},
+                "a side of the witness is not a quorum",
+                id="True-change2",
+            ),
+            # a quorum, but it holds 1, 2 and 3
+            pytest.param(
+                True,
+                {"supporting_b": frozenset("123456")},
+                "the witness quora do not split the honest nodes",
+                id="True-change3",
+            ),
+            # no opinion for 2 to 6
+            pytest.param(
+                False,
+                {"profile": OpinionProfile({"1": 1}, {})},
+                "the fork witness profile does not fit the network",
+                id="False-change4",
+            ),
+            # no such node, so not an honest one
+            pytest.param(
+                False, {"node_b": "9"}, "a fork witness node is not honest", id="False-change5"
+            ),
+            # honest, but outside the quorum {1, 2, 3}
+            pytest.param(
+                True,
+                {"node_a": "4"},
+                "a strong-fork witness node is outside its quorum",
+                id="True-change6",
+            ),
         ],
     )
     def test_fork_witness_failing_its_recheck_exits_two(
-        self, tmp_path, capsys, monkeypatch, strong, change
+        self, tmp_path, capsys, monkeypatch, strong, change, message
     ):
         path = write(tmp_path, "fig.json", triangles_doc())
         finder = find_strong_fork if strong else find_fork
@@ -498,7 +707,7 @@ class TestCliContract:
         assert run(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "internal error" in err
+        assert err == f"internal error: {message}\n"
         monkeypatch.undo()
         assert run(argv) == 1  # the real witness passes the re-check
 
