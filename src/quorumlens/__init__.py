@@ -87,9 +87,14 @@ from .quorum import (
     check_quorum_intersection,
     check_slice_addition,
     find_strong_fork,
-    is_quorum,
     max_quorum_within,
     minimal_quora,
+)
+from .verify import (
+    WitnessCheckError,
+    is_quorum,
+    verify_fork_witness,
+    verify_quorum_pair,
 )
 
 __version__ = "0.1.0"
@@ -116,6 +121,7 @@ __all__ = [
     "QuotaNetwork",
     "QuotaRangeWarning",
     "TrustNetwork",
+    "WitnessCheckError",
     "analyze_graph",
     "as_fraction",
     "banzhaf_raw_row",
@@ -157,5 +163,7 @@ __all__ = [
     "threshold",
     "validate_network",
     "validates",
+    "verify_fork_witness",
+    "verify_quorum_pair",
     "with_veto_slices",
 ]

@@ -46,8 +46,6 @@ from .network import (
     _range_findings,
     find_fork,
     network_violations,  # not called here; perfbench/tracing.py wraps this name
-    profile_violations,
-    validates,
 )
 from .netio import NetworkFormatError, load_network, save_network
 from .quorum import (
@@ -56,9 +54,9 @@ from .quorum import (
     check_qi_honest,
     check_quorum_intersection,
     find_strong_fork,
-    is_quorum,
     minimal_quora,
 )
+from .verify import WitnessCheckError, verify_fork_witness, verify_quorum_pair
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -67,10 +65,6 @@ EXIT_BUDGET = 3
 EXIT_BROKEN_PIPE = 141
 
 MINIMAL_QUORA_DISPLAY_LIMIT = 14
-
-
-class WitnessCheckError(Exception):
-    """A witness failed its re-check before printing: an internal error."""
 
 
 def _at_least_one(text: str) -> int:
@@ -220,25 +214,9 @@ def _run_qi(args):
     if report.holds:
         return "holds", None, tables, EXIT_OK
     q_a, q_b = report.witness
-    _recheck_quorum_pair(net, q_a, q_b, args.honest)
+    verify_quorum_pair(net, q_a, q_b, honest=args.honest)
     witness = {"quorum_a": sorted(q_a, key=order), "quorum_b": sorted(q_b, key=order)}
     return "violated", witness, tables, EXIT_VIOLATED
-
-
-def _recheck_quorum_pair(net, q_a, q_b, honest: bool) -> None:
-    """Raise unless both sides are quora that share no node.
-
-    For ``honest``, each side must hold an honest node and they may share
-    only Byzantine ones.
-    """
-    if not (is_quorum(net, q_a) and is_quorum(net, q_b)):
-        raise WitnessCheckError("a side of the witness is not a quorum")
-    if honest:
-        byz = net.byzantine
-        if not (q_a - byz and q_b - byz) or (q_a & q_b) - byz:
-            raise WitnessCheckError("the witness quora do not split the honest nodes")
-    elif q_a & q_b:
-        raise WitnessCheckError("the witness quora share a node")
 
 
 def _run_fork(args):
@@ -254,34 +232,8 @@ def _run_fork(args):
     tables = {"strong": bool(args.strong), "max_nodes": max_nodes}
     if witness is None:
         return safe_verdict, None, tables, EXIT_OK
-    _recheck_fork_witness(net, witness)
+    verify_fork_witness(net, witness)
     return found_verdict, _fork_witness_json(net, witness), tables, EXIT_VIOLATED
-
-
-def _recheck_fork_witness(net, witness: ForkWitness) -> None:
-    """Raise unless the witness shows two honest nodes settling apart.
-
-    Every witness needs a well-formed profile, honest ``node_a`` and
-    ``node_b`` and different values. A fork needs each node to validate
-    its value under the profile. A strong fork needs both supporting sets
-    to be quora that share no honest node, each holding its node.
-    """
-    if profile_violations(net, witness.profile):
-        raise WitnessCheckError("the fork witness profile does not fit the network")
-    honest = set(net.honest)
-    if witness.node_a not in honest or witness.node_b not in honest:
-        raise WitnessCheckError("a fork witness node is not honest")
-    if witness.value_a == witness.value_b:
-        raise WitnessCheckError("the fork witness nodes settle on the same value")
-    if witness.kind == "strong-fork":
-        _recheck_quorum_pair(net, witness.supporting_a, witness.supporting_b, honest=True)
-        if witness.node_a not in witness.supporting_a or witness.node_b not in witness.supporting_b:
-            raise WitnessCheckError("a strong-fork witness node is outside its quorum")
-    elif not (
-        validates(net, witness.profile, witness.node_a, witness.value_a)
-        and validates(net, witness.profile, witness.node_b, witness.value_b)
-    ):
-        raise WitnessCheckError("a side of the fork witness does not validate its value")
 
 
 def _run_safety(args):

@@ -61,9 +61,8 @@ budget overrun is always a distinct outcome, never a verdict.
 :func:`check_slice_addition` is the plain check on the network with the
 new slice added; the base is checked only when that check fails.
 :func:`find_strong_fork` reads the honest check's witness as a strong
-fork. :func:`is_quorum` tests the definition member by member on the
-network's winning rules, sharing no code with the searches whose
-witnesses it re-checks.
+fork. The witnesses are re-checked on the definitions alone by
+:mod:`quorumlens.verify`, which shares no code with this module.
 """
 
 from __future__ import annotations
@@ -84,7 +83,6 @@ from .network import (
     _require_honest,
     _require_known,
     _rules,
-    _wins,
 )
 
 DEFAULT_QI_MAX_NODES = 20
@@ -246,20 +244,6 @@ class _QuorumView:
     def classes_within(self, pool: int) -> list[list[int]]:
         """The twin classes inside ``pool``, a union of them, lowest first."""
         return [members for members in self.twin_classes if (pool >> members[0]) & 1]
-
-
-def is_quorum(net: Network, q) -> bool:
-    """True when ``q`` is non-empty and every honest member wins inside it.
-
-    Decided on the definition, one member at a time against its winning
-    rules, with none of the search machinery (no masks, tables or
-    fixpoints), so it can re-check the searches' witnesses.
-    """
-    members = frozenset(q)
-    _require_known(net, members, "quorum")
-    return bool(members) and all(
-        n in net.byzantine or _wins(net, n, members) for n in members
-    )
 
 
 def max_quorum_within(net: Network, s) -> frozenset[NodeId]:

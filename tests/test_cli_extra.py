@@ -15,12 +15,14 @@ from oracles import closure_step, enumerate_selectors
 from quorumlens import (
     QuotaNetwork,
     expand_quota_network,
+    find_fork,
     find_strong_fork,
     profile_violations,
     save_network,
     validates,
 )
-from quorumlens.cli import _recheck_fork_witness, render_human, run
+from quorumlens.cli import render_human, run
+from quorumlens.verify import verify_fork_witness
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -87,11 +89,15 @@ class TestStrongForkCli:
     def test_quota_networks_match_their_expansion(self):
         forked = 0
         for net in oracles.seeded_quota_networks(31, 300):
+            expanded = expand_quota_network(net)
             witness = find_strong_fork(net)
-            assert (witness is None) == (find_strong_fork(expand_quota_network(net)) is None)
+            assert (witness is None) == (find_strong_fork(expanded) is None)
             if witness is not None:
                 forked += 1
-                _recheck_fork_witness(net, witness)
+                verify_fork_witness(net, witness)
+            for each in (net, expanded):
+                if (weak := find_fork(each, max_total_slices=None)) is not None:
+                    verify_fork_witness(each, weak)
         assert forked >= 30
 
     def test_quota_network_through_the_cli(self, tmp_path, capsys):

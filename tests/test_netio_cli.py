@@ -693,6 +693,27 @@ class TestCliContract:
                 "a strong-fork witness node is outside its quorum",
                 id="True-change6",
             ),
+            # the empty set wins for no node
+            pytest.param(
+                False,
+                {"supporting_a": frozenset()},
+                "a fork witness coalition does not support its node",
+                id="False-change7",
+            ),
+            # 4, 5 and 6 hold 0 and lie outside node 1's trust set
+            pytest.param(
+                False,
+                {"supporting_a": frozenset("123456")},
+                "a fork witness coalition does not support its node",
+                id="False-change8",
+            ),
+            # every honest node holds 0, so side A's quorum does not hold 1
+            pytest.param(
+                True,
+                {"profile": OpinionProfile({n: 0 for n in "123456"}, {})},
+                "a strong-fork witness quorum does not hold its value",
+                id="True-change9",
+            ),
         ],
     )
     def test_fork_witness_failing_its_recheck_exits_two(
