@@ -189,11 +189,7 @@ def overlap_premise_holds(net: Network) -> bool:
     return True
 
 
-def expand_quota_network(
-    net: QuotaNetwork,
-    *,
-    max_slices_per_node: int = DEFAULT_EXPANSION_MAX_SLICES,
-) -> TrustNetwork:
+def expand_quota_network(net: QuotaNetwork) -> TrustNetwork:
     """Rewrite a quota network with its minimal coalitions listed explicitly.
 
     Each honest node receives every subset of its trust set of exactly the
@@ -205,7 +201,7 @@ def expand_quota_network(
 
     Raises:
         BudgetExceededError: when some node would need more than
-            ``max_slices_per_node`` slices.
+            ``DEFAULT_EXPANSION_MAX_SLICES`` slices.
     """
     from math import comb
 
@@ -215,9 +211,10 @@ def expand_quota_network(
     for i in net.honest:
         ((_, need),) = _rules(net, i)
         count = comb(len(net.trust[i]), need)
-        if count > max_slices_per_node:
+        if count > DEFAULT_EXPANSION_MAX_SLICES:
             raise BudgetExceededError(
-                f"node {i}: {count} minimal coalitions exceeds the budget of {max_slices_per_node}"
+                f"node {i}: {count} minimal coalitions exceeds the budget"
+                f" of {DEFAULT_EXPANSION_MAX_SLICES}"
             )
         game = (net.trust[i], need)
         if game not in coalitions:

@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fork", parents=[common], help="fork search")
     p.add_argument("file")
     p.add_argument("--strong", action="store_true", help="strong-fork search (vetoed networks)")
-    p.add_argument("--max-nodes", type=_at_least_one, default=None)
 
     p = sub.add_parser("safety", parents=[common], help="quota safety bound tables")
     p.add_argument("file")
@@ -222,8 +221,9 @@ def _run_qi(args):
 def _run_fork(args):
     net = load_network(args.file)
     if args.strong:
-        max_nodes = args.max_nodes if args.max_nodes is not None else DEFAULT_QI_MAX_NODES
-        witness = find_strong_fork(net, max_nodes=max_nodes)
+        # find_strong_fork is qi --honest under its default node budget.
+        max_nodes = DEFAULT_QI_MAX_NODES
+        witness = find_strong_fork(net)
         safe_verdict, found_verdict = "weakly-safe", "strongly-forked"
     else:
         max_nodes = None
@@ -480,8 +480,6 @@ def run(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "fork" and args.max_nodes is not None and not args.strong:
-            parser.error("fork --max-nodes bounds only the --strong search")
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
 

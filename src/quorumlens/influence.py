@@ -46,7 +46,6 @@ class InfluenceMatrix:
 
     order: tuple[NodeId, ...]
     entries: tuple[tuple[Fraction, ...], ...]
-    byzantine_rows: frozenset[NodeId]
 
     def row(self, node: NodeId) -> tuple[Fraction, ...]:
         return self.entries[self.order.index(node)]
@@ -121,9 +120,7 @@ def _slices_pivots(net: Network, i: NodeId, members: list[NodeId]) -> list[int]:
     ]
 
 
-def banzhaf_raw_row(
-    net: Network, i: NodeId, *, max_trust: int = DEFAULT_BANZHAF_MAX_TRUST
-) -> tuple[Fraction, ...]:
+def banzhaf_raw_row(net: Network, i: NodeId) -> tuple[Fraction, ...]:
     """Unnormalized pivot probability of every node in ``i``'s game.
 
     The raw index of a trustee is the number of coalitions of the
@@ -137,21 +134,24 @@ def banzhaf_raw_row(
     :func:`_quota_table` plus ``|T_i| * 2 ** |T_i|`` pivot checks in
     Python. A slices row, for any number of slices, costs a
     ``2 ** |T_i|``-bit int table from :func:`_slices_table` plus
-    ``|T_i|`` bit-operation passes over it. ``max_trust`` is checked
-    before any table is built. The row depends only on ``i``'s trust set
-    and winning rule, so :func:`influence_matrix` pays this once per
-    distinct game, not once per node.
+    ``|T_i|`` bit-operation passes over it. The trust-set budget,
+    ``DEFAULT_BANZHAF_MAX_TRUST``, is checked here, before any table is
+    built. The row depends only on ``i``'s trust set and winning rule, so
+    :func:`influence_matrix` pays this once per distinct game, not once
+    per node.
 
     Raises:
-        BudgetExceededError: when the trust set exceeds ``max_trust``.
+        BudgetExceededError: when the trust set exceeds
+            ``DEFAULT_BANZHAF_MAX_TRUST``.
         ValueError: for a non-honest node.
     """
     _require_honest(net, i)
     order = {n: k for k, n in enumerate(net.nodes)}
     members = sorted(net.trust[i], key=order.get)
-    if len(members) > max_trust:
+    if len(members) > DEFAULT_BANZHAF_MAX_TRUST:
         raise BudgetExceededError(
-            f"node {i}: trust set of {len(members)} exceeds the enumeration budget of {max_trust}"
+            f"node {i}: trust set of {len(members)} exceeds the enumeration budget"
+            f" of {DEFAULT_BANZHAF_MAX_TRUST}"
         )
     pivots = (_quota_pivots if isinstance(net, QuotaNetwork) else _slices_pivots)(net, i, members)
     denom = 1 << (len(members) - 1)
@@ -159,9 +159,7 @@ def banzhaf_raw_row(
     return tuple(raw.get(n, Fraction(0)) for n in net.nodes)
 
 
-def banzhaf_row(
-    net: Network, i: NodeId, *, max_trust: int = DEFAULT_BANZHAF_MAX_TRUST
-) -> tuple[Fraction, ...]:
+def banzhaf_row(net: Network, i: NodeId) -> tuple[Fraction, ...]:
     """Normalized influence of every node on honest node ``i``.
 
     The raw indices from :func:`banzhaf_raw_row` scaled to sum to one.
@@ -169,16 +167,14 @@ def banzhaf_row(
     Raises:
         ValueError: when no trustee is ever pivotal (degenerate game).
     """
-    raw = banzhaf_raw_row(net, i, max_trust=max_trust)
+    raw = banzhaf_raw_row(net, i)
     total = sum(raw, Fraction(0))
     if total == 0:
         raise ValueError(f"node {i}: degenerate game, no trustee is ever pivotal")
     return tuple(x / total for x in raw)
 
 
-def influence_matrix(
-    net: Network, *, max_trust: int = DEFAULT_BANZHAF_MAX_TRUST
-) -> InfluenceMatrix:
+def influence_matrix(net: Network) -> InfluenceMatrix:
     """Influence matrix of the whole network.
 
     Honest rows come from :func:`banzhaf_row`; Byzantine rows are
@@ -203,9 +199,9 @@ def influence_matrix(
             continue
         game = (net.trust[i], frozenset(_rules(net, i)))
         if game not in solved:
-            solved[game] = banzhaf_row(net, i, max_trust=max_trust)
+            solved[game] = banzhaf_row(net, i)
         rows.append(solved[game])
-    return InfluenceMatrix(tuple(net.nodes), tuple(rows), frozenset(net.byzantine))
+    return InfluenceMatrix(tuple(net.nodes), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -391,9 +387,7 @@ class CentralizationReport:
     limit: LimitReport
 
 
-def centralization_limit_report(
-    net: Network, *, max_trust: int = DEFAULT_BANZHAF_MAX_TRUST
-) -> CentralizationReport:
+def centralization_limit_report(net: Network) -> CentralizationReport:
     """Check the limit-influence structure of a centralised network.
 
     Requires a non-empty set of nodes trusted by every honest node.
@@ -404,7 +398,7 @@ def centralization_limit_report(
     common = common_trust_set(net)
     if not common:
         raise ValueError("no node is trusted by every honest node")
-    m = influence_matrix(net, max_trust=max_trust)
+    m = influence_matrix(net)
     report = limit_matrix(m)
     regular_ok = report.classification in ("regular", "fully-regular")
 

@@ -139,7 +139,6 @@ def brute_sat(
     cnf: Cnf,
     *,
     fixed: dict[int, bool] | None = None,
-    max_vars: int = DEFAULT_SAT_MAX_VARS,
 ) -> dict[int, bool] | None:
     """Exhaustive satisfiability search; ``None`` means unsatisfiable.
 
@@ -148,9 +147,9 @@ def brute_sat(
     pins chosen variables, which decides residual formulas without any
     clause rewriting.
     """
-    if cnf.num_vars > max_vars:
+    if cnf.num_vars > DEFAULT_SAT_MAX_VARS:
         raise BudgetExceededError(
-            f"{cnf.num_vars} variables exceeds the truth-table budget of {max_vars}"
+            f"{cnf.num_vars} variables exceeds the truth-table budget of {DEFAULT_SAT_MAX_VARS}"
         )
     fixed = fixed or {}
     free = [v for v in range(1, cnf.num_vars + 1) if v not in fixed]

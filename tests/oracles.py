@@ -437,7 +437,7 @@ def multiply_exact(a: InfluenceMatrix, b: InfluenceMatrix) -> InfluenceMatrix:
         tuple(sum((a.entries[i][k] * b.entries[k][j] for k in n), Fraction(0)) for j in n)
         for i in n
     )
-    return InfluenceMatrix(a.order, rows, a.byzantine_rows)
+    return InfluenceMatrix(a.order, rows)
 
 
 def is_idempotent_exact(m: InfluenceMatrix) -> bool:

@@ -313,8 +313,9 @@ class TestExpansion:
         assert all(expanded.slices[i] == expected for i in net.nodes)
 
     def test_budget(self):
+        # A 3/4 quota over 25 trustees needs C(25, 19) = 177,100 coalitions.
         big = make_uniform(
-            {"a": frozenset(f"x{k}" for k in range(20)) | {"a"}}, Fraction(3, 4)
+            {"a": frozenset(f"x{k}" for k in range(24)) | {"a"}}, Fraction(3, 4)
         )
-        with pytest.raises(BudgetExceededError):
-            expand_quota_network(big, max_slices_per_node=100)
+        with pytest.raises(BudgetExceededError, match="177100 minimal coalitions .* of 100000$"):
+            expand_quota_network(big)

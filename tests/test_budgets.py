@@ -1,0 +1,160 @@
+"""Inventory of every search budget and the options that reach one.
+
+Each budget is a constant checked in the one function whose work it
+bounds. These tests pin the exact parameters of every public function
+that takes a budget or a quorum view, and the option strings of every
+subcommand, so a parameter or flag that only forwards a budget cannot be
+added without editing this file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import inspect
+from fractions import Fraction
+
+import pytest
+
+from quorumlens import (
+    BudgetExceededError,
+    Cnf,
+    QuotaNetwork,
+    banzhaf_raw_row,
+    banzhaf_row,
+    brute_sat,
+    centralization_limit_report,
+    check_qi_honest,
+    check_quorum_intersection,
+    check_slice_addition,
+    expand_quota_network,
+    find_fork,
+    find_strong_fork,
+    influence_matrix,
+    minimal_quora,
+    slice_addition_instance,
+)
+from quorumlens import bounds, influence, instances, network, quorum
+from quorumlens.cli import build_parser
+
+POS = inspect.Parameter.POSITIONAL_OR_KEYWORD
+KW = inspect.Parameter.KEYWORD_ONLY
+REQUIRED = inspect.Parameter.empty
+
+QI = [("max_nodes", KW, 20), ("max_states", KW, 2_000_000)]
+
+SIGNATURES = {
+    check_quorum_intersection: [("net", POS, REQUIRED), *QI, ("view", KW, None)],
+    check_qi_honest: [("net", POS, REQUIRED), *QI, ("view", KW, None)],
+    find_strong_fork: [("net", POS, REQUIRED), ("max_nodes", KW, 20)],
+    check_slice_addition: [
+        ("base", POS, REQUIRED),
+        ("node", POS, REQUIRED),
+        ("new_slice", POS, REQUIRED),
+        *QI,
+    ],
+    minimal_quora: [
+        ("net", POS, REQUIRED),
+        ("max_nodes", KW, 16),
+        ("max_states", KW, 2_000_000),
+        ("view", KW, None),
+    ],
+    find_fork: [("net", POS, REQUIRED), ("max_total_slices", KW, 64)],
+    banzhaf_raw_row: [("net", POS, REQUIRED), ("i", POS, REQUIRED)],
+    banzhaf_row: [("net", POS, REQUIRED), ("i", POS, REQUIRED)],
+    influence_matrix: [("net", POS, REQUIRED)],
+    centralization_limit_report: [("net", POS, REQUIRED)],
+    expand_quota_network: [("net", POS, REQUIRED)],
+    brute_sat: [("cnf", POS, REQUIRED), ("fixed", KW, None)],
+    slice_addition_instance: [("cnf", POS, REQUIRED), ("verify", KW, True)],
+}
+
+
+@pytest.mark.parametrize("fn", list(SIGNATURES), ids=lambda fn: fn.__name__)
+def test_signature(fn):
+    got = [(p.name, p.kind, p.default) for p in inspect.signature(fn).parameters.values()]
+    assert got == SIGNATURES[fn]
+
+
+def test_constants():
+    assert quorum.DEFAULT_QI_MAX_NODES == 20
+    assert quorum.DEFAULT_MINIMAL_MAX_NODES == 16
+    assert quorum.DEFAULT_MAX_SEARCH_STATES == 2_000_000
+    assert network.DEFAULT_FORK_MAX_SLICES == 64
+    assert influence.DEFAULT_BANZHAF_MAX_TRUST == 24
+    assert bounds.DEFAULT_EXPANSION_MAX_SLICES == 100_000
+    assert instances.DEFAULT_SAT_MAX_VARS == 24
+
+
+def _clique(n: int) -> QuotaNetwork:
+    nodes = tuple(f"x{k}" for k in range(n))
+    everyone = frozenset(nodes)
+    return QuotaNetwork(
+        nodes, frozenset(), {i: everyone for i in nodes}, {i: Fraction(3, 4) for i in nodes}
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: banzhaf_raw_row(_clique(25), "x0"),
+            "node x0: trust set of 25 exceeds the enumeration budget of 24",
+        ),
+        (
+            lambda: expand_quota_network(_clique(25)),
+            "node x0: 177100 minimal coalitions exceeds the budget of 100000",
+        ),
+        (
+            lambda: brute_sat(Cnf(25, ((1, 2, 3),))),
+            "25 variables exceeds the truth-table budget of 24",
+        ),
+    ],
+    ids=["banzhaf-trust", "expansion-coalitions", "truth-table-variables"],
+)
+def test_fixed_budget_messages(call, message):
+    # The smallest instance over each fixed budget, refused before any work.
+    with pytest.raises(BudgetExceededError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+COMMON = ["-h", "--help", "--json", "--quiet"]
+
+OPTIONS = {
+    ("check",): [*COMMON, "file"],
+    ("qi",): [*COMMON, "file", "--honest", "--max-nodes"],
+    ("fork",): [*COMMON, "file", "--strong"],
+    ("safety",): [*COMMON, "file"],
+    ("influence",): [*COMMON, "file", "--limit", "--exact"],
+    ("gen",): ["-h", "--help", "generator"],
+    ("gen", "sat"): [*COMMON, "--dimacs", "--slice-addition", "-o", "--output"],
+    ("gen", "random"): [
+        *COMMON,
+        "--nodes",
+        "--trust",
+        "--quota",
+        "--byz",
+        "--seed",
+        "--topology",
+        "-o",
+        "--output",
+    ],
+}
+
+
+def _subcommands(parser: argparse.ArgumentParser, path: tuple = ()) -> dict:
+    """Option strings (a positional by its name) of every subcommand, by path."""
+    found = {}
+    names = []
+    for action in parser._actions:
+        names.extend(action.option_strings or [action.dest])
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(_subcommands(sub, (*path, name)))
+    if path:
+        found[path] = names
+    return found
+
+
+def test_subcommand_options():
+    assert _subcommands(build_parser()) == OPTIONS

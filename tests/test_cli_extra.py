@@ -159,13 +159,23 @@ class TestForkBudgets:
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_max_nodes_bounds_only_the_strong_search(self, tmp_path, capsys, json_flag):
+        # fork has no --max-nodes: the strong search runs under qi --honest's
+        # default of 20 nodes, and qi --honest --max-nodes decides past it.
         path = save(tmp_path, "q.json", nets.shared_five())
-        assert run(["fork", path, "--max-nodes", "5", *json_flag]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--strong" in captured.err
-        assert run(["fork", path, "--strong", "--max-nodes", "4", "--json"]) == 3
-        capsys.readouterr()
+        for strong, k in (([], "5"), (["--strong"], "4")):
+            assert run(["fork", path, *strong, "--max-nodes", k, *json_flag]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --max-nodes" in captured.err
+        clique = str(tmp_path / "clique21.json")
+        argv = ["gen", "random", "--nodes", "21", "--trust", "21", "--quota", "3/4"]
+        assert run(argv + ["--topology", "clique", "-o", clique, "--quiet"]) == 0
+        assert run(["fork", clique, "--strong", "--json"]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "budget-exceeded"
+        assert report["tables"]["reason"] == "21 nodes exceeds the quorum-intersection budget of 20"
+        assert run(["qi", clique, "--honest", "--max-nodes", "21", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "holds"
         assert run(["fork", path, "--strong", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["tables"]["max_nodes"] == 20
 

@@ -144,7 +144,7 @@ class TestBruteSat:
         from quorumlens import BudgetExceededError
 
         with pytest.raises(BudgetExceededError, match="budget"):
-            brute_sat(Cnf(30, ((1, 2, 3),)), max_vars=24)
+            brute_sat(Cnf(30, ((1, 2, 3),)))
 
 
 class TestReduction:
