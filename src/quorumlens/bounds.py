@@ -221,4 +221,4 @@ def expand_quota_network(net: QuotaNetwork) -> TrustNetwork:
             t = sorted(net.trust[i], key=order.get)
             coalitions[game] = tuple(frozenset(c) for c in combinations(t, need))
         slices[i] = coalitions[game]
-    return TrustNetwork(net.nodes, net.byzantine, dict(net.trust), slices, net.vetoed)
+    return TrustNetwork(net.nodes, net.byzantine, dict(net.trust), slices)

@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fork", parents=[common], help="fork search")
     p.add_argument("file")
-    p.add_argument("--strong", action="store_true", help="strong-fork search (vetoed networks)")
+    p.add_argument("--strong", action="store_true", help="find two quora that share no honest node")
 
     p = sub.add_parser("safety", parents=[common], help="quota safety bound tables")
     p.add_argument("file")

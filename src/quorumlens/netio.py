@@ -12,7 +12,8 @@ One network per file. Top-level keys:
   quota is required and the Byzantine fraction optional, each as one of
   its two rational forms. None of these five keys belongs to a slices
   file.
-* ``vetoed``: boolean, default false.
+* ``vetoed``: boolean, default false; a claim about the network, not a
+  setting (see the file rules below).
 * ``slice_addition``: optional generator metadata for a slices network, an
   object with ``node`` (an honest label) and ``slice`` describing a
   candidate slice to add. The slice is drawn from the node's trust set,
@@ -30,9 +31,11 @@ File rules, each checked in one place:
   writes (the uniform form whenever all values are equal), or a JSON
   number.
 * No JSON object of a file may repeat a key.
-* A quota file may say ``"vetoed": true`` only when every honest node's
-  threshold is 1 and it trusts itself; that claim is judged after
-  validation.
+* A file may say ``"vetoed": true`` only when the network is vetoed:
+  every honest node's own singleton wins for it, which is a slice
+  ``[i]`` in a slices file and a threshold of 1 with ``i`` in its own
+  trust set in a quota file. The claim is judged after validation, and
+  :func:`network_document` writes it exactly when it holds.
 
 Unknown keys are rejected, every referenced label must appear in
 ``nodes``, and the parsed network must pass full validation.
@@ -61,6 +64,7 @@ from .network import (
     NodeId,
     QuotaNetwork,
     TrustNetwork,
+    _cannot_veto,
     as_fraction,
     validate_network,
 )
@@ -287,7 +291,7 @@ def parse_network_document(doc) -> LoadedNetwork:
         trust = {label: frozenset().union(*family) for label, family in slices.items()}
         if addition is not None:
             trust[addition[0]] |= addition[1]
-        net: Network = TrustNetwork(tuple(nodes), byzantine, trust, slices, vetoed)
+        net: Network = TrustNetwork(tuple(nodes), byzantine, trust, slices)
     else:
         _expect("slices" not in doc, 'key "slices" does not belong to a quota network')
         raw = _honest_map(doc, "trust", honest)
@@ -300,10 +304,8 @@ def parse_network_document(doc) -> LoadedNetwork:
         net = QuotaNetwork(tuple(nodes), byzantine, trust, quota, byz_fraction)
 
     validate_network(net)
-    if vetoed and not net.vetoed:  # only a quota network can differ from its claim
-        raise NetworkFormatError(
-            'key "vetoed": quota network does not induce veto slices (thresholds above 1)'
-        )
+    if vetoed and (node := _cannot_veto(net)) is not None:
+        raise NetworkFormatError(f'key "vetoed": {{{node}}} does not win for node {node}')
     return LoadedNetwork(net, addition)
 
 
@@ -356,14 +358,14 @@ def network_document(
         doc["slices"] = {
             i: [ordered(s) for s in net.slices[i]] for i in net.honest
         }
-        if net.vetoed:
-            doc["vetoed"] = True
     else:
         doc["kind"] = "quota"
         doc["trust"] = {i: ordered(net.trust[i]) for i in net.honest}
         _put_rationals(doc, "quota", {i: net.quota[i] for i in net.honest})
         if any(net.byz_fraction[i] != 1 - net.quota[i] for i in net.honest):
             _put_rationals(doc, "byz_fraction", {i: net.byz_fraction[i] for i in net.honest})
+    if net.vetoed:
+        doc["vetoed"] = True
     if slice_addition is not None:
         node, members = slice_addition
         doc["slice_addition"] = {"node": node, "slice": ordered(members)}

@@ -13,8 +13,9 @@ Both say which coalitions win for a node in one form, its winning rules
 (:func:`_rules`): ``(set, need)`` pairs, met by a coalition holding
 ``need`` members of ``set``. A quota node has one rule, its trust set and
 threshold; a slices node has one rule per slice, which needs the whole
-slice. Validation, fork search, the quorum searches' bit masks and the
-influence matrix's game key all read these rules.
+slice. Validation, fork search, the ``vetoed`` property, the quorum
+searches' bit masks and the influence matrix's game key all read these
+rules.
 
 On top of the model this module implements opinion profiles, observed
 sets, validation of a value by a node, and exact fork search. Strong
@@ -105,6 +106,16 @@ class _TrustModel:
     def honest(self) -> tuple[NodeId, ...]:
         return tuple(n for n in self.nodes if n not in self.byzantine)
 
+    @property
+    def vetoed(self) -> bool:
+        """True when every honest node's own singleton wins for it.
+
+        Read through :func:`_rules`, that is "``{i}`` is a slice" for a
+        slices node and "threshold 1 and ``i`` trusts itself" for a quota
+        node.
+        """
+        return _cannot_veto(self) is None
+
 
 @dataclass(frozen=True)
 class TrustNetwork(_TrustModel):
@@ -114,12 +125,12 @@ class TrustNetwork(_TrustModel):
         slices: per honest node, its winning coalitions, each a subset of
             the trust set. A coalition wins as soon as the observed set
             contains it (superset-closed reading).
-        vetoed: if set, every honest node must have its own singleton
-            among its slices.
+
+    The network is vetoed (:attr:`vetoed`) when every honest node lists
+    its own singleton among its slices.
     """
 
     slices: Mapping[NodeId, tuple[frozenset[NodeId], ...]]
-    vetoed: bool = False
 
     def __post_init__(self):
         super().__post_init__()
@@ -161,14 +172,6 @@ class QuotaNetwork(_TrustModel):
                     b = defaults[key] = 1 - q
                 fractions[node] = b
         object.__setattr__(self, "byz_fraction", fractions)
-
-    @property
-    def vetoed(self) -> bool:
-        # Quota form expresses a veto only when every threshold is 1 and
-        # each node trusts itself.
-        return all(
-            threshold(self, i) == 1 and i in self.trust[i] for i in self.honest
-        )
 
 
 Network = TrustNetwork | QuotaNetwork
@@ -331,8 +334,6 @@ def network_violations(net: Network) -> list[str]:
                     problems.append(f"node {i}: empty winning coalition")
                 elif not s <= t:
                     problems.append(f"node {i}: slice outside trust set ({_listed(s - t)})")
-            if net.vetoed and frozenset({i}) not in family:
-                problems.append(f"node {i}: vetoed network but {{'{i}'}} is not a slice")
     else:
         problems += _domain_problems("quota", net.quota, expected)
         # Keyed by integers, as the defaults in QuotaNetwork.__post_init__.
@@ -433,6 +434,11 @@ def _rules(net: Network, i: NodeId) -> list[tuple[frozenset[NodeId], int]]:
 def _wins(net: Network, i: NodeId, members: frozenset[NodeId]) -> bool:
     """True when some winning coalition of honest ``i`` lies inside ``members``."""
     return any(len(members & s) >= need for s, need in _rules(net, i))
+
+
+def _cannot_veto(net: Network) -> NodeId | None:
+    """The first honest node whose own singleton does not win for it, if any."""
+    return next((i for i in net.honest if not _wins(net, i, frozenset({i}))), None)
 
 
 def validates(net: Network, profile: OpinionProfile, i: NodeId, x: int) -> bool:
@@ -538,7 +544,7 @@ def find_fork(
 
 
 def with_veto_slices(net: TrustNetwork) -> TrustNetwork:
-    """Copy of ``net`` with each honest node's singleton added to its slices."""
+    """Copy of ``net`` with each honest node's singleton added to its slices, so it is vetoed."""
     slices = {}
     trust = {}
     for i in net.honest:
@@ -546,4 +552,4 @@ def with_veto_slices(net: TrustNetwork) -> TrustNetwork:
         family = net.slices[i]
         slices[i] = family if veto in family else family + (veto,)
         trust[i] = net.trust[i] | {i}
-    return TrustNetwork(net.nodes, net.byzantine, trust, slices, vetoed=True)
+    return TrustNetwork(net.nodes, net.byzantine, trust, slices)

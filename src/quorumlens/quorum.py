@@ -758,10 +758,12 @@ def find_strong_fork(
     agree internally: every Byzantine node shows each honest observer
     that observer's own opinion, which is its quorum's value.
 
-    Note that a network whose honest nodes hold singleton veto slices is
-    strongly forked as soon as it has two honest nodes: each singleton is
-    a self-supporting quorum of its own. The interesting verdicts come
-    from networks where every coalition merely contains its owner.
+    Note that a vetoed network, one in which every honest node's own
+    singleton wins for it (a singleton slice, or a quota threshold of 1
+    over a trust set holding the node), is strongly forked as soon as it
+    has two honest nodes: each singleton is a self-supporting quorum of
+    its own. The interesting verdicts come from networks where every
+    coalition merely contains its owner.
     """
     report = check_qi_honest(net, max_nodes=max_nodes)
     if report.holds:
@@ -802,7 +804,7 @@ def check_slice_addition(
         raise ValueError("new slice must be a non-empty subset of the node's trust set")
     slices = dict(base.slices)
     slices[node] += (slice_set,)
-    extended = TrustNetwork(base.nodes, base.byzantine, base.trust, slices, base.vetoed)
+    extended = TrustNetwork(base.nodes, base.byzantine, base.trust, slices)
     report = _check_qi(extended, False, max_nodes, max_states)
     # A slice only adds quora, so every base quorum pair is an extended
     # one: when the extended network holds, the base holds too.

@@ -63,7 +63,6 @@ def single_vetoed() -> TrustNetwork:
         byzantine=frozenset(),
         trust={"i": frozenset({"i"})},
         slices={"i": (frozenset({"i"}),)},
-        vetoed=True,
     )
 
 

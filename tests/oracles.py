@@ -484,9 +484,10 @@ def random_explicit_net(
 ) -> TrustNetwork:
     """Random explicit-slice network for property suites.
 
-    ``vetoed`` adds each honest node's singleton to its slices;
-    ``self_in_slices`` instead puts each honest node inside every one of
-    its coalitions (the membership form of a veto).
+    ``vetoed`` adds each honest node's singleton to its slices, which
+    makes the network vetoed; ``self_in_slices`` instead puts each honest
+    node inside every one of its coalitions (the membership form of a
+    veto).
     """
     labels = [f"n{k}" for k in range(1, num_nodes + 1)]
     byz = frozenset(rng.sample(labels, byz_count))
@@ -505,7 +506,7 @@ def random_explicit_net(
             family.append(frozenset({i}))
         slices[i] = tuple(dict.fromkeys(family))
         trust[i] = frozenset().union(*slices[i])
-    return TrustNetwork(tuple(labels), byz, trust, slices, vetoed=vetoed)
+    return TrustNetwork(tuple(labels), byz, trust, slices)
 
 
 def random_uniform_quota_net(
@@ -604,6 +605,18 @@ def _walked_labels(value, key: str, known=None) -> list:
     return list(value)
 
 
+def holds_veto(net: Network, i: NodeId) -> bool:
+    """Whether honest ``i``'s own singleton wins for it, by its kind's rule.
+
+    A slices node lists ``{i}`` among its slices; a quota node has
+    threshold 1 and trusts itself. A network is vetoed when every honest
+    node holds a veto.
+    """
+    if isinstance(net, QuotaNetwork):
+        return threshold(net, i) == 1 and i in net.trust[i]
+    return frozenset({i}) in net.slices[i]
+
+
 def walk_network_document(doc) -> LoadedNetwork:
     """``parse_network_document`` as an element-by-element walk of the document.
 
@@ -671,7 +684,7 @@ def walk_network_document(doc) -> LoadedNetwork:
                 union |= addition[1]
             slices[label] = tuple(parsed)
             trust[label] = union
-        net = TrustNetwork(tuple(nodes), byzantine, trust, slices, vetoed)
+        net = TrustNetwork(tuple(nodes), byzantine, trust, slices)
     else:
         expect("slices" not in doc, 'key "slices" does not belong to a quota network')
         expect("trust" in doc, 'missing required key "trust"')
@@ -709,8 +722,8 @@ def walk_network_document(doc) -> LoadedNetwork:
             byz_fraction = {label: _number(v, f"byz_fraction[{label!r}]") for label, v in raw_b.items()}
         net = QuotaNetwork(tuple(nodes), byzantine, trust, quota, byz_fraction)
     validate_network(net)
-    if isinstance(net, QuotaNetwork) and vetoed and not net.vetoed:
-        raise NetworkFormatError(
-            'key "vetoed": quota network does not induce veto slices (thresholds above 1)'
-        )
+    if vetoed:
+        for i in net.honest:
+            if not holds_veto(net, i):
+                raise NetworkFormatError(f'key "vetoed": {{{i}}} does not win for node {i}')
     return LoadedNetwork(net, addition)

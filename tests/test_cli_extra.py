@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -115,6 +116,34 @@ class TestStrongForkCli:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "strongly-forked"
         assert report["witness"]["supporting_a"] == ["a", "b"]
+
+    def test_help_says_what_it_searches_for(self, capsys):
+        # It runs on any network: "vetoed" is a property of a network, not
+        # a kind of one.
+        assert run(["fork", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--strong find two quora that share no honest node" in help_text
+
+
+class TestRunKeepsNoState:
+    @pytest.mark.parametrize(
+        "refused",
+        [["qi", "FILE", "--max-nodes", "0"], ["qi", "FILE", "--bogus"], ["qi"], ["frobnicate", "FILE"]],
+        ids=["bad-value", "unknown-option", "missing-file", "unknown-command"],
+    )
+    def test_a_refused_command_leaves_nothing_for_the_next(self, tmp_path, capsys, refused):
+        # The precondition for building the parser once per process.
+        path = save(tmp_path, "q.json", nets.shared_five())
+
+        def qi():
+            code = run(["qi", path, "--json"])
+            out = capsys.readouterr().out
+            return code, re.sub(r'"timing_ms": [^,\n]+', '"timing_ms": 0', out)
+
+        first = qi()
+        assert run([path if arg == "FILE" else arg for arg in refused]) == 2
+        assert capsys.readouterr().out == ""
+        assert qi() == first
 
 
 class TestStrongForkProfiles:

@@ -1,5 +1,8 @@
 """Core model: validation, observation, forks, and closure."""
 
+import contextlib
+import copy
+import inspect
 import random
 from fractions import Fraction
 
@@ -10,6 +13,8 @@ import oracles
 from oracles import closure_fixpoint, closure_step, enumerate_profiles
 from quorumlens import (
     BudgetExceededError,
+    GenParams,
+    NetworkFormatError,
     NetworkValidationError,
     OpinionProfile,
     QuotaNetwork,
@@ -18,18 +23,23 @@ from quorumlens import (
     as_fraction,
     banzhaf_raw_row,
     check_slice_addition,
+    expand_quota_network,
     find_fork,
     find_strong_fork,
+    network_document,
     network_violations,
     observation_bounds,
     observed_set,
+    parse_network_document,
     profile_violations,
+    random_quota_network,
     shared_byzantine_bound,
     threshold,
     validate_network,
     validates,
     with_veto_slices,
 )
+from quorumlens.instances import TOPOLOGIES
 
 
 class TestValidation:
@@ -70,11 +80,16 @@ class TestValidation:
         )
         assert any("empty trust set" in p for p in network_violations(net))
 
-    def test_vetoed_flag_requires_singletons(self):
-        base = nets.two_triangles()
-        net = TrustNetwork(base.nodes, base.byzantine, base.trust, base.slices, vetoed=True)
-        problems = network_violations(net)
-        assert len([p for p in problems if "vetoed" in p]) == 6
+    def test_vetoed_claim_requires_singletons(self):
+        # "vetoed" is read off the slices, so a false claim is a file error,
+        # raised once the network has validated.
+        doc = network_document(nets.two_triangles())
+        doc["vetoed"] = True
+        message = 'key "vetoed": {1} does not win for node 1'
+        for parse in (parse_network_document, oracles.walk_network_document):
+            with pytest.raises(NetworkFormatError) as caught:
+                parse(copy.deepcopy(doc))
+            assert str(caught.value) == message
 
     def test_quota_out_of_range(self):
         net = QuotaNetwork(
@@ -186,6 +201,70 @@ class TestValidation:
             "node label 1 is not a non-empty string",
             "node label 1 is not a non-empty string",
         ]
+
+
+class TestVetoed:
+    """``vetoed`` is read off each honest node's winning rules, for both kinds."""
+
+    @staticmethod
+    def networks():
+        rng = random.Random(331)
+        quota = oracles.seeded_quota_networks(337, 60)
+        for k, topology in enumerate(TOPOLOGIES * 6):
+            n = rng.randint(4, 10)
+            params = GenParams(n, rng.randint(2, n), Fraction(3, 4), rng.randint(0, 2), k, topology)
+            with contextlib.suppress(ValueError):
+                quota.append(random_quota_network(params))
+        # Each honest node trusting only itself is the one vetoed quota
+        # form; one node that also trusts a neighbour breaks it.
+        for n in range(1, 7):
+            nodes = tuple(f"n{k}" for k in range(n))
+            byzantine = frozenset(rng.sample(nodes, rng.randint(0, min(2, n - 1))))
+            honest = [i for i in nodes if i not in byzantine]
+            q = {i: rng.choice([Fraction(3, 4), Fraction(4, 5), Fraction(1)]) for i in honest}
+            trust = {i: frozenset({i}) for i in honest}
+            quota.append(QuotaNetwork(nodes, byzantine, trust, q))
+            if n > 1:
+                trust[honest[-1]] |= {nodes[0], nodes[-1]}
+                quota.append(QuotaNetwork(nodes, byzantine, trust, q))
+        explicit = []
+        for k in range(80):
+            n = rng.randint(1, 7)
+            byz = rng.randint(0, min(2, n - 1))
+            explicit.append(oracles.random_explicit_net(rng, n, byz_count=byz, vetoed=k % 2 == 0))
+        sliced = explicit + [expand_quota_network(net) for net in quota]
+        return quota + sliced + [with_veto_slices(net) for net in sliced]
+
+    @pytest.mark.filterwarnings("ignore::quorumlens.QuotaRangeWarning")
+    def test_matches_the_rule_of_each_kind(self):
+        seen = {}
+        for net in self.networks():
+            assert validate_network(net) is net
+            expected = all(oracles.holds_veto(net, i) for i in net.honest)
+            assert net.vetoed == expected, net
+            key = type(net).__name__, expected
+            seen[key] = seen.get(key, 0) + 1
+        assert len(seen) == 4 and min(seen.values()) >= 6, seen
+
+    @pytest.mark.filterwarnings("ignore::quorumlens.QuotaRangeWarning")
+    def test_written_exactly_when_it_holds(self):
+        for net in self.networks():
+            doc = network_document(net)
+            assert doc.get("vetoed", False) == net.vetoed
+            assert parse_network_document(doc).network == net
+
+    def test_not_a_field(self):
+        params = inspect.signature(TrustNetwork).parameters.values()
+        got = [(p.name, p.kind, p.default) for p in params]
+        fields = ("nodes", "byzantine", "trust", "slices")
+        required = inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty
+        assert got == [(name, *required) for name in fields]
+        base = nets.single_vetoed()
+        args = (base.nodes, base.byzantine, base.trust, base.slices)
+        with pytest.raises(TypeError):
+            TrustNetwork(*args, True)
+        with pytest.raises(TypeError):
+            TrustNetwork(*args, vetoed=True)
 
 
 class TestAsFraction:

@@ -59,7 +59,7 @@ def slices_networks(draw, max_nodes=6):
             family.append(frozenset({i}))
         slices[i] = tuple(dict.fromkeys(family))
     trust = {i: frozenset().union(*slices[i]) for i in honest}
-    return TrustNetwork(tuple(labels), byzantine, trust, slices, vetoed=vetoed)
+    return TrustNetwork(tuple(labels), byzantine, trust, slices)
 
 
 networks = st.one_of(quota_networks(), slices_networks())

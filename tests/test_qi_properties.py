@@ -266,7 +266,7 @@ def test_generated_quora_carry_the_largest_quorum_of_their_complement():
 def extended_network(base, node, new_slice):
     slices = dict(base.slices)
     slices[node] += (new_slice,)
-    return TrustNetwork(base.nodes, base.byzantine, base.trust, slices, base.vetoed)
+    return TrustNetwork(base.nodes, base.byzantine, base.trust, slices)
 
 
 def test_slice_addition_matches_the_scalar_generated_search():

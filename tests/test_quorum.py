@@ -328,7 +328,7 @@ class TestSliceAddition:
             slices = dict(net.slices)
             if new_slice not in slices[node]:
                 slices[node] = slices[node] + (new_slice,)
-            extended = TrustNetwork(net.nodes, net.byzantine, net.trust, slices, net.vetoed)
+            extended = TrustNetwork(net.nodes, net.byzantine, net.trust, slices)
             assert incremental.holds == check_quorum_intersection(extended).holds
             compared += 1
         assert compared >= 15
