@@ -303,11 +303,16 @@ def _run_influence(args):
         matrix = influence_mod.influence_matrix(net)
         report = influence_mod.limit_matrix(matrix)
     entry = str if args.exact else float
+
+    def rendered(rows):
+        # Nodes that share a game share a row object; render each once.
+        return influence_mod._map_rows(lambda row: list(map(entry, row)), rows)
+
     graph = report.graph
     order = _node_order(net)
     tables: dict = {
         "order": list(matrix.order),
-        "matrix": [list(map(entry, row)) for row in matrix.entries],
+        "matrix": rendered(matrix.entries),
         "graph": {
             "edges": len(graph.edges),
             "components": [
@@ -323,7 +328,7 @@ def _run_influence(args):
     if args.limit:
         tables["limit"] = {
             "classification": report.classification,
-            "matrix": None if report.limit is None else [list(map(entry, row)) for row in report.limit],
+            "matrix": None if report.limit is None else rendered(report.limit),
         }
     if central is not None:
         tables["centralization"] = {

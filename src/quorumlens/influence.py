@@ -42,6 +42,14 @@ class InfluenceMatrix:
     ``order[i]``, an exact rational. Rows of Byzantine nodes are
     degenerate: 1 on the diagonal, 0 elsewhere, since nothing influences
     them.
+
+    :func:`influence_matrix` builds one row tuple per distinct game and
+    gives it to every node that plays that game, so nodes with one game
+    have the same row object. :func:`limit_matrix` lumps nodes whose rows
+    are one object into one unknown (Kemeny and Snell, *Finite Markov
+    Chains*, ch. 6), and the command line renders each row object once.
+    Equal rows held as separate objects stay exact; they are only solved
+    one unknown each.
     """
 
     order: tuple[NodeId, ...]
@@ -308,6 +316,35 @@ def _solve(rows: list[list[Fraction]], width: int) -> list[list[Fraction]]:
     return [[Fraction(v, prev) for v in values] for values in scaled]
 
 
+def _groups(members: list[int], entries) -> list[list[int]]:
+    """``members`` split by row object, each group in order of its first member."""
+    groups: dict[int, list[int]] = {}
+    for v in members:
+        groups.setdefault(id(entries[v]), []).append(v)
+    return list(groups.values())
+
+
+def _mass(row: tuple[Fraction, ...], members: list[int]) -> Fraction:
+    """The mass ``row`` puts on ``members``."""
+    if len(members) == 1:
+        return row[members[0]]
+    return sum((row[v] for v in members), Fraction(0))
+
+
+def _map_rows(f, rows) -> list:
+    """``[f(row) for row in rows]``, calling ``f`` once per distinct row object.
+
+    Rows that are one object map to one result object.
+    """
+    done: dict[int, object] = {}
+    out = []
+    for row in rows:
+        if id(row) not in done:
+            done[id(row)] = f(row)
+        out.append(done[id(row)])
+    return out
+
+
 def limit_matrix(m: InfluenceMatrix) -> LimitReport:
     """Classify convergence of the powers of ``m`` and solve for their exact limit.
 
@@ -323,6 +360,21 @@ def limit_matrix(m: InfluenceMatrix) -> LimitReport:
     ``m`` on the transient nodes and ``R[i, C]`` is the mass row ``i``
     puts on ``C``, one column per class. Every system is solved exactly
     by :func:`_solve`, so each limit row sums to exactly one.
+
+    Each system has one unknown per group of nodes that share one row
+    object, not one per node. A chain is lumpable on any partition into
+    states with equal rows (Kemeny and Snell, ch. 6): group ``G`` with
+    row ``p_G`` moves to group ``H`` with probability ``sum over j in H
+    of p_G[j]``. Within a closed class, the lumped chain's stationary
+    ``pi_G`` is the total of its members' ``pi``, and a member ``j`` of a
+    group of two or more gets ``pi_j = sum over G of pi_G * p_G[j]``; a
+    singleton group's node is its own ``pi_G``. Members of one transient
+    group have one absorption row, so they share one limit row tuple. The
+    result is the same exact rational for every input: rows that are one
+    object are equal rows. :func:`influence_matrix` returns one row object
+    per distinct game, so a network whose nodes share games solves small
+    systems, and one whose rows are all distinct solves the per-node
+    systems.
     """
     graph = analyze_graph(m)
     if any(p != 1 for p, c in zip(graph.periods, graph.closed) if c):
@@ -334,32 +386,34 @@ def limit_matrix(m: InfluenceMatrix) -> LimitReport:
     zero = Fraction(0)
     stationary = []
     for members in classes:
-        # Columns of P_C - I; the last, implied by the others, becomes sum(pi) = 1.
-        rows = [[entries[s][r] - int(r == s) for s in members] + [zero] for r in members[:-1]]
-        rows.append([Fraction(1)] * (len(members) + 1))
-        pi = dict(zip(members, (x for (x,) in _solve(rows, 1))))
+        groups = _groups(members, entries)
+        # Columns of P_C - I, lumped; the last, implied by the others, becomes sum(pi) = 1.
+        rows = [[_mass(entries[g[0]], h) - int(g is h) for g in groups] + [zero] for h in groups[:-1]]
+        rows.append([Fraction(1)] * (len(groups) + 1))
+        lumped = [x for (x,) in _solve(rows, 1)]
+        pi = {g[0]: x for g, x in zip(groups, lumped) if len(g) == 1}
+        for j in (v for g in groups if len(g) > 1 for v in g):
+            pi[j] = sum((x * entries[g[0]][j] for g, x in zip(groups, lumped)), zero)
         stationary.append(tuple(pi.get(j, zero) for j in range(n)))
     if len(classes) == 1:
         limit = (stationary[0],) * n
     else:
         class_of = {v: c for c, members in enumerate(classes) for v in members}
-        transient = [i for i in range(n) if i not in class_of]
+        groups = _groups([i for i in range(n) if i not in class_of], entries)
         rows = [
-            [int(i == j) - entries[i][j] for j in transient]
-            + [sum((entries[i][v] for v in members), zero) for members in classes]
-            for i in transient
+            [int(g is h) - _mass(entries[g[0]], h) for h in groups]
+            + [_mass(entries[g[0]], members) for members in classes]
+            for g in groups
         ]
-        absorbed = dict(zip(transient, _solve(rows, len(classes)))) if transient else {}
-        limit = tuple(
-            stationary[class_of[i]]
-            if i in class_of
-            else tuple(
-                absorbed[i][class_of[j]] * stationary[class_of[j]][j] if j in class_of else zero
+        absorbed = {}
+        for g, b in zip(groups, _solve(rows, len(classes)) if groups else []):
+            row = tuple(
+                b[class_of[j]] * stationary[class_of[j]][j] if j in class_of else zero
                 for j in range(n)
             )
-            for i in range(n)
-        )
-    mask = tuple(tuple(x == 0 for x in row) for row in limit)
+            absorbed.update(dict.fromkeys(g, row))
+        limit = tuple(stationary[class_of[i]] if i in class_of else absorbed[i] for i in range(n))
+    mask = tuple(_map_rows(lambda row: tuple(x == 0 for x in row), limit))
     classification = "fully-regular" if len(classes) == 1 else "regular"
     return LimitReport(classification, limit, mask, graph)
 

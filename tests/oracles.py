@@ -34,6 +34,8 @@ from quorumlens import (
     threshold,
     validate_network,
 )
+from quorumlens import influence as influence_mod
+from quorumlens.influence import LimitReport, analyze_graph
 from quorumlens.netio import _TOP_KEYS, LoadedNetwork, _number
 
 
@@ -462,6 +464,54 @@ def limit_by_squaring(m, squarings: int = 16):
     for _ in range(squarings):
         power = power @ power
     return power
+
+
+def limit_by_one_system(m: InfluenceMatrix) -> LimitReport:
+    """The exact limit with one unknown per node: the reference for ``limit_matrix``.
+
+    One stationary system per closed class over all of its members, and
+    one absorption system over all transient nodes, whatever rows they
+    share. Systems go through ``influence._solve``, looked up at call
+    time, so a test can count them.
+    """
+    graph = analyze_graph(m)
+    if any(p != 1 for p, c in zip(graph.periods, graph.closed) if c):
+        return LimitReport("not-regular", None, None, graph)
+    n = len(m.order)
+    index = {x: k for k, x in enumerate(m.order)}
+    classes = [sorted(index[x] for x in scc) for scc in graph.closed_sccs()]
+    entries = m.entries
+    zero = Fraction(0)
+    stationary = []
+    for members in classes:
+        # Columns of P_C - I; the last, implied by the others, becomes sum(pi) = 1.
+        rows = [[entries[s][r] - int(r == s) for s in members] + [zero] for r in members[:-1]]
+        rows.append([Fraction(1)] * (len(members) + 1))
+        pi = dict(zip(members, (x for (x,) in influence_mod._solve(rows, 1))))
+        stationary.append(tuple(pi.get(j, zero) for j in range(n)))
+    if len(classes) == 1:
+        limit = (stationary[0],) * n
+    else:
+        class_of = {v: c for c, members in enumerate(classes) for v in members}
+        transient = [i for i in range(n) if i not in class_of]
+        rows = [
+            [int(i == j) - entries[i][j] for j in transient]
+            + [sum((entries[i][v] for v in members), zero) for members in classes]
+            for i in transient
+        ]
+        absorbed = dict(zip(transient, influence_mod._solve(rows, len(classes)))) if transient else {}
+        limit = tuple(
+            stationary[class_of[i]]
+            if i in class_of
+            else tuple(
+                absorbed[i][class_of[j]] * stationary[class_of[j]][j] if j in class_of else zero
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+    mask = tuple(tuple(x == 0 for x in row) for row in limit)
+    classification = "fully-regular" if len(classes) == 1 else "regular"
+    return LimitReport(classification, limit, mask, graph)
 
 
 def random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> Cnf:

@@ -370,13 +370,67 @@ class TestLimitMatrix:
 
 
 
+def separate_rows(m: InfluenceMatrix) -> InfluenceMatrix:
+    """``m`` with every row rebuilt as its own tuple object, equal rows included."""
+    return InfluenceMatrix(m.order, tuple(tuple(list(row)) for row in m.entries))
+
+
+def distinct_rows(rows) -> int:
+    return len({id(row) for row in rows})
+
+
+def assert_one_system(m: InfluenceMatrix) -> str:
+    """``limit_matrix`` equals the one-system solve on ``m`` and on ``separate_rows(m)``."""
+    for variant in (m, separate_rows(m)):
+        report = limit_matrix(variant)
+        expected = oracles.limit_by_one_system(variant)
+        assert report.classification == expected.classification
+        assert report.limit == expected.limit
+        assert report.structural_zero_mask == expected.structural_zero_mask
+    return report.classification
+
+
+def quota_matrices():
+    """Seeded quota networks of all three topologies with 0 to 3 Byzantine nodes."""
+    rng = random.Random(31)
+    for topology in ("clique", "overlapping-groups", "centralised"):
+        for byz in range(4):
+            for seed in range(6):
+                params = GenParams(rng.randint(6, 16), rng.randint(4, 9), Fraction(3, 4), byz, seed, topology)
+                try:
+                    yield influence_matrix(random_quota_network(params))
+                except ValueError:
+                    continue
+
+
+def shared_game_matrices(seed: int, count: int):
+    """Random explicit networks whose honest nodes draw from a few slice families.
+
+    Unlike quota rows, which are uniform over the trust set, these shared
+    rows are not uniform.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = oracles.random_explicit_net(rng, rng.randint(4, 9), byz_count=rng.randint(0, 2))
+        families = [base.slices[i] for i in base.honest][: rng.randint(1, 3)]
+        slices = {i: rng.choice(families) for i in base.honest}
+        trust = {i: frozenset().union(*family) for i, family in slices.items()}
+        yield influence_matrix(TrustNetwork(base.nodes, base.byzantine, trust, slices))
+
+
+def large_matrix(topology: str) -> InfluenceMatrix:
+    return influence_matrix(random_quota_network(GenParams(100, 10, Fraction(3, 4), 2, 1, topology)))
+
+
 class TestExactLimit:
-    """The solved limit against its defining equations and the float squaring.
+    """The solved limit against its defining equations, the float squaring
+    and the one-system solve.
 
     ``m·L``, ``L·m`` and ``L·L`` must all equal ``L`` exactly.
     """
 
     def check(self, m: InfluenceMatrix) -> str:
+        assert_one_system(m)
         report = limit_matrix(m)
         if report.limit is None:
             return report.classification
@@ -406,6 +460,107 @@ class TestExactLimit:
         for net in oracles.seeded_quota_networks(29, 80, max_nodes=10):
             seen[self.check(influence_matrix(net))] += 1
         assert seen["fully-regular"] >= 20 and seen["regular"] >= 20
+
+
+class TestLumpedLimit:
+    """``limit_matrix``, one unknown per distinct row, against the one-system solve.
+
+    ``TestExactLimit`` makes the same comparison on its random networks.
+    """
+
+    def test_shared_slice_families(self):
+        seen = {"fully-regular": 0, "regular": 0, "not-regular": 0}
+        for m in shared_game_matrices(37, 300):
+            seen[assert_one_system(m)] += 1
+        assert seen["fully-regular"] >= 50 and seen["regular"] >= 50
+
+    def test_seeded_quota_networks(self):
+        seen = {"fully-regular": 0, "regular": 0, "not-regular": 0}
+        shared = 0
+        for m in quota_matrices():
+            seen[assert_one_system(m)] += 1
+            shared += distinct_rows(m.entries) < len(m.order)
+        assert seen["fully-regular"] >= 10 and seen["regular"] >= 10 and shared >= 40
+
+    @pytest.mark.parametrize("topology", ["clique", "overlapping-groups"])
+    def test_hundred_nodes(self, topology):
+        m = large_matrix(topology)
+        assert assert_one_system(m) == "regular"
+        assert distinct_rows(m.entries) < len(m.order)
+
+
+class TestLimitWork:
+    """Each system has one row per distinct row object, never one per node.
+
+    No timing: ``_solve`` is wrapped to record the size of every system.
+    """
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        recorded = []
+        solve = influence_mod._solve
+
+        def counted(rows, width):
+            recorded.append(len(rows))
+            return solve(rows, width)
+
+        monkeypatch.setattr(influence_mod, "_solve", counted)
+        return recorded
+
+    @staticmethod
+    def expected(m: InfluenceMatrix) -> tuple[list[int], int]:
+        """The size of each system, and the number of distinct limit row objects."""
+        graph = analyze_graph(m)
+        index = {x: k for k, x in enumerate(m.order)}
+        classes = [[index[x] for x in scc] for scc in graph.closed_sccs()]
+        sizes = [distinct_rows(m.entries[v] for v in members) for members in classes]
+        transient = set(range(len(m.order))).difference(*classes)
+        if len(classes) == 1 or not transient:
+            return sizes, len(classes)
+        groups = distinct_rows(m.entries[v] for v in transient)
+        return sizes + [groups], len(classes) + groups
+
+    def test_one_unknown_per_distinct_row(self, sizes):
+        matrices = [
+            *quota_matrices(),
+            *shared_game_matrices(41, 100),
+            large_matrix("clique"),
+            large_matrix("overlapping-groups"),
+        ]
+        for m in matrices:
+            sizes.clear()
+            report = limit_matrix(m)
+            if report.limit is not None:
+                assert (sizes, distinct_rows(report.limit)) == self.expected(m)
+        # The 100-node groups network, 2 Byzantine: a closed class of 10 nodes
+        # and two Byzantine ones, then 88 transient nodes in 18 games.
+        assert sizes == [1, 1, 1, 18]
+
+    def test_all_distinct_rows_cost_the_one_system_solve(self, sizes):
+        m = influence_matrix(random_quota_network(GenParams(40, 10, Fraction(3, 4), 2, 1, "centralised")))
+        assert distinct_rows(m.entries) == len(m.order)
+        limit_matrix(m)
+        lumped = sizes[:]
+        sizes.clear()
+        oracles.limit_by_one_system(m)
+        assert lumped == sizes == [1, 1, 38]
+
+    def test_rows_are_shared_per_game(self):
+        for topology in ("clique", "overlapping-groups"):
+            net = random_quota_network(GenParams(30, 8, Fraction(3, 4), 2, 5, topology))
+            m = influence_matrix(net)
+            honest = [k for k, i in enumerate(net.nodes) if i not in net.byzantine]
+            for a in honest:
+                for b in honest:
+                    same_game = net.trust[net.nodes[a]] == net.trust[net.nodes[b]]
+                    assert (m.entries[a] is m.entries[b]) == same_game
+
+    def test_fully_regular_limit_is_one_row_object(self):
+        m = influence_matrix(random_quota_network(GenParams(30, 8, Fraction(3, 4), 0, 5, "clique")))
+        report = limit_matrix(m)
+        assert report.classification == "fully-regular"
+        assert all(row is report.limit[0] for row in report.limit)
+        assert all(row is report.structural_zero_mask[0] for row in report.structural_zero_mask)
 
 
 class TestCentralizationReport:

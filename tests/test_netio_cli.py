@@ -18,6 +18,7 @@ import quorumlens.cli as cli_mod
 import quorumlens.influence as influence_mod
 import quorumlens.network as network_mod
 from quorumlens import (
+    GenParams,
     NetworkFormatError,
     NetworkValidationError,
     OpinionProfile,
@@ -35,6 +36,7 @@ from quorumlens import (
     network_violations,
     parse_dimacs,
     parse_network_document,
+    random_quota_network,
     save_network,
     slice_addition_instance,
     threshold,
@@ -788,6 +790,47 @@ class TestInfluenceBuildsOnce:
         assert tables["graph"]["components"] == [
             {"members": ["a", "b", "c"], "closed": True, "period": 3}
         ]
+
+
+class TestInfluenceRendering:
+    """Rows rendered once per row object print what rendering each entry gives."""
+
+    @pytest.fixture
+    def clique(self, tmp_path):
+        net = random_quota_network(GenParams(12, 6, Fraction(3, 4), 2, 3, "clique"))
+        path = tmp_path / "clique.json"
+        save_network(net, path)
+        m = influence_mod.influence_matrix(net)
+        report = influence_mod.limit_matrix(m)
+        assert report.classification == "regular"
+        assert len({id(row) for row in report.limit}) < len(net.nodes) - 2
+        return str(path), m, report
+
+    @staticmethod
+    def each_entry(rows, entry):
+        return [[entry(x) for x in row] for row in rows]
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_json(self, clique, capsys, exact):
+        path, m, report = clique
+        entry = str if exact else float
+        assert run(["influence", path, "--limit", "--json", *(["--exact"] if exact else [])]) == 0
+        out = capsys.readouterr().out
+        printed = json.loads(out)
+        tables = printed["tables"]
+        assert tables["matrix"] == self.each_entry(m.entries, entry)
+        assert tables["limit"]["matrix"] == self.each_entry(report.limit, entry)
+        assert out == json.dumps(printed, indent=2, sort_keys=True) + "\n"
+
+    def test_human(self, clique, capsys):
+        path, m, report = clique
+        assert run(["influence", path, "--limit", "--exact", "--json"]) == 0
+        tables = json.loads(capsys.readouterr().out)["tables"]
+        tables["matrix"] = self.each_entry(m.entries, str)
+        tables["limit"]["matrix"] = self.each_entry(report.limit, str)
+        assert run(["influence", path, "--limit", "--exact"]) == 0
+        out = capsys.readouterr().out
+        assert out == cli_mod.render_human({"verdict": "computed", "tables": tables}) + "\n"
 
 
 class TestGenerators:
