@@ -200,11 +200,10 @@ def _run_qi(args):
     checker = check_qi_honest if args.honest else check_quorum_intersection
     report = checker(net, max_nodes=args.max_nodes, view=view)
     order = _node_order(net)
-    try:
-        quora = minimal_quora(net, max_nodes=MINIMAL_QUORA_DISPLAY_LIMIT, view=view)
-        minimal = [sorted(q, key=order) for q in quora]
-    except BudgetExceededError:
-        minimal = None
+    # The display rule: minimal quora up to 14 nodes, which no budget refuses.
+    minimal = None
+    if len(net.nodes) <= MINIMAL_QUORA_DISPLAY_LIMIT:
+        minimal = [sorted(q, key=order) for q in minimal_quora(net, view=view)]
     tables = {
         "variant": "honest-intersection" if args.honest else "plain",
         "quora_examined": report.quora_examined,

@@ -171,15 +171,17 @@ def banzhaf_row(net: Network, i: NodeId) -> tuple[Fraction, ...]:
     """Normalized influence of every node on honest node ``i``.
 
     The raw indices from :func:`banzhaf_raw_row` scaled to sum to one.
+    Only trustees can be non-zero, so only non-zero entries are summed
+    and divided.
 
     Raises:
         ValueError: when no trustee is ever pivotal (degenerate game).
     """
     raw = banzhaf_raw_row(net, i)
-    total = sum(raw, Fraction(0))
+    total = sum(filter(None, raw), Fraction(0))
     if total == 0:
         raise ValueError(f"node {i}: degenerate game, no trustee is ever pivotal")
-    return tuple(x / total for x in raw)
+    return tuple(x / total if x else x for x in raw)
 
 
 def influence_matrix(net: Network) -> InfluenceMatrix:
@@ -325,10 +327,10 @@ def _groups(members: list[int], entries) -> list[list[int]]:
 
 
 def _mass(row: tuple[Fraction, ...], members: list[int]) -> Fraction:
-    """The mass ``row`` puts on ``members``."""
+    """The mass ``row`` puts on ``members``, summed over its non-zero entries."""
     if len(members) == 1:
         return row[members[0]]
-    return sum((row[v] for v in members), Fraction(0))
+    return sum(filter(None, map(row.__getitem__, members)), Fraction(0))
 
 
 def _map_rows(f, rows) -> list:

@@ -33,7 +33,7 @@ from typing import Mapping
 
 NodeId = str
 
-DEFAULT_FORK_MAX_SLICES = 64
+DEFAULT_MAX_SEARCH_STATES = 2_000_000
 
 
 class NetworkValidationError(ValueError):
@@ -484,11 +484,7 @@ def _fork_profile(
     return OpinionProfile(opinions, reveals)
 
 
-def find_fork(
-    net: Network,
-    *,
-    max_total_slices: int | None = DEFAULT_FORK_MAX_SLICES,
-) -> ForkWitness | None:
+def find_fork(net: Network) -> ForkWitness | None:
     """Exact search for a forked profile; ``None`` means the network is safe.
 
     A fork between honest ``i`` and ``j`` (possibly the same node) exists
@@ -508,24 +504,27 @@ def find_fork(
     quota network a node never forks with itself: its whole trust set is
     split, and each part would need more than half of it.
 
-    The search is polynomial, so it has no node budget: O(n²) rule pairs
-    of O(|T|) set operations each on quota networks, and at most
-    ``max_total_slices``² on slices networks.
+    The search is polynomial, so it has no node budget: it charges the
+    ``len(rules_i) * len(rules_j)`` tests of each ``(i, j)`` block to
+    ``DEFAULT_MAX_SEARCH_STATES``, read at call time, before making them.
+    That is one test per pair of honest nodes on a quota network, and one
+    per pair of slices on a slices network.
 
     Raises:
-        BudgetExceededError: when a slices network lists more than
-            ``max_total_slices`` coalitions.
+        BudgetExceededError: when the rule-pair tests up to the block that
+            holds the first fork, or all of them, exceed
+            ``DEFAULT_MAX_SEARCH_STATES``.
     """
-    if max_total_slices is not None and isinstance(net, TrustNetwork):
-        total = sum(len(f) for f in net.slices.values())
-        if total > max_total_slices:
-            raise BudgetExceededError(
-                f"{total} slices exceeds the search budget of {max_total_slices}"
-            )
     byz = net.byzantine
     rules = [(i, _rules(net, i)) for i in net.honest]
+    tests = 0
     for i, rules_i in rules:
         for j, rules_j in rules:
+            tests += len(rules_i) * len(rules_j)
+            if tests > DEFAULT_MAX_SEARCH_STATES:
+                raise BudgetExceededError(
+                    f"fork search exceeded {DEFAULT_MAX_SEARCH_STATES} rule-pair tests"
+                )
             for set_a, need_a in rules_i:
                 for set_b, need_b in rules_j:
                     split = set_a & set_b

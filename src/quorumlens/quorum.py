@@ -68,12 +68,13 @@ fork. The witnesses are re-checked on the definitions alone by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, combinations, product
 from math import comb, prod
 from typing import Sequence
 
 from .network import (
+    DEFAULT_MAX_SEARCH_STATES,
     BudgetExceededError,
     ForkWitness,
     Network,
@@ -86,8 +87,6 @@ from .network import (
 )
 
 DEFAULT_QI_MAX_NODES = 20
-DEFAULT_MINIMAL_MAX_NODES = 16
-DEFAULT_MAX_SEARCH_STATES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -126,12 +125,14 @@ class _QuorumView:
     :func:`minimal_quora` give the same reports with it as without. A
     quota split scan whose table holds the minimal-quora table leaves
     that table here, and the next :func:`minimal_quora` call takes it
-    instead of building its own. A view caches nothing on the network
-    and is meant to live for one command, so a table that no display
-    takes is freed with it.
+    instead of building its own. A view keeps its network, and each
+    search refuses a view of another one. It caches nothing on the
+    network and is meant to live for one command, so a table that no
+    display takes is freed with it.
     """
 
     def __init__(self, net: Network):
+        self.net = net
         self.order = list(net.nodes)
         index = self.index = {n: k for k, n in enumerate(self.order)}
         self.full = (1 << len(self.order)) - 1
@@ -244,6 +245,17 @@ class _QuorumView:
     def classes_within(self, pool: int) -> list[list[int]]:
         """The twin classes inside ``pool``, a union of them, lowest first."""
         return [members for members in self.twin_classes if (pool >> members[0]) & 1]
+
+
+def _view_of(net: Network, view: _QuorumView | None) -> _QuorumView:
+    """``view``, or a new view of ``net`` when it is ``None``.
+
+    Raises:
+        ValueError: when ``view`` was built for another network.
+    """
+    if view is not None and view.net is not net:
+        raise ValueError("the quorum view was built for another network")
+    return _QuorumView(net) if view is None else view
 
 
 def max_quorum_within(net: Network, s) -> frozenset[NodeId]:
@@ -534,42 +546,50 @@ def _minimal_quota_quora(view: _QuorumView, max_states: int) -> list[tuple[int, 
 def minimal_quora(
     net: Network,
     *,
-    max_nodes: int = DEFAULT_MINIMAL_MAX_NODES,
     max_states: int = DEFAULT_MAX_SEARCH_STATES,
     view: _QuorumView | None = None,
 ) -> tuple[frozenset[NodeId], ...]:
     """All inclusion-minimal quora, sorted by size then node order.
 
     Explicit-slice networks grow candidates by slice closure, each from
-    the seed of its lowest member (:func:`_iter_generated_quora`), and
-    keep the minimal ones; ``max_states`` bounds the partial sets that
-    search visits. Quota networks read them off the split scan's closed
+    the seed of its lowest member (:func:`_iter_generated_quora`), which
+    grows every minimal quorum, so a candidate is minimal exactly when it
+    holds no smaller one. The filter takes candidates by size and keeps,
+    for each node, the kept quora that hold it as the bits of an int: a
+    candidate holds a kept quorum unless the kept quora holding its absent
+    nodes are all of them. ``max_states`` bounds the partial sets the
+    search visits and, charged before the filter runs, the candidates
+    times the nodes. Quota networks read them off the split scan's closed
     table over the count vectors of the twin classes of the largest
     quorum's honest members (:func:`_minimal_quota_quora`): the minimal
     vectors are those in it with no one-digit decrement in it. The table
-    and its minimal vectors take a bit per vector. ``view``, the
-    view of ``net`` that the command's check was handed, lends the table
-    its scan left; the result is the same. Both kinds share the
-    ``max_nodes`` budget and one sort by size, then node positions.
+    and its minimal vectors take a bit per vector, and ``max_states``
+    bounds the table's vectors and the quora listed. ``view``, the view
+    of ``net`` that the command's check was handed, lends the table its
+    scan left; the result is the same. Both kinds share one sort by
+    size, then node positions. No budget counts nodes: each counts the
+    work it bounds.
 
     Raises:
-        BudgetExceededError: when the instance exceeds ``max_nodes``, the
-            enumeration exceeds ``max_states``, or the quota table's count
-            vectors or listed quora do.
+        BudgetExceededError: when one of those counts exceeds ``max_states``.
+        ValueError: when ``view`` is a view of another network.
     """
-    if len(net.nodes) > max_nodes:
-        raise BudgetExceededError(
-            f"{len(net.nodes)} nodes exceeds the minimal-quora budget of {max_nodes}"
-        )
-    if view is None:
-        view = _QuorumView(net)
+    view = _view_of(net, view)
     if isinstance(net, TrustNetwork):
-        candidates = [q for q, _ in _iter_generated_quora(view, 0, max_states)]
-        minimal = [
-            tuple(b for b in range(len(view.order)) if (q >> b) & 1)
-            for q in candidates
-            if not any(o != q and o & q == o for o in candidates)
-        ]
+        candidates = sorted((q for q, _ in _iter_generated_quora(view, 0, max_states)), key=int.bit_count)
+        n = len(view.order)
+        if len(candidates) * n > max_states:
+            raise BudgetExceededError(
+                f"filtering {len(candidates)} candidate quora over {n} nodes exceeds {max_states} states"
+            )
+        holders, minimal = [0] * n, []
+        for q in candidates:
+            apart = reduce(int.__or__, [holders[k] for k in range(n) if not (q >> k) & 1], 0)
+            if apart.bit_count() == len(minimal):
+                members = tuple(k for k in range(n) if (q >> k) & 1)
+                for k in members:
+                    holders[k] |= 1 << len(minimal)
+                minimal.append(members)
     else:
         minimal = _minimal_quota_quora(view, max_states)
     minimal.sort(key=lambda q: (len(q), q))
@@ -695,8 +715,7 @@ def _check_qi(
         raise BudgetExceededError(
             f"{len(net.nodes)} nodes exceeds the quorum-intersection budget of {max_nodes}"
         )
-    if view is None:
-        view = _QuorumView(net)
+    view = _view_of(net, view)
     counted = view.honest_mask if honest else view.top
     if not (view.top & counted):
         return QuorumReport(True, None, 0)
@@ -719,7 +738,8 @@ def check_quorum_intersection(
     Exact and witness-producing: a ``holds=False`` report carries a
     disjoint quorum pair. Budget overruns raise instead of guessing.
     ``view``, a :class:`_QuorumView` of ``net``, shares its prepared
-    state with the command's other searches; the report is the same.
+    state with the command's other searches; the report is the same. A
+    view of another network raises ``ValueError``.
     """
     return _check_qi(net, False, max_nodes, max_states, view)
 

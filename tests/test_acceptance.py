@@ -386,7 +386,7 @@ def test_criterion_9_representation_equivalence():
         expanded = expand_quota_network(net)
         compared += 1
         assert (find_fork(net) is None) == (
-            find_fork(expanded, max_total_slices=None) is None
+            find_fork(expanded) is None
         )
         assert (
             check_quorum_intersection(net).holds
@@ -400,7 +400,7 @@ def test_criterion_9_representation_equivalence():
     # The bridging split network keeps its fork across representations too.
     split = nets.split_quota()
     assert (find_fork(split) is None) == (
-        find_fork(expand_quota_network(split), max_total_slices=None) is None
+        find_fork(expand_quota_network(split)) is None
     )
 
     _report(9, f"representation equivalence ({compared} networks)", started)

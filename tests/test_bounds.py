@@ -272,7 +272,7 @@ class TestExpansion:
     def test_split_network_fork_verdict_survives_expansion(self):
         net = nets.split_quota()
         expanded = expand_quota_network(net)
-        assert (find_fork(net) is None) == (find_fork(expanded, max_total_slices=None) is None)
+        assert (find_fork(net) is None) == (find_fork(expanded) is None)
 
     def test_validation_agrees_for_every_profile(self):
         from quorumlens import validates

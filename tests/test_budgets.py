@@ -52,13 +52,8 @@ SIGNATURES = {
         ("new_slice", POS, REQUIRED),
         *QI,
     ],
-    minimal_quora: [
-        ("net", POS, REQUIRED),
-        ("max_nodes", KW, 16),
-        ("max_states", KW, 2_000_000),
-        ("view", KW, None),
-    ],
-    find_fork: [("net", POS, REQUIRED), ("max_total_slices", KW, 64)],
+    minimal_quora: [("net", POS, REQUIRED), ("max_states", KW, 2_000_000), ("view", KW, None)],
+    find_fork: [("net", POS, REQUIRED)],
     banzhaf_raw_row: [("net", POS, REQUIRED), ("i", POS, REQUIRED)],
     banzhaf_row: [("net", POS, REQUIRED), ("i", POS, REQUIRED)],
     influence_matrix: [("net", POS, REQUIRED)],
@@ -77,9 +72,14 @@ def test_signature(fn):
 
 def test_constants():
     assert quorum.DEFAULT_QI_MAX_NODES == 20
-    assert quorum.DEFAULT_MINIMAL_MAX_NODES == 16
-    assert quorum.DEFAULT_MAX_SEARCH_STATES == 2_000_000
-    assert network.DEFAULT_FORK_MAX_SLICES == 64
+    assert network.DEFAULT_MAX_SEARCH_STATES == 2_000_000
+    # One state budget, defined in network and imported by quorum; the
+    # minimal-quora node budget and the fork slice budget are gone.
+    modules = (bounds, influence, instances, network, quorum)
+    assert [m for m in modules if "DEFAULT_MAX_SEARCH_STATES = " in inspect.getsource(m)] == [network]
+    assert quorum.DEFAULT_MAX_SEARCH_STATES is network.DEFAULT_MAX_SEARCH_STATES
+    assert not hasattr(quorum, "DEFAULT_MINIMAL_MAX_NODES")
+    assert not hasattr(network, "DEFAULT_FORK_MAX_SLICES")
     assert influence.DEFAULT_BANZHAF_MAX_TRUST == 24
     assert bounds.DEFAULT_EXPANSION_MAX_SLICES == 100_000
     assert instances.DEFAULT_SAT_MAX_VARS == 24

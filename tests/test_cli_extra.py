@@ -97,7 +97,7 @@ class TestStrongForkCli:
                 forked += 1
                 verify_fork_witness(net, witness)
             for each in (net, expanded):
-                if (weak := find_fork(each, max_total_slices=None)) is not None:
+                if (weak := find_fork(each)) is not None:
                     verify_fork_witness(each, weak)
         assert forked >= 30
 
@@ -185,6 +185,16 @@ class TestForkBudgets:
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == "safe"
         assert report["tables"] == {"strong": False, "max_nodes": None}
+
+    def test_weak_fork_decides_expansions_past_64_slices(self, tmp_path, capsys):
+        # The expanded 8-node 3/4 clique with one Byzantine member has 196
+        # slices, which the search once refused by their count (exit 3); its
+        # 196 * 196 rule-pair tests are far inside the state budget.
+        net = expand_quota_network(nets.quota_clique(8, Fraction(3, 4), byz=1))
+        assert sum(map(len, net.slices.values())) == 196
+        path = save(tmp_path, "expanded.json", net)
+        assert run(["fork", path, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "safe"
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_max_nodes_bounds_only_the_strong_search(self, tmp_path, capsys, json_flag):

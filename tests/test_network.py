@@ -4,6 +4,7 @@ import contextlib
 import copy
 import inspect
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -39,7 +40,9 @@ from quorumlens import (
     validates,
     with_veto_slices,
 )
+from quorumlens import network
 from quorumlens.instances import TOPOLOGIES
+from quorumlens.verify import verify_fork_witness
 
 
 class TestValidation:
@@ -462,9 +465,42 @@ class TestFindFork:
             assert witness.value_b == 1 - witness.value_a
             assert profile_violations(net, witness.profile) == []
 
-    def test_budget_exceeded(self):
-        with pytest.raises(BudgetExceededError):
-            find_fork(nets.two_triangles(), max_total_slices=2)
+    def test_budget_exceeded(self, monkeypatch):
+        # Each (i, j) block is charged its rule pairs before it is tested,
+        # and the module constant is read at call time. On the triangles,
+        # one slice a node, the fork is found in block (1, 4), the fourth;
+        # on shared_five, one quota rule a node, there is no fork, so all
+        # 6 * 6 blocks are charged.
+        cases = [(nets.two_triangles(), 4), (nets.shared_five(), 36)]
+        expected = [find_fork(net) for net, _ in cases]
+        for (net, tests), witness in zip(cases, expected):
+            monkeypatch.setattr(network, "DEFAULT_MAX_SEARCH_STATES", tests - 1)
+            with pytest.raises(BudgetExceededError) as exc:
+                find_fork(net)
+            assert str(exc.value) == f"fork search exceeded {tests - 1} rule-pair tests"
+            monkeypatch.setattr(network, "DEFAULT_MAX_SEARCH_STATES", tests)
+            assert find_fork(net) == witness
+
+    def test_expansions_past_64_slices_agree_with_their_quota_networks(self):
+        # Every expansion here held more than the 64 slices the search once
+        # refused; each is decided, as its quota network is, and a witness
+        # passes its re-check on the definitions.
+        sizes, safe = [], 0
+        for net in oracles.seeded_quota_networks(67, 120, 6, 10):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", QuotaRangeWarning)
+                expanded = expand_quota_network(net)
+            size = sum(map(len, expanded.slices.values()))
+            if not 65 <= size <= 800:
+                continue
+            sizes.append(size)
+            witness = find_fork(expanded)
+            assert (witness is None) == (find_fork(net) is None), net
+            if witness is None:
+                safe += 1
+            else:
+                verify_fork_witness(expanded, witness)
+        assert len(sizes) >= 30 and max(sizes) >= 700 and 10 <= safe <= len(sizes) - 10
 
     def test_self_fork_on_unvalidated_quota_network(self):
         # Quota 1/2 fails validation: a need of 2 out of 4 trustees lets

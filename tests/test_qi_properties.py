@@ -14,7 +14,8 @@ and networks of more than 64 nodes. Every slices search grows each
 quorum from its lowest seed alone, and a slice addition is the full
 check on the extended network: the addition must refuse exactly the
 bases that pair enumeration finds split, slices ``minimal_quora`` must
-equal the oracle's, and an unsatisfiable 10-variable reduction, and the
+equal the oracle's and, on the 18-node expanded 3/4 clique past any node
+count, the closed form, and an unsatisfiable 10-variable reduction, and the
 slice addition that restores it, must be decided within a few thousand
 states.
 
@@ -51,6 +52,7 @@ from quorumlens import (
     brute_sat,
     check_slice_addition,
     cnf_to_network,
+    expand_quota_network,
     max_quorum_within,
     minimal_quora,
     random_quota_network,
@@ -380,7 +382,7 @@ def test_slices_minimal_quora_match_the_oracle():
     reductions = [cnf_to_network(cnf) for cnf in [*cnfs(223, 6), *fixed_cnfs(((6, 2),))]]
     for net in reductions:
         expected = tuple(oracles.generated_minimal_quora(net))
-        assert minimal_quora(net, max_nodes=len(net.nodes)) == expected
+        assert minimal_quora(net) == expected
     assert max(len(net.nodes) for net in reductions) >= 31
 
 
@@ -524,9 +526,19 @@ def uniform_clique(size: int, quota: Fraction, byz: int = 0) -> QuotaNetwork:
 def test_minimal_quora_of_a_uniform_clique_are_the_threshold_subsets(size, quota):
     net = uniform_clique(size, quota)
     need = -(-quota.numerator * size // quota.denominator)
-    assert minimal_quora(net, max_nodes=size) == tuple(
+    assert minimal_quora(net) == tuple(
         frozenset(c) for c in itertools.combinations(net.nodes, need)
     )
+
+
+def test_minimal_quora_of_an_expanded_18_node_clique():
+    # The slices search grows 3,876 candidates and keeps the 3,060 that
+    # hold no other: the 14-subsets. No node budget refuses it, and the
+    # filter charges 3,876 * 18 candidate-node tests.
+    net = expand_quota_network(uniform_clique(18, Fraction(3, 4)))
+    expected = tuple(frozenset(c) for c in itertools.combinations(net.nodes, 14))
+    assert len(expected) == 3060
+    assert minimal_quora(net) == expected
 
 
 def test_minimal_quora_table_memory():
@@ -538,20 +550,20 @@ def test_minimal_quora_table_memory():
     net = nets.ring(k, Fraction(1))
     tracemalloc.start()
     try:
-        quora = minimal_quora(net, max_nodes=k)
+        quora = minimal_quora(net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert quora == (frozenset(net.nodes),)
     assert peak < 3 * (1 << k)
     with pytest.raises(BudgetExceededError, match="count vectors"):
-        minimal_quora(net, max_nodes=k, max_states=(1 << k) - 1)
+        minimal_quora(net, max_states=(1 << k) - 1)
 
 
 def test_minimal_quora_of_a_40_node_unanimity_clique():
     # One twin class of 40 members: a table of 41 count vectors.
     net = uniform_clique(40, Fraction(1))
-    assert minimal_quora(net, max_nodes=40) == (frozenset(net.nodes),)
+    assert minimal_quora(net) == (frozenset(net.nodes),)
 
 
 def test_minimal_quora_listing_budget():
@@ -562,13 +574,13 @@ def test_minimal_quora_listing_budget():
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match=f"{listed} minimal quora"):
-            minimal_quora(net, max_nodes=22, max_states=listed - 1)
+            minimal_quora(net, max_states=listed - 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # Listing the quora would take about 1 MB for their masks alone.
     assert peak < 1 << 16
-    quora = minimal_quora(net, max_nodes=22, max_states=listed)
+    quora = minimal_quora(net, max_states=listed)
     assert len(quora) == listed
     assert quora[0] == frozenset(net.nodes[:17]) and quora[-1] == frozenset(net.nodes[5:])
 

@@ -1,5 +1,6 @@
 """Quorum enumeration and intersection checking against naive oracles."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -137,12 +138,19 @@ class TestMinimalQuora:
 
     def test_quota_form(self):
         assert minimal_quora(nets.shared_five()) == tuple(
-            frozenset(c) for c in __import__("itertools").combinations("12345", 4)
+            frozenset(c) for c in itertools.combinations("12345", 4)
         )
 
     def test_budget(self):
-        with pytest.raises(BudgetExceededError):
-            minimal_quora(nets.two_triangles(), max_nodes=3)
+        # No node budget: the slices filter charges one pass over the 8
+        # nodes for each of the 36 quora grown on the expanded 3/4 clique,
+        # before it runs, and the search itself visits fewer states.
+        net = expand_quota_network(nets.quota_clique(8, Fraction(3, 4)))
+        with pytest.raises(BudgetExceededError) as exc:
+            minimal_quora(net, max_states=36 * 8 - 1)
+        assert str(exc.value) == "filtering 36 candidate quora over 8 nodes exceeds 287 states"
+        expected = tuple(frozenset(c) for c in itertools.combinations(net.nodes, 6))
+        assert minimal_quora(net, max_states=36 * 8) == expected
 
 
 class TestQuorumIntersection:

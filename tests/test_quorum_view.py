@@ -4,8 +4,8 @@
 minimal-quora display, and the display reads the check's closed table
 when the two tables are the same one. Every report must equal the one
 built from standalone library calls on a freshly loaded network: verdict,
-witness, ``quora_examined`` and ``minimal_quora`` in order, ``null`` when
-the display is over its budget. The networks are seeded quota networks of
+witness, ``quora_examined`` and ``minimal_quora`` in order, ``null`` past
+the display's 14-node limit. The networks are seeded quota networks of
 6 to 16 nodes over the three topologies with 0 to 2 Byzantine nodes, with
 and without twins, and explicit-slice networks. They cover views whose
 table is shared: every plain check, where the display reads the scan's
@@ -24,10 +24,10 @@ import weakref
 from contextlib import redirect_stdout
 from fractions import Fraction
 
+import nets
 import oracles
 import pytest
 from quorumlens import (
-    BudgetExceededError,
     GenParams,
     QuotaNetwork,
     check_qi_honest,
@@ -122,10 +122,9 @@ def standalone_report(path, honest: bool):
     net = load_network(path)
     report = (check_qi_honest if honest else check_quorum_intersection)(net)
     position = {n: k for k, n in enumerate(net.nodes)}.__getitem__
-    try:
-        minimal = [sorted(q, key=position) for q in minimal_quora(net, max_nodes=14)]
-    except BudgetExceededError:
-        minimal = None
+    minimal = None
+    if len(net.nodes) <= 14:
+        minimal = [sorted(q, key=position) for q in minimal_quora(net)]
     witness = None
     if not report.holds:
         q_a, q_b = report.witness
@@ -148,7 +147,7 @@ def test_qi_reports_equal_the_standalone_calls(tmp_path):
         "shared, no Byzantine node": 0,
         "shared, Byzantine nodes": 0,
         "honest, Byzantine top": 0,
-        "over the display budget": 0,
+        "over the display limit": 0,
         "slices": 0,
     }
     for k, net in enumerate(networks):
@@ -170,7 +169,7 @@ def test_qi_reports_equal_the_standalone_calls(tmp_path):
             if not isinstance(net, QuotaNetwork):
                 seen["slices"] += 1
             elif len(net.nodes) > 14:
-                seen["over the display budget"] += tables["minimal_quora"] is None
+                seen["over the display limit"] += tables["minimal_quora"] is None
             elif shares_table(net, honest):
                 kind = "Byzantine nodes" if net.byzantine else "no Byzantine node"
                 seen[f"shared, {kind}"] += 1
@@ -187,6 +186,19 @@ def test_a_view_gives_the_reports_of_its_network():
             assert check(net, view=view) == check(net)
             assert minimal_quora(net, view=view) == minimal_quora(net)
             assert view.closed is None  # the display took any table the scan left
+
+
+def test_a_view_of_another_network_is_refused():
+    # Read through the triangles' view, the bridged network, whose quora
+    # intersect, would be reported split, with the triangles' minimal quora.
+    triangles, bridged = nets.two_triangles(), nets.two_triangles_bridged()
+    view = _QuorumView(triangles)
+    for call in (check_quorum_intersection, check_qi_honest, minimal_quora):
+        with pytest.raises(ValueError, match="built for another network"):
+            call(bridged, view=view)
+    assert check_quorum_intersection(bridged).holds
+    assert not check_quorum_intersection(triangles, view=view).holds
+    assert minimal_quora(triangles, view=view) == (frozenset("123"), frozenset("456"))
 
 
 def test_no_table_outlives_a_standalone_call(monkeypatch):
