@@ -199,26 +199,36 @@ def expand_quota_network(net: QuotaNetwork) -> TrustNetwork:
     trust set and threshold share one tuple of coalitions, built once, so
     a clique stores its ``C(n, t)`` coalitions once rather than ``n`` times.
 
+    The budget bounds what is built: the ``C(|T_i|, t)`` coalitions of
+    each distinct game, summed in node order and checked against
+    ``DEFAULT_EXPANSION_MAX_SLICES`` before any coalition is built. A
+    one-game network's total is its own count.
+
     Raises:
-        BudgetExceededError: when some node would need more than
-            ``DEFAULT_EXPANSION_MAX_SLICES`` slices.
+        BudgetExceededError: when the coalitions of the distinct games up
+            to some node exceed ``DEFAULT_EXPANSION_MAX_SLICES``; the
+            message names that node and the running total.
     """
     from math import comb
 
     order = {n: k for k, n in enumerate(net.nodes)}
-    coalitions: dict[tuple[frozenset[NodeId], int], tuple[frozenset[NodeId], ...]] = {}
-    slices: dict[NodeId, tuple[frozenset[NodeId], ...]] = {}
+    games: dict[NodeId, tuple[frozenset[NodeId], int]] = {}
+    seen: set[tuple[frozenset[NodeId], int]] = set()
+    total = 0
     for i in net.honest:
         ((_, need),) = _rules(net, i)
-        count = comb(len(net.trust[i]), need)
-        if count > DEFAULT_EXPANSION_MAX_SLICES:
-            raise BudgetExceededError(
-                f"node {i}: {count} minimal coalitions exceeds the budget"
-                f" of {DEFAULT_EXPANSION_MAX_SLICES}"
-            )
-        game = (net.trust[i], need)
-        if game not in coalitions:
-            t = sorted(net.trust[i], key=order.get)
-            coalitions[game] = tuple(frozenset(c) for c in combinations(t, need))
-        slices[i] = coalitions[game]
+        game = games[i] = (net.trust[i], need)
+        if game not in seen:
+            seen.add(game)
+            total += comb(len(net.trust[i]), need)
+            if total > DEFAULT_EXPANSION_MAX_SLICES:
+                raise BudgetExceededError(
+                    f"node {i}: {total} minimal coalitions exceeds the budget"
+                    f" of {DEFAULT_EXPANSION_MAX_SLICES}"
+                )
+    coalitions = {
+        (trust, need): tuple(frozenset(c) for c in combinations(sorted(trust, key=order.get), need))
+        for trust, need in seen
+    }
+    slices = {i: coalitions[game] for i, game in games.items()}
     return TrustNetwork(net.nodes, net.byzantine, dict(net.trust), slices)

@@ -164,7 +164,8 @@ def banzhaf_raw_row(net: Network, i: NodeId) -> tuple[Fraction, ...]:
     pivots = (_quota_pivots if isinstance(net, QuotaNetwork) else _slices_pivots)(net, i, members)
     denom = 1 << (len(members) - 1)
     raw = {member: Fraction(p, denom) for member, p in zip(members, pivots)}
-    return tuple(raw.get(n, Fraction(0)) for n in net.nodes)
+    zero = Fraction(0)  # one zero shared by every untrusted node
+    return tuple(raw.get(n, zero) for n in net.nodes)
 
 
 def banzhaf_row(net: Network, i: NodeId) -> tuple[Fraction, ...]:
@@ -201,11 +202,10 @@ def influence_matrix(net: Network) -> InfluenceMatrix:
     """
     solved: dict[tuple, tuple[Fraction, ...]] = {}
     rows = []
+    zero, one = Fraction(0), Fraction(1)
     for i in net.nodes:
         if i in net.byzantine:
-            rows.append(
-                tuple(Fraction(1) if j == i else Fraction(0) for j in net.nodes)
-            )
+            rows.append(tuple(one if j == i else zero for j in net.nodes))
             continue
         game = (net.trust[i], frozenset(_rules(net, i)))
         if game not in solved:

@@ -25,11 +25,18 @@ exact searches behind explicit budgets:
   Witnesses and counts are those of a walk over every split code, which
   the scan never makes.
 
-Both engines take the view, ``counted`` and a state budget, and return
-``(examined, witness masks or None)``. ``counted`` holds the nodes whose
-disjointness is checked: the largest quorum for the plain check, every
-honest node for the honest one, none for slices minimal quora. The pool
-is ``counted``; the base is the largest quorum's other members.
+Both engines take the view and ``counted``, and return ``(examined,
+witness masks or None)``. ``counted`` holds the nodes whose disjointness
+is checked: the largest quorum for the plain check, every honest node
+for the honest one, none for slices minimal quora. The pool is
+``counted``; the base is the largest quorum's other members.
+
+One state budget, ``network.DEFAULT_MAX_SEARCH_STATES``, bounds every
+search here, and no function takes it as a parameter. Each site that
+charges it reads it when it runs: :func:`_scan_split`,
+:func:`_iter_generated_quora`, :func:`_minimal_quota_quora` and the
+slices filter of :func:`minimal_quora`, as
+:func:`~quorumlens.network.find_fork` does for its rule-pair tests.
 
 :func:`minimal_quora` of a quota network reads the same closed table
 (:func:`_quorum_table`, then :func:`_close_upward`), over the twin
@@ -73,8 +80,8 @@ from itertools import chain, combinations, product
 from math import comb, prod
 from typing import Sequence
 
+from . import network
 from .network import (
-    DEFAULT_MAX_SEARCH_STATES,
     BudgetExceededError,
     ForkWitness,
     Network,
@@ -270,7 +277,7 @@ def max_quorum_within(net: Network, s) -> frozenset[NodeId]:
 # Generated-quorum enumeration (explicit-slice networks)
 
 
-def _iter_generated_quora(view: _QuorumView, counted: int, max_states: int):
+def _iter_generated_quora(view: _QuorumView, counted: int):
     """Yield ``(q, rest)`` for each quorum ``q`` grown from a seed's singleton.
 
     The seeds are the ``counted`` members of the largest quorum ``top``,
@@ -299,7 +306,12 @@ def _iter_generated_quora(view: _QuorumView, counted: int, max_states: int):
     without a counted node keeps none in any descendant, so it travels as
     0 and is never shrunk: with ``counted`` 0, no ``rest`` is ever
     computed.
+
+    Raises:
+        BudgetExceededError: when the search visits more states than
+            ``network.DEFAULT_MAX_SEARCH_STATES``, read when the search starts.
     """
+    max_states = network.DEFAULT_MAX_SEARCH_STATES
     slices, users = view.rule_masks, view.users
     top = view.top
     seeds = top & counted if counted else top
@@ -481,7 +493,7 @@ def _complement(table: int, size: int) -> int:
     return int.from_bytes(flipped, "little") >> (8 * width - size)
 
 
-def _minimal_quota_quora(view: _QuorumView, max_states: int) -> list[tuple[int, ...]]:
+def _minimal_quota_quora(view: _QuorumView) -> list[tuple[int, ...]]:
     """Bit positions of every inclusion-minimal quorum of a quota network, unsorted.
 
     A Byzantine member of the largest quorum ``top`` is a quorum alone, so
@@ -500,9 +512,11 @@ def _minimal_quota_quora(view: _QuorumView, max_states: int) -> list[tuple[int, 
     that table where it counts no Byzantine member.
 
     Raises:
-        BudgetExceededError: when the table exceeds ``max_states`` count
-            vectors, or more than ``max_states`` quora would be listed.
+        BudgetExceededError: when the table exceeds
+            ``network.DEFAULT_MAX_SEARCH_STATES`` count vectors, or more
+            than that many quora would be listed.
     """
+    max_states = network.DEFAULT_MAX_SEARCH_STATES
     top = view.top
     classes = view.classes_within(top & view.honest_mask)
     radix = [len(members) + 1 for members in classes]
@@ -543,12 +557,7 @@ def _minimal_quota_quora(view: _QuorumView, max_states: int) -> list[tuple[int, 
     return quora
 
 
-def minimal_quora(
-    net: Network,
-    *,
-    max_states: int = DEFAULT_MAX_SEARCH_STATES,
-    view: _QuorumView | None = None,
-) -> tuple[frozenset[NodeId], ...]:
+def minimal_quora(net: Network, *, view: _QuorumView | None = None) -> tuple[frozenset[NodeId], ...]:
     """All inclusion-minimal quora, sorted by size then node order.
 
     Explicit-slice networks grow candidates by slice closure, each from
@@ -557,27 +566,29 @@ def minimal_quora(
     holds no smaller one. The filter takes candidates by size and keeps,
     for each node, the kept quora that hold it as the bits of an int: a
     candidate holds a kept quorum unless the kept quora holding its absent
-    nodes are all of them. ``max_states`` bounds the partial sets the
+    nodes are all of them. The state budget,
+    ``network.DEFAULT_MAX_SEARCH_STATES``, bounds the partial sets the
     search visits and, charged before the filter runs, the candidates
     times the nodes. Quota networks read them off the split scan's closed
     table over the count vectors of the twin classes of the largest
     quorum's honest members (:func:`_minimal_quota_quora`): the minimal
     vectors are those in it with no one-digit decrement in it. The table
-    and its minimal vectors take a bit per vector, and ``max_states``
+    and its minimal vectors take a bit per vector, and the state budget
     bounds the table's vectors and the quora listed. ``view``, the view
     of ``net`` that the command's check was handed, lends the table its
     scan left; the result is the same. Both kinds share one sort by
-    size, then node positions. No budget counts nodes: each counts the
-    work it bounds.
+    size, then node positions. No budget counts nodes, and none is a
+    parameter: each charge reads the state budget where it is made.
 
     Raises:
-        BudgetExceededError: when one of those counts exceeds ``max_states``.
+        BudgetExceededError: when one of those counts exceeds the state budget.
         ValueError: when ``view`` is a view of another network.
     """
     view = _view_of(net, view)
     if isinstance(net, TrustNetwork):
-        candidates = sorted((q for q, _ in _iter_generated_quora(view, 0, max_states)), key=int.bit_count)
+        candidates = sorted((q for q, _ in _iter_generated_quora(view, 0)), key=int.bit_count)
         n = len(view.order)
+        max_states = network.DEFAULT_MAX_SEARCH_STATES
         if len(candidates) * n > max_states:
             raise BudgetExceededError(
                 f"filtering {len(candidates)} candidate quora over {n} nodes exceeds {max_states} states"
@@ -591,7 +602,7 @@ def minimal_quora(
                     holders[k] |= 1 << len(minimal)
                 minimal.append(members)
     else:
-        minimal = _minimal_quota_quora(view, max_states)
+        minimal = _minimal_quota_quora(view)
     minimal.sort(key=lambda q: (len(q), q))
     label = view.order.__getitem__
     return tuple(frozenset(map(label, q)) for q in minimal)
@@ -604,7 +615,7 @@ def minimal_quora(
 _Found = tuple[int, tuple[int, int] | None]
 
 
-def _scan_split(view: _QuorumView, counted: int, max_states: int) -> _Found:
+def _scan_split(view: _QuorumView, counted: int) -> _Found:
     """First split of the ``counted`` nodes into two disjoint quora (quota networks).
 
     The pool is ``counted``, and the base is top's other members,
@@ -631,8 +642,10 @@ def _scan_split(view: _QuorumView, counted: int, max_states: int) -> _Found:
     left on the view for :func:`minimal_quora`.
 
     Raises:
-        BudgetExceededError: when the table exceeds ``max_states`` vectors.
+        BudgetExceededError: when the table exceeds
+            ``network.DEFAULT_MAX_SEARCH_STATES`` vectors.
     """
+    max_states = network.DEFAULT_MAX_SEARCH_STATES
     pool, base = counted, view.top & ~counted
     bits = [b for b in range(len(view.order)) if (pool >> b) & 1]
     # Classes lie wholly inside or outside the pool, since permutations
@@ -673,7 +686,7 @@ def _scan_split(view: _QuorumView, counted: int, max_states: int) -> _Found:
     return code + 1, (view.max_quorum(side | base), view.max_quorum(pool & ~side | base))
 
 
-def _first_disjoint(view: _QuorumView, counted: int, max_states: int) -> _Found:
+def _first_disjoint(view: _QuorumView, counted: int) -> _Found:
     """Grow quora inside top until one leaves room for a counted-disjoint quorum.
 
     Quora grow from the singletons of top's ``counted`` nodes, each
@@ -695,7 +708,7 @@ def _first_disjoint(view: _QuorumView, counted: int, max_states: int) -> _Found:
     the search trips.
     """
     examined = 0
-    for q, rest in _iter_generated_quora(view, counted, max_states):
+    for q, rest in _iter_generated_quora(view, counted):
         examined += 1
         if rest:
             return examined, (q, rest)
@@ -703,13 +716,14 @@ def _first_disjoint(view: _QuorumView, counted: int, max_states: int) -> _Found:
 
 
 def _check_qi(
-    net: Network, honest: bool, max_nodes: int, max_states: int, view: _QuorumView | None = None
+    net: Network, honest: bool, max_nodes: int, view: _QuorumView | None = None
 ) -> QuorumReport:
     """The plain (``honest`` false) or honest check behind the public entry points.
 
     ``counted`` is top, or every honest node; slices networks grow quora
     (:func:`_first_disjoint`) and quota networks scan splits
-    (:func:`_scan_split`).
+    (:func:`_scan_split`). Only the node budget is checked here; each
+    engine charges its own work to the state budget.
     """
     if len(net.nodes) > max_nodes:
         raise BudgetExceededError(
@@ -720,7 +734,7 @@ def _check_qi(
     if not (view.top & counted):
         return QuorumReport(True, None, 0)
     search = _first_disjoint if isinstance(net, TrustNetwork) else _scan_split
-    examined, witness = search(view, counted, max_states)
+    examined, witness = search(view, counted)
     if witness is None:
         return QuorumReport(True, None, examined)
     return QuorumReport(False, tuple(map(view.labels, witness)), examined)
@@ -730,7 +744,6 @@ def check_quorum_intersection(
     net: Network,
     *,
     max_nodes: int = DEFAULT_QI_MAX_NODES,
-    max_states: int = DEFAULT_MAX_SEARCH_STATES,
     view: _QuorumView | None = None,
 ) -> QuorumReport:
     """Decide whether every two quora of ``net`` intersect.
@@ -741,14 +754,13 @@ def check_quorum_intersection(
     state with the command's other searches; the report is the same. A
     view of another network raises ``ValueError``.
     """
-    return _check_qi(net, False, max_nodes, max_states, view)
+    return _check_qi(net, False, max_nodes, view)
 
 
 def check_qi_honest(
     net: Network,
     *,
     max_nodes: int = DEFAULT_QI_MAX_NODES,
-    max_states: int = DEFAULT_MAX_SEARCH_STATES,
     view: _QuorumView | None = None,
 ) -> QuorumReport:
     """Decide whether every two quora share at least one honest node.
@@ -759,21 +771,17 @@ def check_qi_honest(
     vetoed network. Purely Byzantine quora can never witness a violation.
     ``view`` is as for :func:`check_quorum_intersection`.
     """
-    return _check_qi(net, True, max_nodes, max_states, view)
+    return _check_qi(net, True, max_nodes, view)
 
 
-def find_strong_fork(
-    net: Network,
-    *,
-    max_nodes: int = DEFAULT_QI_MAX_NODES,
-) -> ForkWitness | None:
+def find_strong_fork(net: Network) -> ForkWitness | None:
     """Search for a strong fork; ``None`` means the network is weakly safe.
 
     A strong fork is a fork whose two sides support themselves all the way
     down: every member of each side's coalition closure again finds an
     agreeing coalition inside it. That happens exactly when two quora,
     each containing an honest node, intersect in no honest node, so this
-    is :func:`check_qi_honest` under the same budget. The witness carries
+    is :func:`check_qi_honest` at its default budgets. The witness carries
     the two quora and a profile in which each quorum's honest members
     agree internally: every Byzantine node shows each honest observer
     that observer's own opinion, which is its quorum's value.
@@ -785,7 +793,7 @@ def find_strong_fork(
     its own. The interesting verdicts come from networks where every
     coalition merely contains its owner.
     """
-    report = check_qi_honest(net, max_nodes=max_nodes)
+    report = check_qi_honest(net)
     if report.holds:
         return None
     q_a, q_b = report.witness
@@ -801,15 +809,15 @@ def check_slice_addition(
     new_slice,
     *,
     max_nodes: int = DEFAULT_QI_MAX_NODES,
-    max_states: int = DEFAULT_MAX_SEARCH_STATES,
 ) -> QuorumReport:
     """Decide quorum intersection after granting ``node`` one extra slice.
 
     This is the full check (:func:`check_quorum_intersection`) on the
     extended network, and its report is that check's. The base network
     must satisfy quorum intersection; it is checked, under the same
-    budgets, only when the extended network fails. ``max_states`` bounds
-    the states of each of the two searches separately.
+    budgets, only when the extended network fails. The state budget,
+    ``network.DEFAULT_MAX_SEARCH_STATES``, bounds the states of each of
+    the two searches separately.
 
     Raises:
         TypeError: when ``base`` is a quota network.
@@ -825,10 +833,10 @@ def check_slice_addition(
     slices = dict(base.slices)
     slices[node] += (slice_set,)
     extended = TrustNetwork(base.nodes, base.byzantine, base.trust, slices)
-    report = _check_qi(extended, False, max_nodes, max_states)
+    report = _check_qi(extended, False, max_nodes)
     # A slice only adds quora, so every base quorum pair is an extended
     # one: when the extended network holds, the base holds too.
-    if not report.holds and not _check_qi(base, False, max_nodes, max_states).holds:
+    if not report.holds and not _check_qi(base, False, max_nodes).holds:
         raise ValueError(
             "base network fails quorum intersection; slice addition requires a sound base"
         )

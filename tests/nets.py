@@ -1,10 +1,14 @@
-"""Canonical small networks and profiles shared across the test suite."""
+"""Canonical small networks and profiles shared across the test suite,
+and :func:`state_budget`, which sets the one search-state budget."""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
-from quorumlens import OpinionProfile, QuotaNetwork, TrustNetwork, with_veto_slices
+import pytest
+
+from quorumlens import OpinionProfile, QuotaNetwork, TrustNetwork, network, with_veto_slices
 
 TRI_A = frozenset({"1", "2", "3"})
 TRI_B = frozenset({"4", "5", "6"})
@@ -122,3 +126,15 @@ def quota_clique(size: int, quota: Fraction = Fraction(4, 5), byz: int = 0) -> Q
         trust={n: frozenset(nodes) for n in honest},
         quota={n: quota for n in honest},
     )
+
+
+@contextmanager
+def state_budget(limit: int):
+    """Run the block with ``network.DEFAULT_MAX_SEARCH_STATES`` set to ``limit``.
+
+    Every search reads that constant where it charges it, so one patch
+    moves every meter; the old value is restored on exit.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "DEFAULT_MAX_SEARCH_STATES", limit)
+        yield

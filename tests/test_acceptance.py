@@ -223,7 +223,7 @@ def test_criterion_6_strong_fork_equivalence():
             self_in_slices=membership_form,
         )
         checked += 1
-        witness = find_strong_fork(net, max_nodes=len(net.nodes))
+        witness = find_strong_fork(net)
         honest_qi = check_qi_honest(net, max_nodes=len(net.nodes))
         assert (witness is None) == honest_qi.holds
         if witness is None:

@@ -1,5 +1,6 @@
 """Quota safety bounds: shared caps, observation bounds, overlap, expansion."""
 
+import math
 import random
 import tracemalloc
 import warnings
@@ -13,6 +14,7 @@ import oracles
 from oracles import enumerate_profiles
 from quorumlens import (
     BudgetExceededError,
+    GenParams,
     OpinionProfile,
     QuotaNetwork,
     check_overlap_bounds,
@@ -22,9 +24,11 @@ from quorumlens import (
     find_fork,
     observation_bounds,
     overlap_premise_holds,
+    random_quota_network,
     respects_failure_model,
     shared_byzantine_bound,
 )
+from quorumlens import bounds
 
 
 def make_uniform(trust, quota, byz_fraction=None):
@@ -319,3 +323,22 @@ class TestExpansion:
         )
         with pytest.raises(BudgetExceededError, match="177100 minimal coalitions .* of 100000$"):
             expand_quota_network(big)
+
+    def test_budget_is_a_total_over_distinct_games(self, monkeypatch):
+        # gen random --nodes 200 --trust 20 --quota 3/4 --byz 2 --topology
+        # centralised --seed 1: 198 honest nodes, each its own game of
+        # C(20, 15) = 15,504 coalitions, under the budget one at a time.
+        # Counted, not built: about 3.07M frozensets, over 2 GB.
+        net = random_quota_network(GenParams(200, 20, Fraction(3, 4), 2, 1, "centralised"))
+        games = {(net.trust[i], math.ceil(net.quota[i] * len(net.trust[i]))) for i in net.honest}
+        counts = [math.comb(len(trust), need) for trust, need in games]
+        assert len(games) == 198 and max(counts) == 15_504 and sum(counts) == 3_069_792
+        # The seventh distinct game takes the total past the budget, and the
+        # refusal comes before a single coalition is built.
+        def no_building(*args):
+            raise AssertionError("a coalition was built")
+
+        monkeypatch.setattr(bounds, "combinations", no_building)
+        with pytest.raises(BudgetExceededError) as exc:
+            expand_quota_network(net)
+        assert str(exc.value) == "node v007: 108528 minimal coalitions exceeds the budget of 100000"

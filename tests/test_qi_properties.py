@@ -58,7 +58,7 @@ from quorumlens import (
     random_quota_network,
     slice_addition_instance,
 )
-from quorumlens.quorum import DEFAULT_MAX_SEARCH_STATES, _iter_generated_quora, _QuorumView
+from quorumlens.quorum import _iter_generated_quora, _QuorumView
 
 QUOTAS = (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(1))
 TOPOLOGIES = ("clique", "overlapping-groups", "centralised")
@@ -184,20 +184,21 @@ WIDE_CNFS = ((11, 7), (11, 10), (11, 34), (12, 7), (12, 25))
 
 
 def assert_same_search(run, expected):
-    """``run(max_states=...)`` reports ``expected`` and stops at its state count.
+    """``run()`` reports ``expected`` and stops at its state count.
 
-    A budget of exactly the witness's state count trips at the next new
-    state, after the witness is judged, so the report is unchanged; one
-    state less trips before the witness is reached.
+    A state budget of exactly the witness's state count trips at the next
+    new state, after the witness is judged, so the report is unchanged;
+    one state less trips before the witness is reached.
     """
     holds, witness, examined, states = expected
     report = run()
     assert (report.holds, report.witness, report.quora_examined) == (holds, witness, examined)
     if states:
-        with pytest.raises(BudgetExceededError):
-            run(max_states=states - 1)
-        assert run(max_states=states) == report
-        assert run(max_states=states + 1) == report
+        with nets.state_budget(states - 1), pytest.raises(BudgetExceededError):
+            run()
+        for budget in (states, states + 1):
+            with nets.state_budget(budget):
+                assert run() == report
 
 
 def test_slice_searches_match_the_scalar_generated_search():
@@ -211,8 +212,8 @@ def test_slice_searches_match_the_scalar_generated_search():
         for honest, check in ((False, check_quorum_intersection), (True, check_qi_honest)):
             expected = oracles.first_generated_witness(net, honest)
 
-            def run(check=check, net=net, **budget):
-                return check(net, max_nodes=len(net.nodes), **budget)
+            def run(check=check, net=net):
+                return check(net, max_nodes=len(net.nodes))
 
             assert_same_search(run, expected)
             seen[honest][expected[0]] += 1
@@ -245,7 +246,7 @@ def test_generated_quora_carry_the_largest_quorum_of_their_complement():
         view = _QuorumView(net)
         top = view.top
         for counted in (view.full, view.honest_mask):
-            quora = _iter_generated_quora(view, counted, DEFAULT_MAX_SEARCH_STATES)
+            quora = _iter_generated_quora(view, counted)
             for q, rest in itertools.islice(quora, 300):
                 removed = q & counted
                 expected = view.max_quorum(top & ~removed)
@@ -286,8 +287,8 @@ def test_slice_addition_matches_the_scalar_generated_search():
         if not holds:
             states = max(states, oracles.first_generated_witness(base)[3])
 
-        def run(base=base, node=node, new_slice=new_slice, **budget):
-            return check_slice_addition(base, node, new_slice, max_nodes=len(base.nodes), **budget)
+        def run(base=base, node=node, new_slice=new_slice):
+            return check_slice_addition(base, node, new_slice, max_nodes=len(base.nodes))
 
         assert_same_search(run, (holds, witness, count, states))
         checked[holds] += 1
@@ -352,11 +353,12 @@ def test_unsatisfiable_ten_variable_reduction_holds_within_a_small_budget():
     expected = oracles.first_generated_witness(net)
     assert expected[0] and expected[3] < 5000, expected[2:]
 
-    def run(**budget):
-        return check_quorum_intersection(net, max_nodes=len(net.nodes), **budget)
+    def run():
+        return check_quorum_intersection(net, max_nodes=len(net.nodes))
 
     assert_same_search(run, expected)
-    assert run(max_states=5000).quora_examined == expected[2]
+    with nets.state_budget(5000):
+        assert run().quora_examined == expected[2]
 
 
 def test_unsatisfiable_ten_variable_addition_holds_within_a_small_budget():
@@ -365,9 +367,8 @@ def test_unsatisfiable_ten_variable_addition_holds_within_a_small_budget():
     (cnf,) = fixed_cnfs(((10, 11),))
     base, node, new_slice = slice_addition_instance(cnf)
     expected = oracles.first_generated_witness(cnf_to_network(cnf))
-    report = check_slice_addition(
-        base, node, new_slice, max_nodes=len(base.nodes), max_states=5000
-    )
+    with nets.state_budget(5000):
+        report = check_slice_addition(base, node, new_slice, max_nodes=len(base.nodes))
     assert report.holds and report.quora_examined == expected[2] == 1024
 
 
@@ -556,8 +557,8 @@ def test_minimal_quora_table_memory():
         tracemalloc.stop()
     assert quora == (frozenset(net.nodes),)
     assert peak < 3 * (1 << k)
-    with pytest.raises(BudgetExceededError, match="count vectors"):
-        minimal_quora(net, max_states=(1 << k) - 1)
+    with nets.state_budget((1 << k) - 1), pytest.raises(BudgetExceededError, match="count vectors"):
+        minimal_quora(net)
 
 
 def test_minimal_quora_of_a_40_node_unanimity_clique():
@@ -573,14 +574,16 @@ def test_minimal_quora_listing_budget():
     listed = math.comb(22, 17)
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match=f"{listed} minimal quora"):
-            minimal_quora(net, max_states=listed - 1)
+        with nets.state_budget(listed - 1):
+            with pytest.raises(BudgetExceededError, match=f"{listed} minimal quora"):
+                minimal_quora(net)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # Listing the quora would take about 1 MB for their masks alone.
     assert peak < 1 << 16
-    quora = minimal_quora(net, max_states=listed)
+    with nets.state_budget(listed):
+        quora = minimal_quora(net)
     assert len(quora) == listed
     assert quora[0] == frozenset(net.nodes[:17]) and quora[-1] == frozenset(net.nodes[5:])
 

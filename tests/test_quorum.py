@@ -146,11 +146,12 @@ class TestMinimalQuora:
         # nodes for each of the 36 quora grown on the expanded 3/4 clique,
         # before it runs, and the search itself visits fewer states.
         net = expand_quota_network(nets.quota_clique(8, Fraction(3, 4)))
-        with pytest.raises(BudgetExceededError) as exc:
-            minimal_quora(net, max_states=36 * 8 - 1)
+        with nets.state_budget(36 * 8 - 1), pytest.raises(BudgetExceededError) as exc:
+            minimal_quora(net)
         assert str(exc.value) == "filtering 36 candidate quora over 8 nodes exceeds 287 states"
         expected = tuple(frozenset(c) for c in itertools.combinations(net.nodes, 6))
-        assert minimal_quora(net, max_states=36 * 8) == expected
+        with nets.state_budget(36 * 8):
+            assert minimal_quora(net) == expected
 
 
 class TestQuorumIntersection:
@@ -238,9 +239,10 @@ class TestQuorumIntersection:
         net = nets.ring(21, Fraction(1, 2))
         with pytest.raises(BudgetExceededError, match="split table of 2097152"):
             check_quorum_intersection(net, max_nodes=21)
-        with pytest.raises(BudgetExceededError):
-            check_qi_honest(net, max_nodes=21, max_states=2 ** 21 - 1)
-        report = check_quorum_intersection(net, max_nodes=21, max_states=2 ** 21)
+        with nets.state_budget(2 ** 21 - 1), pytest.raises(BudgetExceededError):
+            check_qi_honest(net, max_nodes=21)
+        with nets.state_budget(2 ** 21):
+            report = check_quorum_intersection(net, max_nodes=21)
         assert (report.quora_examined, report.witness) == oracles.first_split_witness(net)
         assert report.quora_examined == 2
 

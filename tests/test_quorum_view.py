@@ -39,7 +39,7 @@ from quorumlens import (
     save_network,
 )
 from quorumlens import quorum
-from quorumlens.quorum import DEFAULT_MAX_SEARCH_STATES, _minimal_quota_quora, _QuorumView
+from quorumlens.quorum import _minimal_quota_quora, _QuorumView
 
 pytestmark = pytest.mark.filterwarnings("ignore::quorumlens.QuotaRangeWarning")
 
@@ -239,6 +239,6 @@ def test_minimal_quota_quora_match_every_quorum():
             if honest is not None:
                 (check_qi_honest if honest else check_quorum_intersection)(net, view=view)
                 shared += view.closed is not None
-            found = _minimal_quota_quora(view, DEFAULT_MAX_SEARCH_STATES)
+            found = _minimal_quota_quora(view)
             assert sorted(map(list, found)) == expected, (net, honest)
     assert shared >= 20, shared
