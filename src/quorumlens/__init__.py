@@ -72,7 +72,6 @@ from .network import (
     QuotaRangeWarning,
     TrustNetwork,
     as_fraction,
-    find_fork,
     network_violations,
     observed_set,
     profile_violations,
@@ -86,6 +85,7 @@ from .quorum import (
     check_qi_honest,
     check_quorum_intersection,
     check_slice_addition,
+    find_fork,
     find_strong_fork,
     max_quorum_within,
     minimal_quora,

@@ -29,6 +29,12 @@ from .network import (
 DEFAULT_EXPANSION_MAX_SLICES = 100_000
 
 
+def _require_quota(net: Network, what: str) -> None:
+    """Raise ``TypeError`` naming ``what`` unless ``net`` is a quota network."""
+    if not isinstance(net, QuotaNetwork):
+        raise TypeError(f"{what} apply to quota networks")
+
+
 def shared_byzantine_bound(net: QuotaNetwork, i: NodeId, j: NodeId) -> Fraction:
     """Cap on Byzantine nodes the trust sets of ``i`` and ``j`` can share.
 
@@ -36,7 +42,12 @@ def shared_byzantine_bound(net: QuotaNetwork, i: NodeId, j: NodeId) -> Fraction:
     ``b * |T|``, and can never exceed the intersection itself:
     ``min(|T_i & T_j|, b_i * |T_i|, b_j * |T_j|)``, kept as an exact
     rational (the budgets are not rounded).
+
+    Raises:
+        TypeError: when ``net`` is not a quota network.
+        ValueError: when ``i`` or ``j`` is not an honest node.
     """
+    _require_quota(net, "shared Byzantine caps")
     _require_honest(net, i, j)
     t_i, t_j = net.trust[i], net.trust[j]
     return min(
@@ -73,7 +84,12 @@ class ObservationBounds:
 
 
 def respects_failure_model(net: QuotaNetwork) -> bool:
-    """True when no trust set holds more Byzantine nodes than its budget."""
+    """True when no trust set holds more Byzantine nodes than its budget.
+
+    Raises:
+        TypeError: when ``net`` is not a quota network.
+    """
+    _require_quota(net, "failure-model budgets")
     return all(
         len(net.trust[i] & net.byzantine) <= net.byz_fraction[i] * len(net.trust[i])
         for i in net.honest
@@ -93,8 +109,13 @@ def observation_bounds(
     by ``j`` is bounded below, and the opposite-value support ``j`` can see
     is bounded above, both in terms of the trust overlap and the shared
     Byzantine cap. Requires ``i`` to see at least one supporter of ``x``.
+
+    Raises:
+        TypeError: when ``net`` is not a quota network.
+        ValueError: when an observer is not honest, or ``i`` sees no
+            supporter of ``x``.
     """
-    cap = shared_byzantine_bound(net, i, j)  # raises for a non-honest observer
+    cap = shared_byzantine_bound(net, i, j)  # raises for a slices network or a non-honest observer
     seen_i = len(observed_set(net, profile, i, x))
     if seen_i == 0:
         raise ValueError(f"premise violated: {i} observes no support for {x}")
@@ -142,10 +163,10 @@ def check_overlap_bounds(net: QuotaNetwork) -> list[OverlapReport]:
     """Overlap reports for every unordered honest pair of a uniform network, in node order.
 
     Raises:
+        TypeError: when ``net`` is not a quota network.
         ValueError: when quotas or Byzantine fractions are not uniform.
     """
-    if not isinstance(net, QuotaNetwork):
-        raise TypeError("overlap bounds apply to quota networks")
+    _require_quota(net, "overlap bounds")
     quotas = {net.quota[i] for i in net.honest}
     if len(quotas) != 1:
         raise ValueError("overlap bounds require a uniform quota")
@@ -205,12 +226,14 @@ def expand_quota_network(net: QuotaNetwork) -> TrustNetwork:
     one-game network's total is its own count.
 
     Raises:
+        TypeError: when ``net`` is not a quota network.
         BudgetExceededError: when the coalitions of the distinct games up
             to some node exceed ``DEFAULT_EXPANSION_MAX_SLICES``; the
             message names that node and the running total.
     """
     from math import comb
 
+    _require_quota(net, "expansions into slices")
     order = {n: k for k, n in enumerate(net.nodes)}
     games: dict[NodeId, tuple[frozenset[NodeId], int]] = {}
     seen: set[tuple[frozenset[NodeId], int]] = set()

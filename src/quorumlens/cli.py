@@ -44,7 +44,6 @@ from .network import (
     NetworkValidationError,
     QuotaNetwork,
     _range_findings,
-    find_fork,
     network_violations,  # not called here; perfbench/tracing.py wraps this name
 )
 from .netio import NetworkFormatError, load_network, save_network
@@ -53,6 +52,7 @@ from .quorum import (
     _QuorumView,
     check_qi_honest,
     check_quorum_intersection,
+    find_fork,
     find_strong_fork,
     minimal_quora,
 )

@@ -13,15 +13,15 @@ Both say which coalitions win for a node in one form, its winning rules
 (:func:`_rules`): ``(set, need)`` pairs, met by a coalition holding
 ``need`` members of ``set``. A quota node has one rule, its trust set and
 threshold; a slices node has one rule per slice, which needs the whole
-slice. Validation, fork search, the ``vetoed`` property, the quorum
-searches' bit masks and the influence matrix's game key all read these
-rules.
+slice. Validation, the ``vetoed`` property, the quorum view's bit masks
+(which the quorum and fork searches read) and the influence matrix's
+game key all read these rules.
 
 On top of the model this module implements opinion profiles, observed
-sets, validation of a value by a node, and exact fork search. Strong
-forks are two quora sharing no honest node, so their search lives with
-the quorum checks in :mod:`quorumlens.quorum`. All values are immutable
-after construction and every operation is a pure function.
+sets and validation of a value by a node. Both fork searches, weak and
+strong, read the quorum view's masks, so they live with the quorum
+checks in :mod:`quorumlens.quorum`. All values are immutable after
+construction and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -336,6 +336,8 @@ def network_violations(net: Network) -> list[str]:
                     problems.append(f"node {i}: slice outside trust set ({_listed(s - t)})")
     else:
         problems += _domain_problems("quota", net.quota, expected)
+        if stray := set(net.byz_fraction) - expected - set(net.quota):
+            problems.append(f"byzantine fractions given for non-honest nodes: {_listed(stray)}")
         # Keyed by integers, as the defaults in QuotaNetwork.__post_init__.
         judged: dict[tuple, list[tuple[bool, str]]] = {}
         for i in honest:
@@ -444,102 +446,6 @@ def _cannot_veto(net: Network) -> NodeId | None:
 def validates(net: Network, profile: OpinionProfile, i: NodeId, x: int) -> bool:
     """True when some winning coalition of ``i`` lies inside its observed set."""
     return _wins(net, i, observed_set(net, profile, i, x))
-
-
-# ---------------------------------------------------------------------------
-# Fork search
-
-
-def _fork_profile(
-    net: Network,
-    side_a: frozenset[NodeId],
-    side_b: frozenset[NodeId],
-    seen_a: frozenset[NodeId] = frozenset(),
-    seen_b: frozenset[NodeId] = frozenset(),
-) -> OpinionProfile:
-    """Profile realizing a fork: side_a agrees on 1, side_b on 0, filler 0.
-
-    Byzantine members of side_a reveal 1 to the honest observers in
-    ``seen_a``, and those of side_b reveal 0 to the ones in ``seen_b``;
-    every other trusting observer is shown its own value, which keeps the
-    profile total without disturbing either side. A weak fork shows each
-    side to its one node. A strong fork needs no such sets: the honest
-    members of side_a already hold 1 and those of side_b 0, so each is
-    shown its own value.
-    """
-    opinions = {i: 1 if i in side_a else 0 for i in net.honest}
-    reveals: dict[NodeId, dict[NodeId, int]] = {}
-    for b in net.byzantine:
-        shown: dict[NodeId, int] = {}
-        for o in net.honest:
-            if b not in net.trust[o]:
-                continue
-            if b in side_a and o in seen_a:
-                shown[o] = 1
-            elif b in side_b and o in seen_b:
-                shown[o] = 0
-            else:
-                shown[o] = opinions[o]
-        reveals[b] = shown
-    return OpinionProfile(opinions, reveals)
-
-
-def find_fork(net: Network) -> ForkWitness | None:
-    """Exact search for a forked profile; ``None`` means the network is safe.
-
-    A fork between honest ``i`` and ``j`` (possibly the same node) exists
-    exactly when coalitions C of i and C' of j share no honest node, or no
-    node at all when ``i == j``: one observer sees each trustee hold one
-    value, so even Byzantine members cannot serve both of its sides. The
-    returned profile gives honest members of C opinion 1, honest members
-    of C' opinion 0, filler 0 elsewhere, and dual reveals for Byzantine
-    nodes in both coalitions.
-
-    Each pair of winning rules ``(S, need)`` of i and ``(S', need')`` of j
-    (:func:`_rules`) is one test. The shared members of S and S' that may
-    not be shared are split: C takes S without them plus ``x`` of them,
-    the lowest in node order, and C' takes the rest of S', which works
-    iff both needs survive. A slices rule needs all of its set, so that
-    split is possible only when there is nothing to split. On a valid
-    quota network a node never forks with itself: its whole trust set is
-    split, and each part would need more than half of it.
-
-    The search is polynomial, so it has no node budget: it charges the
-    ``len(rules_i) * len(rules_j)`` tests of each ``(i, j)`` block to
-    ``DEFAULT_MAX_SEARCH_STATES``, read at call time, before making them.
-    That is one test per pair of honest nodes on a quota network, and one
-    per pair of slices on a slices network.
-
-    Raises:
-        BudgetExceededError: when the rule-pair tests up to the block that
-            holds the first fork, or all of them, exceed
-            ``DEFAULT_MAX_SEARCH_STATES``.
-    """
-    byz = net.byzantine
-    rules = [(i, _rules(net, i)) for i in net.honest]
-    tests = 0
-    for i, rules_i in rules:
-        for j, rules_j in rules:
-            tests += len(rules_i) * len(rules_j)
-            if tests > DEFAULT_MAX_SEARCH_STATES:
-                raise BudgetExceededError(
-                    f"fork search exceeded {DEFAULT_MAX_SEARCH_STATES} rule-pair tests"
-                )
-            for set_a, need_a in rules_i:
-                for set_b, need_b in rules_j:
-                    split = set_a & set_b
-                    if i != j and split:
-                        split -= byz
-                    # C takes the fewest split members that meet need_a, C' the others.
-                    x = max(0, need_a - len(set_a) + len(split))
-                    if x > len(split) or len(set_b) - x < need_b:
-                        continue
-                    taken = frozenset([n for n in net.nodes if n in split][:x])
-                    side_a = (set_a - split) | taken
-                    side_b = set_b - taken
-                    profile = _fork_profile(net, side_a, side_b, frozenset({i}), frozenset({j}))
-                    return ForkWitness(i, j, 1, 0, profile, "fork", side_a, side_b)
-    return None
 
 
 def with_veto_slices(net: TrustNetwork) -> TrustNetwork:

@@ -1,4 +1,4 @@
-"""Quorum enumeration and quorum-intersection checking with exact witnesses.
+"""Quorum enumeration, quorum-intersection checking and fork search, with exact witnesses.
 
 A non-empty node set is a quorum when every member finds one of its
 winning coalitions inside the set; Byzantine members only need to belong
@@ -35,8 +35,8 @@ One state budget, ``network.DEFAULT_MAX_SEARCH_STATES``, bounds every
 search here, and no function takes it as a parameter. Each site that
 charges it reads it when it runs: :func:`_scan_split`,
 :func:`_iter_generated_quora`, :func:`_minimal_quota_quora` and the
-slices filter of :func:`minimal_quora`, as
-:func:`~quorumlens.network.find_fork` does for its rule-pair tests.
+slices filter of :func:`minimal_quora`, and :func:`find_fork` for its
+rule-pair tests.
 
 :func:`minimal_quora` of a quota network reads the same closed table
 (:func:`_quorum_table`, then :func:`_close_upward`), over the twin
@@ -67,9 +67,13 @@ Both report a witness pair of quora whenever intersection fails, and a
 budget overrun is always a distinct outcome, never a verdict.
 :func:`check_slice_addition` is the plain check on the network with the
 new slice added; the base is checked only when that check fails.
-:func:`find_strong_fork` reads the honest check's witness as a strong
-fork. The witnesses are re-checked on the definitions alone by
-:mod:`quorumlens.verify`, which shares no code with this module.
+
+Both fork searches read the view's masks too. :func:`find_fork`, which
+is polynomial, tests each pair of two honest nodes' winning rules with
+ANDs and popcounts; :func:`find_strong_fork` reads the honest check's
+witness as a strong fork. One builder, :func:`_fork_witness`, makes the
+witnesses of both. The witnesses are re-checked on the definitions alone
+by :mod:`quorumlens.verify`, which shares no code with this module.
 """
 
 from __future__ import annotations
@@ -86,8 +90,8 @@ from .network import (
     ForkWitness,
     Network,
     NodeId,
+    OpinionProfile,
     TrustNetwork,
-    _fork_profile,
     _require_honest,
     _require_known,
     _rules,
@@ -774,35 +778,6 @@ def check_qi_honest(
     return _check_qi(net, True, max_nodes, view)
 
 
-def find_strong_fork(net: Network) -> ForkWitness | None:
-    """Search for a strong fork; ``None`` means the network is weakly safe.
-
-    A strong fork is a fork whose two sides support themselves all the way
-    down: every member of each side's coalition closure again finds an
-    agreeing coalition inside it. That happens exactly when two quora,
-    each containing an honest node, intersect in no honest node, so this
-    is :func:`check_qi_honest` at its default budgets. The witness carries
-    the two quora and a profile in which each quorum's honest members
-    agree internally: every Byzantine node shows each honest observer
-    that observer's own opinion, which is its quorum's value.
-
-    Note that a vetoed network, one in which every honest node's own
-    singleton wins for it (a singleton slice, or a quota threshold of 1
-    over a trust set holding the node), is strongly forked as soon as it
-    has two honest nodes: each singleton is a self-supporting quorum of
-    its own. The interesting verdicts come from networks where every
-    coalition merely contains its owner.
-    """
-    report = check_qi_honest(net)
-    if report.holds:
-        return None
-    q_a, q_b = report.witness
-    node_a = next(n for n in net.nodes if n in q_a and n not in net.byzantine)
-    node_b = next(n for n in net.nodes if n in q_b and n not in net.byzantine)
-    profile = _fork_profile(net, q_a, q_b)
-    return ForkWitness(node_a, node_b, 1, 0, profile, "strong-fork", q_a, q_b)
-
-
 def check_slice_addition(
     base: TrustNetwork,
     node: NodeId,
@@ -841,3 +816,122 @@ def check_slice_addition(
             "base network fails quorum intersection; slice addition requires a sound base"
         )
     return report
+
+
+# ---------------------------------------------------------------------------
+# Fork search
+
+
+def _fork_witness(
+    net: Network, kind: str, node_a: NodeId, node_b: NodeId, side_a: frozenset, side_b: frozenset
+) -> ForkWitness:
+    """The fork of ``kind``: ``node_a`` settles on 1 through side_a, ``node_b`` on 0 through side_b.
+
+    Honest members of side_a hold 1, every other honest node 0. Byzantine
+    members of side_a show 1 to ``node_a``, and those of side_b show 0 to
+    ``node_b``, side_a winning when the two nodes are one; every other
+    trusting observer is shown its own value, which keeps the profile
+    total without disturbing either side. For a strong fork that is what
+    the fallback shows anyway: the honest members of side_a already hold 1
+    and those of side_b 0.
+    """
+    opinions = {i: 1 if i in side_a else 0 for i in net.honest}
+    reveals = {b: {o: opinions[o] for o in net.honest if b in net.trust[o]} for b in net.byzantine}
+    for side, node, value in ((side_b, node_b, 0), (side_a, node_a, 1)):
+        for b in side & net.byzantine:
+            if node in reveals[b]:
+                reveals[b][node] = value
+    profile = OpinionProfile(opinions, reveals)
+    return ForkWitness(node_a, node_b, 1, 0, profile, kind, side_a, side_b)
+
+
+def find_fork(net: Network) -> ForkWitness | None:
+    """Exact search for a forked profile; ``None`` means the network is safe.
+
+    A fork between honest ``i`` and ``j`` (possibly the same node) exists
+    exactly when coalitions C of i and C' of j share no honest node, or no
+    node at all when ``i == j``: one observer sees each trustee hold one
+    value, so even Byzantine members cannot serve both of its sides. The
+    returned profile gives honest members of C opinion 1, honest members
+    of C' opinion 0, filler 0 elsewhere, and dual reveals for Byzantine
+    nodes in both coalitions (:func:`_fork_witness`).
+
+    Each pair of winning rules ``(S, need)`` of i and ``(S', need')`` of j,
+    read as the view's masks in the order of :func:`~quorumlens.network._rules`,
+    is one test of ANDs and popcounts. The shared members of S and S' that
+    may not be shared are split: C takes S without them plus ``x`` of
+    them, the lowest in node order, and C' takes the rest of S', which
+    works iff both needs survive. A slices rule needs all of its set, so
+    that split is possible only when there is nothing to split. On a valid
+    quota network a node never forks with itself: its whole trust set is
+    split, and each part would need more than half of it.
+
+    The search is polynomial, so it has no node budget: it charges the
+    ``len(rules_i) * len(rules_j)`` tests of each ``(i, j)`` block to
+    ``network.DEFAULT_MAX_SEARCH_STATES``, read at call time, before
+    making them. That is one test per pair of honest nodes on a quota
+    network, and one per pair of slices on a slices network.
+
+    Raises:
+        BudgetExceededError: when the rule-pair tests up to the block that
+            holds the first fork, or all of them, exceed
+            ``network.DEFAULT_MAX_SEARCH_STATES``.
+    """
+    max_tests = network.DEFAULT_MAX_SEARCH_STATES
+    view = _QuorumView(net)
+    honest = view.honest_mask
+    rules = [
+        (k, [(m, m.bit_count(), need) for m, need in zip(view.rule_masks[k], view.rule_needs[k])])
+        for k in range(len(view.order))
+        if (honest >> k) & 1
+    ]
+    tests = 0
+    for i, rules_i in rules:
+        for j, rules_j in rules:
+            tests += len(rules_i) * len(rules_j)
+            if tests > max_tests:
+                raise BudgetExceededError(f"fork search exceeded {max_tests} rule-pair tests")
+            for set_a, size_a, need_a in rules_i:
+                for set_b, size_b, need_b in rules_j:
+                    split = set_a & set_b
+                    if i != j:
+                        split &= honest
+                    shared = split.bit_count()
+                    # C takes the fewest split members that meet need_a, C' the others.
+                    x = max(0, need_a - size_a + shared)
+                    if x > shared or size_b - x < need_b:
+                        continue
+                    rest = split  # the split members C leaves to C'
+                    for _ in range(x):
+                        rest &= rest - 1
+                    sides = view.labels(set_a & ~rest), view.labels(set_b & ~split | rest)
+                    return _fork_witness(net, "fork", view.order[i], view.order[j], *sides)
+    return None
+
+
+def find_strong_fork(net: Network) -> ForkWitness | None:
+    """Search for a strong fork; ``None`` means the network is weakly safe.
+
+    A strong fork is a fork whose two sides support themselves all the way
+    down: every member of each side's coalition closure again finds an
+    agreeing coalition inside it. That happens exactly when two quora,
+    each containing an honest node, intersect in no honest node, so this
+    is :func:`check_qi_honest` at its default budgets. The witness carries
+    the two quora and a profile in which each quorum's honest members
+    agree internally: every Byzantine node shows each honest observer
+    that observer's own opinion, which is its quorum's value.
+
+    Note that a vetoed network, one in which every honest node's own
+    singleton wins for it (a singleton slice, or a quota threshold of 1
+    over a trust set holding the node), is strongly forked as soon as it
+    has two honest nodes: each singleton is a self-supporting quorum of
+    its own. The interesting verdicts come from networks where every
+    coalition merely contains its owner.
+    """
+    report = check_qi_honest(net)
+    if report.holds:
+        return None
+    q_a, q_b = report.witness
+    node_a = next(n for n in net.nodes if n in q_a and n not in net.byzantine)
+    node_b = next(n for n in net.nodes if n in q_b and n not in net.byzantine)
+    return _fork_witness(net, "strong-fork", node_a, node_b, q_a, q_b)

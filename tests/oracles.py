@@ -182,6 +182,25 @@ def forked_by_profile_enumeration(net) -> bool:
     return False
 
 
+def quota_forked_by_closed_form(net: QuotaNetwork) -> bool:
+    """Whether a valid quota network forks, by one inequality per honest pair.
+
+    Distinct honest ``i`` and ``j`` fork exactly when
+    ``t_i + t_j <= |T_i | T_j| + |T_i & T_j & byz|``, with thresholds
+    ``t = ceil(q * |T|)``: two agreeing coalitions that share only
+    Byzantine members fit in the union of the trust sets, where each
+    shared Byzantine trustee counts once for each side. A node never forks
+    with itself on a valid quota network: its two coalitions would split
+    its trust set, and each would need more than half of it.
+    """
+    need = {i: math.ceil(net.quota[i] * len(net.trust[i])) for i in net.honest}
+    return any(
+        need[i] + need[j]
+        <= len(net.trust[i] | net.trust[j]) + len(net.trust[i] & net.trust[j] & net.byzantine)
+        for i, j in itertools.combinations(net.honest, 2)
+    )
+
+
 def strong_forked_by_selector_enumeration(net: TrustNetwork) -> bool:
     """Exhaustive selector search for two self-supporting opposite closures.
 

@@ -207,6 +207,28 @@ class TestOverlapBounds:
         assert certified >= 10
 
 
+class TestQuotaOnly:
+    # Each quota-only function refuses a slices network instead of
+    # misreading it: expanding the triangles once gave each node every
+    # pair of its triangle, and two slices a node did not unpack.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            expand_quota_network,
+            lambda net: shared_byzantine_bound(net, "1", "4"),
+            respects_failure_model,
+            lambda net: observation_bounds(
+                net, OpinionProfile({n: 1 for n in net.honest}, {}), "1", "4", 1
+            ),
+        ],
+        ids=["expand", "shared-cap", "failure-model", "observation"],
+    )
+    @pytest.mark.parametrize("make", [nets.two_triangles, nets.two_triangles_vetoed])
+    def test_refuses_a_slices_network(self, call, make):
+        with pytest.raises(TypeError, match="apply to quota networks"):
+            call(make())
+
+
 class TestCommonTrust:
     def test_shared_five(self):
         assert common_trust_set(nets.shared_five()) == frozenset("12345")

@@ -186,6 +186,20 @@ class TestValidation:
             "quota given for non-honest nodes: z",
         ]
 
+    def test_byz_fraction_outside_honest_nodes_is_reported(self):
+        # Neither key is honest, and neither is a quota key, whose default
+        # fraction the quota domain message already covers.
+        net = QuotaNetwork(
+            nodes=("a", "b", "z"),
+            byzantine=frozenset({"z"}),
+            trust={"a": {"a", "b"}, "b": {"a", "b"}},
+            quota={"a": 1, "b": 1},
+            byz_fraction={"z": "1/2", "q": "1/3"},
+        )
+        assert network_violations(net) == ["byzantine fractions given for non-honest nodes: q, z"]
+        with pytest.raises(NetworkValidationError):
+            validate_network(net)
+
     def test_non_string_labels_are_reported_not_raised(self):
         net = TrustNetwork(("a", 1), frozenset(), {"a": {"a"}}, {"a": ({"a"},)})
         assert network_violations(net) == [
@@ -501,6 +515,46 @@ class TestFindFork:
             else:
                 verify_fork_witness(expanded, witness)
         assert len(sizes) >= 30 and max(sizes) >= 700 and 10 <= safe <= len(sizes) - 10
+
+    def test_verdict_matches_closed_form_on_seeded_quota_networks(self):
+        # 20-120 nodes, 0-3 Byzantine nodes, the three topologies in turn;
+        # every network is valid, so no node forks with itself.
+        rng = random.Random(37)
+        nets_checked, forked = 0, 0
+        while nets_checked < 300:
+            n = rng.randint(20, 120)
+            quota = rng.choice([Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5)])
+            topology = TOPOLOGIES[nets_checked % len(TOPOLOGIES)]
+            params = GenParams(
+                n, rng.randint(2, n), quota, rng.randint(0, 3), rng.randrange(2**32), topology
+            )
+            try:
+                net = random_quota_network(params)
+            except ValueError:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", QuotaRangeWarning)
+                assert network_violations(net) == []
+            nets_checked += 1
+            witness = find_fork(net)
+            assert (witness is not None) == oracles.quota_forked_by_closed_form(net), params
+            if witness is not None:
+                forked += 1
+                assert witness.node_a != witness.node_b
+                verify_fork_witness(net, witness)
+        assert 30 <= forked <= 270
+
+    def test_fork_free_800_node_clique_is_decided(self):
+        # 640,000 rule-pair tests, each of ANDs and popcounts on 800-bit masks.
+        net = random_quota_network(GenParams(800, 800, Fraction(3, 4), topology="clique"))
+        assert find_fork(net) is None
+
+    def test_fork_search_lives_in_the_quorum_module(self):
+        from quorumlens import quorum
+
+        assert find_fork.__module__ == quorum.__name__
+        assert not hasattr(network, "find_fork")
+        assert not hasattr(network, "_fork_profile")
 
     def test_self_fork_on_unvalidated_quota_network(self):
         # Quota 1/2 fails validation: a need of 2 out of 4 trustees lets
