@@ -15,9 +15,13 @@ exact searches behind explicit budgets:
   grown incrementally (a grown candidate skips the members its parent
   already found satisfied), and each search state carries the largest
   quorum of its complement, shrunk as the state grows: removing the
-  state's new members re-checks only their users. So every quorum is
-  judged as it is grown, and a budget overrun stops the search exactly
-  where it trips;
+  state's new members re-checks only their users. A branching state
+  whose complement holds no quorum with a checked node is dropped with
+  all it would grow, since no quorum below it has a disjoint partner:
+  the conflict cut of Davis, Logemann and Loveland (CACM 1962), which
+  takes an unsatisfiable v-variable reduction from all 2^v of its
+  minimal quora to a handful. So every quorum is judged as it is grown,
+  and a budget overrun stops the search exactly where it trips;
 * quota networks use a pivot-fixed scan over the splits of a pool of
   nodes, decided from one table over the count vectors of the pool's
   twin classes (:func:`_scan_split`). Twins are nodes whose swap
@@ -92,6 +96,7 @@ from .network import (
     NodeId,
     OpinionProfile,
     TrustNetwork,
+    _listed,
     _require_honest,
     _require_known,
     _rules,
@@ -109,11 +114,14 @@ class QuorumReport:
     variant). On explicit-slice networks ``quora_examined`` counts the
     quora the seed-exclusive search judged, up to and including the
     witness, or all of them when intersection holds; for a slice
-    addition, those of the extended network. On quota networks it
-    counts the splits of the pool covered: the split code of the witness
-    + 1, or all 2^(|pool| - 1) when intersection holds, however few count
-    vectors the scan reads. The pool is the largest quorum for the plain
-    check and every honest node for the honest one.
+    addition, those of the extended network. The search never grows the
+    quora below a branching state whose complement holds no counted
+    quorum (:func:`_iter_generated_quora`), so they are not counted. On
+    quota networks it counts the splits of the pool covered: the split
+    code of the witness + 1, or all 2^(|pool| - 1) when intersection
+    holds, however few count vectors the scan reads. The pool is the
+    largest quorum for the plain check and every honest node for the
+    honest one.
     """
 
     holds: bool
@@ -140,6 +148,10 @@ class _QuorumView:
     search refuses a view of another one. It caches nothing on the
     network and is meant to live for one command, so a table that no
     display takes is freed with it.
+
+    Raises:
+        ValueError: when a trust set, slice or the Byzantine set of an
+            unvalidated network names a label that is not a node.
     """
 
     def __init__(self, net: Network):
@@ -147,30 +159,40 @@ class _QuorumView:
         self.order = list(net.nodes)
         index = self.index = {n: k for k, n in enumerate(self.order)}
         self.full = (1 << len(self.order)) - 1
-        self.byz_mask = self._mask(net.byzantine)
-        self.honest_mask = self.full & ~self.byz_mask
         self.rule_masks: list[list[int]] = []
         self.rule_needs: list[list[int]] = []
         # users[k]: the nodes whose rules can use node k, i.e. those that
         # may lose their last winning coalition when k leaves a set.
         users = self.users = [0] * len(self.order)
-        for i, n in enumerate(self.order):
-            bit = 1 << i
-            if n in net.byzantine:
-                masks, needs = [bit], [1]
-                users[i] |= bit
-            else:
-                masks, needs = [], []
-                for s, need in _rules(net, n):
-                    m = 0
-                    for x in s:
-                        k = index[x]
-                        m |= 1 << k
-                        users[k] |= bit
-                    masks.append(m)
-                    needs.append(need)
-            self.rule_masks.append(masks)
-            self.rule_needs.append(needs)
+        try:
+            self.byz_mask = self._mask(net.byzantine)
+            for i, n in enumerate(self.order):
+                bit = 1 << i
+                if n in net.byzantine:
+                    masks, needs = [bit], [1]
+                    users[i] |= bit
+                else:
+                    masks, needs = [], []
+                    for s, need in _rules(net, n):
+                        m = 0
+                        for x in s:
+                            k = index[x]
+                            m |= 1 << k
+                            users[k] |= bit
+                        masks.append(m)
+                        needs.append(need)
+                self.rule_masks.append(masks)
+                self.rule_needs.append(needs)
+        except KeyError as error:
+            # A label missing from ``index``; a node missing from a
+            # per-node map is another defect and keeps its KeyError.
+            (label,) = error.args
+            if label in index:
+                raise
+            raise ValueError(
+                f"unknown nodes in the trust sets, slices or Byzantine set: {_listed([label])}"
+            ) from None
+        self.honest_mask = self.full & ~self.byz_mask
         # The closed split table of the whole largest quorum where it counts
         # no Byzantine node, left by a scan for the next minimal_quora call.
         self.closed: int | None = None
@@ -307,9 +329,14 @@ def _iter_generated_quora(view: _QuorumView, counted: int):
     counted members and re-queueing only their users, at a quorum and at a
     state with two or more children to push; a lone child inherits it
     unshrunk and removes the parent's members with its own. A ``rest``
-    without a counted node keeps none in any descendant, so it travels as
-    0 and is never shrunk: with ``counted`` 0, no ``rest`` is ever
-    computed.
+    without a counted node keeps none in any descendant, so with
+    ``counted`` non-zero a state with two or more children whose ``rest``
+    shrinks to 0 is dropped and pushes none of them: every quorum grown
+    below it would come with ``rest`` 0. Every ancestor of a quorum with
+    a non-zero ``rest`` has one too, so the first such quorum is the one
+    produced without the drop. A lone child's ``rest`` may travel
+    unshrunk to a quorum whose own is 0, which is yielded with 0. With
+    ``counted`` 0, no ``rest`` is ever computed and nothing is dropped.
 
     Raises:
         BudgetExceededError: when the search visits more states than
@@ -374,6 +401,8 @@ def _iter_generated_quora(view: _QuorumView, counted: int):
             ]
             if len(children) > 1:
                 rest = shrink(rest, q)
+                if counted and not rest:
+                    continue
             stack.extend((child, known, rest) for child in children)
         room &= ~seed
 
@@ -707,9 +736,11 @@ def _first_disjoint(view: _QuorumView, counted: int) -> _Found:
     search carries down from state to state
     (:func:`_iter_generated_quora`). Returns (quora examined, witness):
     the first such pair and the index of ``q`` in generation order + 1,
-    or every quorum generated and no witness. Quora are judged one at a
-    time as they are grown, so a budget overrun propagates exactly where
-    the search trips.
+    or every quorum generated and no witness. The search grows no quora
+    below a branching state whose complement holds no counted quorum, so
+    the witness is the first of the uncut search and the count at most
+    its count. Quora are judged one at a time as they are grown, so a
+    budget overrun propagates exactly where the search trips.
     """
     examined = 0
     for q, rest in _iter_generated_quora(view, counted):

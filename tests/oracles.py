@@ -341,7 +341,7 @@ def first_split_witness(net, honest: bool = False):
     return 2 ** len(free), None
 
 
-def first_generated_witness(net, honest: bool = False):
+def first_generated_witness(net, honest: bool = False, cut: bool = True):
     """The scalar generated-quorum search: (holds, witness, examined, states).
 
     Quora grow from the singletons of top's counted nodes (honest ones
@@ -351,10 +351,13 @@ def first_generated_witness(net, honest: bool = False):
     each state once: the first member (network order) lacking a
     coalition inside the state branches over its coalitions, pushed in
     slice order; a state whose every member has one is a quorum, examined
-    against the largest quorum of top without its counted members. Every
-    membership test is rescanned from scratch on plain frozensets.
-    ``states`` counts the distinct states expanded up to the witness, or
-    in all, so a state budget below it is exceeded.
+    against the largest quorum of top without its counted members. With
+    ``cut``, a state with two or more children to push is dropped instead
+    when the largest quorum of top without its counted members holds no
+    counted node: every quorum grown from it would be judged the same
+    way. Every membership test is rescanned from scratch on plain
+    frozensets. ``states`` counts the distinct states expanded up to the
+    witness, or in all, so a state budget below it is exceeded.
     """
     families = slice_families(net)
     position = {n: k for k, n in enumerate(net.nodes)}
@@ -379,10 +382,13 @@ def first_generated_witness(net, honest: bool = False):
                 if not any(s <= q for s in families[n])
             ]
             if lacking:
-                for s in families[lacking[0]]:
-                    child = q | s
-                    if child <= room and child not in visited:
-                        stack.append(child)
+                children = [
+                    q | s for s in families[lacking[0]] if q | s <= room and q | s not in visited
+                ]
+                branching = cut and len(children) > 1
+                if branching and not largest_quorum_within(net, top - (q & counted)) & counted:
+                    continue
+                stack.extend(children)
                 continue
             examined += 1
             other = largest_quorum_within(net, top - (q & counted))
@@ -539,6 +545,15 @@ def random_cnf(rng: random.Random, num_vars: int, num_clauses: int) -> Cnf:
         for _ in range(num_clauses)
     )
     return Cnf(num_vars, clauses)
+
+
+def random_3cnf(rng: random.Random, num_vars: int, num_clauses: int) -> Cnf:
+    """Uniform random 3-CNF: each clause has 3 distinct variables, each negated with odds 1/2."""
+    clauses = []
+    for _ in range(num_clauses):
+        picked = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in picked))
+    return Cnf(num_vars, tuple(clauses))
 
 
 def random_explicit_net(

@@ -10,14 +10,17 @@ reproduce the scalar generated-quorum search of
 examined and the state budget at which the search gives up. The library
 carries each search state's largest complement quorum down the search,
 so those inputs include witnesses at several depths of generation order
-and networks of more than 64 nodes. Every slices search grows each
-quorum from its lowest seed alone, and a slice addition is the full
-check on the extended network: the addition must refuse exactly the
-bases that pair enumeration finds split, slices ``minimal_quora`` must
-equal the oracle's and, on the 18-node expanded 3/4 clique past any node
-count, the closed form, and an unsatisfiable 10-variable reduction, and the
-slice addition that restores it, must be decided within a few thousand
-states.
+and networks of more than 64 nodes. The library and the oracle both
+drop every branching state whose complement holds no counted quorum;
+against the oracle's uncut search, the library must keep the verdict
+and witness and judge no more quora. Every slices search grows each quorum from its lowest seed alone,
+and a slice addition is the full check on the extended network: the
+addition must refuse exactly the bases that pair enumeration finds
+split, slices ``minimal_quora`` must equal the oracle's and, on the
+18-node expanded 3/4 clique past any node count, the closed form.
+Unsatisfiable reductions of 10 and 16 variables, and the slice addition
+that restores the first, must be decided within a few hundred and 1,377
+states, and one of 20 variables within the default state budget.
 
 The quota split scan works up to twin symmetry, so it is also checked on
 networks with large twin classes: the twin classes against brute-force
@@ -38,6 +41,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import nets
 import oracles
@@ -45,6 +49,7 @@ import pytest
 from quorumlens import (
     BudgetExceededError,
     GenParams,
+    QuorumReport,
     QuotaNetwork,
     TrustNetwork,
     check_qi_honest,
@@ -55,10 +60,13 @@ from quorumlens import (
     expand_quota_network,
     max_quorum_within,
     minimal_quora,
+    parse_dimacs,
     random_quota_network,
     slice_addition_instance,
 )
 from quorumlens.quorum import _iter_generated_quora, _QuorumView
+
+DATA = Path(__file__).resolve().parent / "data"
 
 QUOTAS = (Fraction(3, 5), Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(1))
 TOPOLOGIES = ("clique", "overlapping-groups", "centralised")
@@ -175,9 +183,10 @@ def fixed_cnfs(picks):
     return [oracles.random_cnf(random.Random(seed), v, round(4.26 * v)) for v, seed in picks]
 
 
-# Reductions whose witness is the 15th, 16th or 17th generated quorum:
-# witnesses found after a run of quora that each leave no disjoint one.
-BOUNDARY_CNFS = ((4, 26), (4, 36), (5, 30))
+# Reductions whose witness is the 8th, 9th or 10th generated quorum:
+# witnesses found after a run of quora that each leave no disjoint one,
+# the latest of 480 checks over 4 and 5 variables and seeds 0-119.
+BOUNDARY_CNFS = ((4, 86), (4, 91), (4, 36))
 # 11 and 12 variables give 82 and 89 nodes (masks past 64 bits); each
 # of these is satisfiable with a witness within the first 200 quora.
 WIDE_CNFS = ((11, 7), (11, 10), (11, 34), (12, 7), (12, 25))
@@ -201,11 +210,15 @@ def assert_same_search(run, expected):
                 assert run() == report
 
 
-def test_slice_searches_match_the_scalar_generated_search():
-    nets = list(slice_nets(107, 120)) + [
+def generated_search_nets():
+    return list(slice_nets(107, 120)) + [
         cnf_to_network(cnf)
         for cnf in [*cnfs(109, 24), *fixed_cnfs(BOUNDARY_CNFS), *fixed_cnfs(WIDE_CNFS)]
     ]
+
+
+def test_slice_searches_match_the_scalar_generated_search():
+    nets = generated_search_nets()
     seen = {False: [0, 0], True: [0, 0]}
     witness_rows = set()
     for net in nets:
@@ -220,8 +233,22 @@ def test_slice_searches_match_the_scalar_generated_search():
             if not expected[0]:
                 witness_rows.add(expected[2])
     assert min(seen[False] + seen[True]) >= 10, seen
-    assert {1, 15, 16, 17} <= witness_rows
+    assert {1, 8, 9, 10} <= witness_rows
     assert max(len(net.nodes) for net in nets) > 64
+
+
+def test_the_cut_keeps_the_verdict_and_witness_of_the_uncut_search():
+    # A branching state whose complement holds no counted quorum is
+    # dropped with its children; it could only grow quora judged the same.
+    cut = {"fewer": 0, "same": 0}
+    for net in generated_search_nets():
+        for honest, check in ((False, check_quorum_intersection), (True, check_qi_honest)):
+            holds, witness, examined, _ = oracles.first_generated_witness(net, honest, cut=False)
+            report = check(net, max_nodes=len(net.nodes))
+            assert (report.holds, report.witness) == (holds, witness), net
+            assert report.quora_examined <= examined, net
+            cut["fewer" if report.quora_examined < examined else "same"] += 1
+    assert min(cut.values()) >= 10, cut
 
 
 def test_generated_quora_carry_the_largest_quorum_of_their_complement():
@@ -345,31 +372,54 @@ def test_slice_addition_premise_matches_pair_enumeration():
 
 
 def test_unsatisfiable_ten_variable_reduction_holds_within_a_small_budget():
-    # 75 nodes; every quorum is grown once, from its lowest member, so
-    # the check judges 1,024 quora and needs a few thousand states.
+    # 75 nodes; every minimal quorum is grown once, from its lowest
+    # member, and there are 1,024 of them. The cut leaves 30 to judge,
+    # in a few hundred states.
     (cnf,) = fixed_cnfs(((10, 11),))
     assert brute_sat(cnf) is None
     net = cnf_to_network(cnf)
     expected = oracles.first_generated_witness(net)
-    assert expected[0] and expected[3] < 5000, expected[2:]
+    assert expected == (True, None, 30, 445)
+    assert oracles.first_generated_witness(net, cut=False)[2:] == (1024, 2269)
 
     def run():
         return check_quorum_intersection(net, max_nodes=len(net.nodes))
 
     assert_same_search(run, expected)
-    with nets.state_budget(5000):
-        assert run().quora_examined == expected[2]
 
 
 def test_unsatisfiable_ten_variable_addition_holds_within_a_small_budget():
     # Adding the slice back restores the reduction, so the addition
-    # judges the same 1,024 quora as the full check on it.
+    # judges the same 30 quora as the full check on it.
     (cnf,) = fixed_cnfs(((10, 11),))
     base, node, new_slice = slice_addition_instance(cnf)
-    expected = oracles.first_generated_witness(cnf_to_network(cnf))
-    with nets.state_budget(5000):
+    with nets.state_budget(445):
         report = check_slice_addition(base, node, new_slice, max_nodes=len(base.nodes))
-    assert report.holds and report.quora_examined == expected[2] == 1024
+    assert report.holds and report.quora_examined == 30
+
+
+def test_unsatisfiable_sixteen_variable_reduction_holds_within_1400_states():
+    # 130 nodes and 2^16 minimal quora, of which the cut judges 6.
+    cnf = oracles.random_3cnf(random.Random(0), 16, 80)
+    net = cnf_to_network(cnf)
+    expected = oracles.first_generated_witness(net)
+    assert expected == (True, None, 6, 1377)
+
+    def run():
+        return check_quorum_intersection(net, max_nodes=len(net.nodes))
+
+    assert_same_search(run, expected)
+
+
+def test_unsatisfiable_twenty_variable_reduction_holds_within_the_default_budget():
+    # 162 nodes and 2^20 minimal quora; without the cut the search
+    # overruns the default 2,000,000 states.
+    cnf = parse_dimacs((DATA / "random_3cnf_20_unsat.cnf").read_text())
+    assert cnf == oracles.random_3cnf(random.Random(0), 20, 100)
+    net = cnf_to_network(cnf)
+    assert len(net.nodes) == 162
+    for check in (check_quorum_intersection, check_qi_honest):
+        assert check(net, max_nodes=162) == QuorumReport(True, None, 0)
 
 
 def test_slices_minimal_quora_match_the_oracle():

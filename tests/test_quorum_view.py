@@ -30,9 +30,12 @@ import pytest
 from quorumlens import (
     GenParams,
     QuotaNetwork,
+    TrustNetwork,
     check_qi_honest,
     check_quorum_intersection,
     cli,
+    find_fork,
+    find_strong_fork,
     load_network,
     minimal_quora,
     random_quota_network,
@@ -199,6 +202,26 @@ def test_a_view_of_another_network_is_refused():
     assert check_quorum_intersection(bridged).holds
     assert not check_quorum_intersection(triangles, view=view).holds
     assert minimal_quora(triangles, view=view) == (frozenset("123"), frozenset("456"))
+
+
+def test_a_label_missing_from_the_nodes_is_refused():
+    # Unvalidated networks: a trust set, a slice or the Byzantine set
+    # names a label that is no node.
+    quota = {"a": Fraction(2, 3), "b": Fraction(2, 3)}
+    pair = {"a": {"a", "b"}, "b": {"a", "b"}}
+    cases = (
+        (QuotaNetwork(("a", "b"), frozenset(), {**pair, "a": {"a", "b", "q"}}, quota), "q"),
+        (QuotaNetwork(("a", "b"), frozenset({"z"}), pair, quota), "z"),
+        (TrustNetwork(("a", "b"), frozenset(), pair, {"a": ({"a", "q"},), "b": ({"b"},)}), "q"),
+    )
+    calls = (check_quorum_intersection, check_qi_honest, minimal_quora, find_fork, find_strong_fork)
+    for net, label in cases:
+        for call in calls:
+            with pytest.raises(ValueError) as caught:
+                call(net)
+            assert caught.value.args == (
+                f"unknown nodes in the trust sets, slices or Byzantine set: {label}",
+            ), (call, net)
 
 
 def test_no_table_outlives_a_standalone_call(monkeypatch):
