@@ -194,8 +194,9 @@ def _run_check(args):
 
 def _run_qi(args):
     net = load_network(args.file)
-    # One view serves the check and the display, and lends the display
-    # the check's table when it holds the display's.
+    # One view serves the check and the display. The plain check of a
+    # quota network builds the display's table on it, and the display
+    # reads it there.
     view = _QuorumView(net)
     checker = check_qi_honest if args.honest else check_quorum_intersection
     report = checker(net, max_nodes=args.max_nodes, view=view)
@@ -399,8 +400,6 @@ def _run_gen_random(args):
 
 
 def _render_rows(rows: list[list[str]]) -> list[str]:
-    if not rows:
-        return []
     widths = [max(len(r[k]) for r in rows) for k in range(len(rows[0]))]
     return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 

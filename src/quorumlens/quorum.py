@@ -38,15 +38,16 @@ for the honest one, none for slices minimal quora. The pool is
 One state budget, ``network.DEFAULT_MAX_SEARCH_STATES``, bounds every
 search here, and no function takes it as a parameter. Each site that
 charges it reads it when it runs: :func:`_scan_split`,
-:func:`_iter_generated_quora`, :func:`_minimal_quota_quora` and the
-slices filter of :func:`minimal_quora`, and :func:`find_fork` for its
-rule-pair tests.
+:attr:`_QuorumView.honest_table`, :func:`_iter_generated_quora`,
+:func:`_minimal_quota_quora` and the slices filter of
+:func:`minimal_quora`, and :func:`find_fork` for its rule-pair tests.
 
 :func:`minimal_quora` of a quota network reads the same closed table
 (:func:`_quorum_table`, then :func:`_close_upward`), over the twin
-classes of the honest members of the largest quorum. Its minimal count
-vectors are the minimal elements of the closed table: the vectors in it
-none of whose one-digit decrements is.
+classes of the honest members of the largest quorum
+(:attr:`_QuorumView.honest_table`). Its minimal count vectors are the
+minimal elements of the closed table: the vectors in it none of whose
+one-digit decrements is.
 
 A table is a Python int with one bit per count vector, digit 0 of the
 vector varying fastest, so it is built and read with shifts, ANDs and
@@ -54,13 +55,14 @@ ORs over whole tables: a table of 2^20 vectors takes 128 KB.
 
 A :class:`_QuorumView` prepares one network for the searches of one
 ``qi`` command: the bit masks of every node's winning rules, the
-largest quorum and the twin classes are built once and shared by the
-check and :func:`minimal_quora`. A split scan that counts the whole
-largest quorum leaves its closed table on the view, and
-:func:`minimal_quora` reads the minimal-quora table off it, where it
-counts no Byzantine node, instead of building one. That is every plain
-check, and the honest check only when every node is honest and in the
-largest quorum (a Byzantine node, which needs only itself, always is).
+largest quorum, the twin classes and the closed table over the honest
+members of the largest quorum are built once, on first use, and shared
+by the check and :func:`minimal_quora`, whichever runs first. A split
+scan that counts the whole largest quorum reads that table and sets
+every vector above it, since a vector holding a Byzantine member holds
+a quorum. That is every plain check, and the honest check only when
+every node is honest and in the largest quorum (a Byzantine node,
+which needs only itself, always is).
 
 Every largest quorum (of the network, of :func:`max_quorum_within`, of
 a split's sides and of a generated quorum's complement) comes from one
@@ -138,20 +140,18 @@ class _QuorumView:
     two parallel lists so that the slices searches read masks alone. A
     Byzantine node's one rule is its own singleton.
 
-    The largest quorum and the twin classes are built on first use and
-    shared by every search that is handed the view:
-    :func:`check_quorum_intersection`, :func:`check_qi_honest` and
-    :func:`minimal_quora` give the same reports with it as without. A
-    quota split scan whose table holds the minimal-quora table leaves
-    that table here, and the next :func:`minimal_quora` call takes it
-    instead of building its own. A view keeps its network, and each
-    search refuses a view of another one. It caches nothing on the
-    network and is meant to live for one command, so a table that no
-    display takes is freed with it.
+    The largest quorum, the twin classes and the honest quorum table are
+    built on first use and shared by every search that is handed the
+    view: :func:`check_quorum_intersection`, :func:`check_qi_honest` and
+    :func:`minimal_quora` give the same reports with it as without, in
+    either order. A view keeps its network, and each search refuses a
+    view of another one. It caches nothing on the network and is meant
+    to live for one command, so its table is freed with it.
 
     Raises:
         ValueError: when a trust set, slice or the Byzantine set of an
-            unvalidated network names a label that is not a node.
+            unvalidated network names a label that is not a node, or a
+            per-node map lacks an honest node.
     """
 
     def __init__(self, net: Network):
@@ -184,18 +184,15 @@ class _QuorumView:
                 self.rule_masks.append(masks)
                 self.rule_needs.append(needs)
         except KeyError as error:
-            # A label missing from ``index``; a node missing from a
-            # per-node map is another defect and keeps its KeyError.
+            # A label missing from ``index``, or a node missing from a
+            # per-node map.
             (label,) = error.args
             if label in index:
-                raise
-            raise ValueError(
-                f"unknown nodes in the trust sets, slices or Byzantine set: {_listed([label])}"
-            ) from None
+                problem = "missing trust sets, slices or quotas for"
+            else:
+                problem = "unknown nodes in the trust sets, slices or Byzantine set"
+            raise ValueError(f"{problem}: {_listed([label])}") from None
         self.honest_mask = self.full & ~self.byz_mask
-        # The closed split table of the whole largest quorum where it counts
-        # no Byzantine node, left by a scan for the next minimal_quora call.
-        self.closed: int | None = None
 
     def _mask(self, labels) -> int:
         m = 0
@@ -279,6 +276,30 @@ class _QuorumView:
         """The twin classes inside ``pool``, a union of them, lowest first."""
         return [members for members in self.twin_classes if (pool >> members[0]) & 1]
 
+    @cached_property
+    def honest_table(self) -> tuple[list[list[int]], list[int], int]:
+        """The twin classes of top's honest members, their radices and their closed table.
+
+        Bit ``v`` of the table is set when count vector ``v`` over the
+        classes holds a quorum (:func:`_quorum_table`, then
+        :func:`_close_upward`). :func:`_minimal_quota_quora` reads its
+        minimal vectors, and a split scan of the whole of top its vectors
+        that count no Byzantine member.
+
+        Raises:
+            BudgetExceededError: when the table exceeds
+                ``network.DEFAULT_MAX_SEARCH_STATES`` count vectors.
+        """
+        max_states = network.DEFAULT_MAX_SEARCH_STATES
+        classes = self.classes_within(self.top & self.honest_mask)
+        radix = [len(members) + 1 for members in classes]
+        size = prod(radix)
+        if size > max_states:
+            raise BudgetExceededError(
+                f"a minimal-quora table of {size} count vectors exceeds {max_states} states"
+            )
+        return classes, radix, _close_upward(_quorum_table(self, classes), radix)
+
 
 def _view_of(net: Network, view: _QuorumView | None) -> _QuorumView:
     """``view``, or a new view of ``net`` when it is ``None``.
@@ -315,10 +336,7 @@ def _iter_generated_quora(view: _QuorumView, counted: int):
     branches over its coalitions. With ``counted`` 0, that is every
     minimal quorum, grown once, from its lowest member. States are
     memoized, so each partial set expands once, and a state over the half
-    bound is dropped unexpanded. Growing a set keeps its members'
-    coalitions, so each child carries the parent's members below the
-    branching one as ``known`` and skips them when it looks for its own
-    first lacking member.
+    bound is dropped unexpanded.
 
     ``rest`` is ``view.max_quorum(top & ~(q & counted))`` whenever that
     holds a counted node, and 0 otherwise. Each state carries
@@ -367,9 +385,9 @@ def _iter_generated_quora(view: _QuorumView, counted: int):
     while seeds:
         seed = seeds & -seeds
         seeds ^= seed
-        stack = [(seed, 0, alive)]
+        stack = [(seed, alive)]
         while stack:
-            q, known, rest = stack.pop()
+            q, rest = stack.pop()
             if q in visited:
                 continue
             if (q & counted).bit_count() > max_size:
@@ -380,7 +398,7 @@ def _iter_generated_quora(view: _QuorumView, counted: int):
                     f"quorum search exceeded {max_states} states"
                 )
             unsat = 0
-            m = q & ~known
+            m = q
             while m:
                 low = m & -m
                 m ^= low
@@ -393,7 +411,6 @@ def _iter_generated_quora(view: _QuorumView, counted: int):
             if not unsat:
                 yield q, shrink(rest, q)
                 continue
-            known = q & (unsat - 1)
             children = [
                 child
                 for smask in slices[unsat.bit_length() - 1]
@@ -403,7 +420,7 @@ def _iter_generated_quora(view: _QuorumView, counted: int):
                 rest = shrink(rest, q)
                 if counted and not rest:
                     continue
-            stack.extend((child, known, rest) for child in children)
+            stack.extend((child, rest) for child in children)
         room &= ~seed
 
 
@@ -540,9 +557,9 @@ def _minimal_quota_quora(view: _QuorumView) -> list[tuple[int, ...]]:
     ((H << stride_j) & digit_j >= 1)``: those none of whose one-digit
     decrements is in ``H``. If ``v`` is in ``H`` and is no quorum vector,
     the quorum vector below ``v`` lies at or below one of its decrements.
-    Every member choice of a minimal vector is a minimal quorum. When the
-    view's split scan left its table of the whole of ``top``, ``H`` is
-    that table where it counts no Byzantine member.
+    Every member choice of a minimal vector is a minimal quorum. ``H`` is
+    the view's :attr:`~_QuorumView.honest_table`, which a split scan of
+    the whole of ``top`` may have built already.
 
     Raises:
         BudgetExceededError: when the table exceeds
@@ -550,23 +567,13 @@ def _minimal_quota_quora(view: _QuorumView) -> list[tuple[int, ...]]:
             than that many quora would be listed.
     """
     max_states = network.DEFAULT_MAX_SEARCH_STATES
-    top = view.top
-    classes = view.classes_within(top & view.honest_mask)
-    radix = [len(members) + 1 for members in classes]
+    classes, radix, table = view.honest_table
     size = prod(radix)
-    if size > max_states:
-        raise BudgetExceededError(
-            f"a minimal-quora table of {size} count vectors exceeds {max_states} states"
-        )
-    table, view.closed = view.closed, None
-    if table is None:
-        table = _close_upward(_quorum_table(view, classes), radix)
     minimal, stride = table, 1
     for r in radix:
         minimal &= ~(table << stride) | _digit_in(size, stride, r, 0, 1)
         stride *= r
-    del table
-    byzantine = top & view.byz_mask
+    byzantine = view.top & view.byz_mask
     quora = [(b,) for b in range(len(view.order)) if (byzantine >> b) & 1]
     # picks[v]: the classes a minimal vector draws on, with their counts.
     picks, listed = [], len(quora)
@@ -602,16 +609,17 @@ def minimal_quora(net: Network, *, view: _QuorumView | None = None) -> tuple[fro
     nodes are all of them. The state budget,
     ``network.DEFAULT_MAX_SEARCH_STATES``, bounds the partial sets the
     search visits and, charged before the filter runs, the candidates
-    times the nodes. Quota networks read them off the split scan's closed
-    table over the count vectors of the twin classes of the largest
-    quorum's honest members (:func:`_minimal_quota_quora`): the minimal
-    vectors are those in it with no one-digit decrement in it. The table
-    and its minimal vectors take a bit per vector, and the state budget
-    bounds the table's vectors and the quora listed. ``view``, the view
-    of ``net`` that the command's check was handed, lends the table its
-    scan left; the result is the same. Both kinds share one sort by
-    size, then node positions. No budget counts nodes, and none is a
-    parameter: each charge reads the state budget where it is made.
+    times the nodes. Quota networks read them off the closed table over
+    the count vectors of the twin classes of the largest quorum's honest
+    members (:func:`_minimal_quota_quora`): the minimal vectors are those
+    in it with no one-digit decrement in it. The table and its minimal
+    vectors take a bit per vector, and the state budget bounds the
+    table's vectors and the quora listed. ``view``, the view of ``net``
+    that the command's check was handed, shares the table with a plain
+    check, whichever of the two builds it; the result is the same. Both
+    kinds share one sort by size, then node positions. No budget counts
+    nodes, and none is a parameter: each charge reads the state budget
+    where it is made.
 
     Raises:
         BudgetExceededError: when one of those counts exceeds the state budget.
@@ -670,9 +678,11 @@ def _scan_split(view: _QuorumView, counted: int) -> _Found:
     position down, ANDing the violations with the vectors whose digit
     keeps that position's bit clear whenever a violation remains.
     Byzantine classes take the highest digits, so the vectors that count
-    none of them are the lowest: when ``counted`` is all of top, the base
-    is empty and that part of ``has`` is the minimal-quora table, which is
-    left on the view for :func:`minimal_quora`.
+    none of them are the lowest. When ``counted`` is all of top, the base
+    is empty, those vectors are the view's
+    :attr:`~_QuorumView.honest_table`, and every higher one holds a
+    Byzantine member, a quorum alone: ``has`` is that table with every
+    higher bit set, and no Byzantine digit is built.
 
     Raises:
         BudgetExceededError: when the table exceeds
@@ -691,10 +701,11 @@ def _scan_split(view: _QuorumView, counted: int) -> _Found:
             f"a split table of {size} count vectors exceeds {max_states} states"
         )
     strides = [prod(radix[:j]) for j in range(len(radix))]
-    has = _close_upward(_quorum_table(view, classes, base), radix)
     if counted == view.top:
-        honest = [r for r, members in zip(radix, classes) if not (view.byz_mask >> members[0]) & 1]
-        view.closed = has & ((1 << prod(honest)) - 1)
+        _, honest_radix, honest = view.honest_table
+        has = honest | ((1 << size) - (1 << prod(honest_radix)))
+    else:
+        has = _close_upward(_quorum_table(view, classes, base), radix)
     # The pivot's class counts at least 1.
     pivot = next(j for j, members in enumerate(classes) if members[0] == bits[0])
     lo = [0] * len(classes)

@@ -69,9 +69,9 @@ def test_every_counter_reads_a_real_call(tracing):
 @pytest.mark.parametrize("honest", [False, True])
 @pytest.mark.parametrize("byz", [0, 1])
 def test_one_qi_command_records_one_check_and_one_display(tracing, tmp_path, capsys, honest, byz):
-    # The display reads the check's table, except under --honest with a
-    # Byzantine node, where it builds its own. Either way each is one call
-    # from the CLI.
+    # The display and the check read one table off the command's view,
+    # except under --honest with a Byzantine node, where the check builds
+    # its own. Either way each is one call from the CLI.
     net = random_quota_network(GenParams(12, 10, Fraction(3, 4), byz, 7, "clique"))
     path = tmp_path / "net.json"
     save_network(net, path)

@@ -1,24 +1,25 @@
 """One quorum view per ``qi`` command gives the reports of standalone calls.
 
 ``quorumlens qi`` hands one ``_QuorumView`` to its check and to its
-minimal-quora display, and the display reads the check's closed table
-when the two tables are the same one. Every report must equal the one
-built from standalone library calls on a freshly loaded network: verdict,
-witness, ``quora_examined`` and ``minimal_quora`` in order, ``null`` past
-the display's 14-node limit. The networks are seeded quota networks of
-6 to 16 nodes over the three topologies with 0 to 2 Byzantine nodes, with
+minimal-quora display, and the view builds the closed table over the
+honest members of the largest quorum once, for whichever of the two
+reads it first. Every report must equal the one built from standalone
+library calls on a freshly loaded network: verdict, witness,
+``quora_examined`` and ``minimal_quora`` in order, ``null`` past the
+display's 14-node limit. The networks are seeded quota networks of 6 to
+16 nodes over the three topologies with 0 to 2 Byzantine nodes, with
 and without twins, and explicit-slice networks. They cover views whose
-table is shared: every plain check, where the display reads the scan's
-table at no Byzantine member, and honest checks without Byzantine nodes.
-They also cover honest checks whose largest quorum holds a Byzantine
-node, where the table is not shared. The minimal quora read off a view,
-shared table or not,
-are also pinned to the minimal sets of every quorum on networks of up to
-10 nodes.
+table is shared: every plain check, whose scan reads the view's table
+and sets every vector that counts a Byzantine member, and honest checks
+without Byzantine nodes. They also cover honest checks whose largest
+quorum holds a Byzantine node, where the table is not shared. The
+minimal quora read off a view, shared table or not, are also pinned to
+the minimal sets of every quorum on networks of up to 10 nodes.
 """
 
 import io
 import json
+import math
 import random
 import weakref
 from contextlib import redirect_stdout
@@ -116,7 +117,7 @@ def shares_table(net, honest: bool) -> bool:
     if isinstance(net, QuotaNetwork) and len(net.nodes) <= cli.MINIMAL_QUORA_DISPLAY_LIMIT:
         view = _QuorumView(net)
         (check_qi_honest if honest else check_quorum_intersection)(net, view=view)
-        return view.closed is not None
+        return "honest_table" in vars(view)
     return False
 
 
@@ -188,7 +189,10 @@ def test_a_view_gives_the_reports_of_its_network():
             view = _QuorumView(net)
             assert check(net, view=view) == check(net)
             assert minimal_quora(net, view=view) == minimal_quora(net)
-            assert view.closed is None  # the display took any table the scan left
+            if isinstance(net, QuotaNetwork):
+                # The display read the view's table, the one a new view builds.
+                assert "honest_table" in vars(view)
+                assert view.honest_table == _QuorumView(net).honest_table
 
 
 def test_a_view_of_another_network_is_refused():
@@ -222,6 +226,69 @@ def test_a_label_missing_from_the_nodes_is_refused():
             assert caught.value.args == (
                 f"unknown nodes in the trust sets, slices or Byzantine set: {label}",
             ), (call, net)
+
+
+def test_a_node_missing_from_a_per_node_map_is_refused():
+    # Unvalidated networks: node a has no slices, or no quota.
+    pair = {"a": {"a", "b"}, "b": {"a", "b"}}
+    cases = (
+        TrustNetwork(("a", "b"), frozenset(), pair, {"b": ({"a", "b"},)}),
+        QuotaNetwork(("a", "b"), frozenset(), pair, {"b": Fraction(2, 3)}),
+    )
+    calls = (check_quorum_intersection, check_qi_honest, minimal_quora, find_fork, find_strong_fork)
+    for net in cases:
+        for call in calls:
+            with pytest.raises(ValueError) as caught:
+                call(net)
+            message = "missing trust sets, slices or quotas for: a"
+            assert caught.value.args == (message,), (call, net)
+
+
+def test_the_plain_split_table_is_the_padded_honest_table():
+    # A vector that counts a Byzantine member of top holds a quorum, so the
+    # plain scan's table, Byzantine classes last, is the honest table with
+    # every higher vector set.
+    networks = [
+        net
+        for net in (*generated(269, 60, 6, 16), *twin_rich(271, 20, 16))
+        if 1 <= len(net.byzantine) <= 2
+    ]
+    assert len(networks) >= 30
+    for net in networks:
+        view = _QuorumView(net)
+        assert view.top & view.byz_mask == view.byz_mask
+        classes = sorted(view.classes_within(view.top), key=lambda m: (view.byz_mask >> m[0]) & 1)
+        radix = [len(members) + 1 for members in classes]
+        size = math.prod(radix)
+        honest_classes, honest_radix, honest = view.honest_table
+        assert classes[: len(honest_classes)] == honest_classes
+        padded = honest | ((1 << size) - (1 << math.prod(honest_radix)))
+        assert padded == quorum._close_upward(quorum._quorum_table(view, classes), radix), net
+
+
+def test_a_view_builds_one_honest_table_for_the_display_and_the_check(monkeypatch):
+    tables = []
+    quorum_table = quorum._quorum_table
+
+    def counted(view, classes, base=0):
+        tables.append(len(classes))
+        return quorum_table(view, classes, base)
+
+    monkeypatch.setattr(quorum, "_quorum_table", counted)
+    networks = [*generated(277, 30, 6, 14), *twin_rich(281, 10, 12)]
+    assert {len(net.byzantine) for net in networks} == {0, 1, 2}
+    for net in networks:
+        expected = minimal_quora(net), check_quorum_intersection(net)
+        for display_first in (True, False):
+            view = _QuorumView(net)
+            del tables[:]
+            if display_first:
+                found = minimal_quora(net, view=view), check_quorum_intersection(net, view=view)
+            else:
+                report = check_quorum_intersection(net, view=view)
+                found = minimal_quora(net, view=view), report
+            assert found == expected, (net, display_first)
+            assert len(tables) == 1, (net, display_first)
 
 
 def test_no_table_outlives_a_standalone_call(monkeypatch):
@@ -261,7 +328,7 @@ def test_minimal_quota_quora_match_every_quorum():
             view = _QuorumView(net)
             if honest is not None:
                 (check_qi_honest if honest else check_quorum_intersection)(net, view=view)
-                shared += view.closed is not None
+                shared += "honest_table" in vars(view)
             found = _minimal_quota_quora(view)
             assert sorted(map(list, found)) == expected, (net, honest)
     assert shared >= 20, shared
