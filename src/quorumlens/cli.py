@@ -44,6 +44,7 @@ from .network import (
     NetworkValidationError,
     QuotaNetwork,
     _range_findings,
+    as_fraction,
     network_violations,  # not called here; perfbench/tracing.py wraps this name
 )
 from .netio import NetworkFormatError, load_network, save_network
@@ -83,8 +84,8 @@ def _non_negative(text: str) -> int:
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return as_fraction(text)
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a rational number such as 4/5 or 0.8, got {text!r}"
         ) from None

@@ -168,8 +168,8 @@ def _parse_families(families: list, known: set[str]) -> list[tuple[frozenset[str
 def _number(value, key: str) -> Fraction:
     if isinstance(value, str):
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
+            return as_fraction(value)
+        except ValueError:
             raise NetworkFormatError(
                 f'key {key!r}: {value!r} is not a rational such as "3/4"'
             ) from None

@@ -66,6 +66,11 @@ def as_fraction(value) -> Fraction:
     Floats go through their decimal string form so that e.g. 0.8 becomes
     exactly 4/5 rather than the nearest binary fraction; this keeps quota
     thresholds like ceil(0.8 * 5) == 4 exact.
+
+    Raises:
+        TypeError: for a boolean or a value of another type.
+        ValueError: for a string that is no rational, a zero denominator
+            included.
     """
     if isinstance(value, Fraction):
         return value
@@ -76,7 +81,10 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 

@@ -11,17 +11,17 @@ exact searches behind explicit budgets:
   a node never adds an earlier one, so every inclusion-minimal quorum is
   grown once, from its lowest member. Each quorum grown is tested
   against the largest quorum of its complement; the checks stop growing
-  candidates at half the size of the largest quorum. Candidates are
-  grown incrementally (a grown candidate skips the members its parent
-  already found satisfied), and each search state carries the largest
-  quorum of its complement, shrunk as the state grows: removing the
-  state's new members re-checks only their users. A branching state
-  whose complement holds no quorum with a checked node is dropped with
-  all it would grow, since no quorum below it has a disjoint partner:
-  the conflict cut of Davis, Logemann and Loveland (CACM 1962), which
-  takes an unsatisfiable v-variable reduction from all 2^v of its
-  minimal quora to a handful. So every quorum is judged as it is grown,
-  and a budget overrun stops the search exactly where it trips;
+  candidates at half of the checked nodes. Candidates are grown
+  incrementally (a grown candidate skips the members its parent already
+  found satisfied), and each search state carries the largest quorum of
+  its complement, shrunk as the state grows: removing the state's new
+  members re-checks only their users. A branching state whose
+  complement holds no quorum with a checked node is dropped with all it
+  would grow, since no quorum below it has a disjoint partner: the
+  conflict cut of Davis, Logemann and Loveland (CACM 1962), which takes
+  an unsatisfiable v-variable reduction from all 2^v of its minimal
+  quora to a handful. So every quorum is judged as it is grown, and a
+  budget overrun stops the search exactly where it trips;
 * quota networks use a pivot-fixed scan over the splits of a pool of
   nodes, decided from one table over the count vectors of the pool's
   twin classes (:func:`_scan_split`). Twins are nodes whose swap
@@ -31,9 +31,13 @@ exact searches behind explicit budgets:
 
 Both engines take the view and ``counted``, and return ``(examined,
 witness masks or None)``. ``counted`` holds the nodes whose disjointness
-is checked: the largest quorum for the plain check, every honest node
-for the honest one, none for slices minimal quora. The pool is
-``counted``; the base is the largest quorum's other members.
+is checked: every node for the plain check, every honest node for the
+honest one, none for slices minimal quora, which grow from every node.
+The pool is ``counted``; the base is every other node, so it is empty
+for the plain check and the Byzantine nodes for the honest one. On a
+valid network the whole node set is a quorum, since each node has a rule
+that the whole set meets, so no search needs the network's largest
+quorum; the view refuses a network where it is smaller.
 
 One state budget, ``network.DEFAULT_MAX_SEARCH_STATES``, bounds every
 search here, and no function takes it as a parameter. Each site that
@@ -44,30 +48,28 @@ charges it reads it when it runs: :func:`_scan_split`,
 
 :func:`minimal_quora` of a quota network reads the same closed table
 (:func:`_quorum_table`, then :func:`_close_upward`), over the twin
-classes of the honest members of the largest quorum
-(:attr:`_QuorumView.honest_table`). Its minimal count vectors are the
-minimal elements of the closed table: the vectors in it none of whose
-one-digit decrements is.
+classes of the honest nodes (:attr:`_QuorumView.honest_table`). Its
+minimal count vectors are the minimal elements of the closed table: the
+vectors in it none of whose one-digit decrements is.
 
 A table is a Python int with one bit per count vector, digit 0 of the
 vector varying fastest, so it is built and read with shifts, ANDs and
 ORs over whole tables: a table of 2^20 vectors takes 128 KB.
 
 A :class:`_QuorumView` prepares one network for the searches of one
-``qi`` command: the bit masks of every node's winning rules, the
-largest quorum, the twin classes and the closed table over the honest
-members of the largest quorum are built once, on first use, and shared
-by the check and :func:`minimal_quora`, whichever runs first. A split
-scan that counts the whole largest quorum reads that table and sets
-every vector above it, since a vector holding a Byzantine member holds
-a quorum. That is every plain check, and the honest check only when
-every node is honest and in the largest quorum (a Byzantine node,
-which needs only itself, always is).
+``qi`` command: the bit masks of every node's winning rules, the twin
+classes and the closed table over the honest nodes are built once, on
+first use, and shared by the check and :func:`minimal_quora`, whichever
+runs first. A split scan that counts every node reads that table and
+sets every vector above it, since a vector holding a Byzantine member
+holds a quorum. That is every plain check, and the honest check of a
+network without Byzantine nodes.
 
-Every largest quorum (of the network, of :func:`max_quorum_within`, of
-a split's sides and of a generated quorum's complement) comes from one
-scalar worklist greatest fixpoint, :meth:`_QuorumView.max_quorum`, that
-re-checks only the nodes depending on a removed member.
+Every largest quorum (of :func:`max_quorum_within`, of a split's sides,
+of a generated quorum's complement, and of the whole network, which the
+view computes only to refuse a network) comes from one scalar worklist
+greatest fixpoint, :meth:`_QuorumView.max_quorum`, that re-checks only
+the nodes depending on a removed member.
 
 Both report a witness pair of quora whenever intersection fails, and a
 budget overrun is always a distinct outcome, never a verdict.
@@ -121,9 +123,8 @@ class QuorumReport:
     quorum (:func:`_iter_generated_quora`), so they are not counted. On
     quota networks it counts the splits of the pool covered: the split
     code of the witness + 1, or all 2^(|pool| - 1) when intersection
-    holds, however few count vectors the scan reads. The pool is the
-    largest quorum for the plain check and every honest node for the
-    honest one.
+    holds, however few count vectors the scan reads. The pool is every
+    node for the plain check and every honest node for the honest one.
     """
 
     holds: bool
@@ -140,18 +141,23 @@ class _QuorumView:
     two parallel lists so that the slices searches read masks alone. A
     Byzantine node's one rule is its own singleton.
 
-    The largest quorum, the twin classes and the honest quorum table are
-    built on first use and shared by every search that is handed the
-    view: :func:`check_quorum_intersection`, :func:`check_qi_honest` and
+    The twin classes and the honest quorum table are built on first use
+    and shared by every search that is handed the view:
+    :func:`check_quorum_intersection`, :func:`check_qi_honest` and
     :func:`minimal_quora` give the same reports with it as without, in
     either order. A view keeps its network, and each search refuses a
     view of another one. It caches nothing on the network and is meant
     to live for one command, so its table is freed with it.
 
+    The searches take the whole node set for a quorum, as it is on every
+    valid network, so the view refuses a network where it is not.
+
     Raises:
         ValueError: when a trust set, slice or the Byzantine set of an
-            unvalidated network names a label that is not a node, or a
-            per-node map lacks an honest node.
+            unvalidated network names a label that is not a node, a
+            per-node map lacks an honest node, or some node is in no
+            quorum: its rules are unmet even by the whole node set, or
+            met only through such nodes.
     """
 
     def __init__(self, net: Network):
@@ -193,6 +199,8 @@ class _QuorumView:
                 problem = "unknown nodes in the trust sets, slices or Byzantine set"
             raise ValueError(f"{problem}: {_listed([label])}") from None
         self.honest_mask = self.full & ~self.byz_mask
+        if lost := self.full & ~self.max_quorum(self.full):
+            raise ValueError(f"nodes that no quorum can hold: {_listed(self.labels(lost))}")
 
     def _mask(self, labels) -> int:
         m = 0
@@ -234,11 +242,6 @@ class _QuorumView:
         return current
 
     @cached_property
-    def top(self) -> int:
-        """The largest quorum, as a mask."""
-        return self.max_quorum(self.full)
-
-    @cached_property
     def twin_classes(self) -> list[list[int]]:
         """Bit positions of each twin class of a quota network, lowest first.
 
@@ -248,9 +251,8 @@ class _QuorumView:
         neither. A composition of swaps is again an automorphism, so being
         twins is an equivalence and one comparison with the first member of
         each class suffices: at most O(n²) mask tests. Every permutation
-        inside the classes maps the network, its largest quorum and its
-        Byzantine set onto themselves, so a set and its image under one are
-        quora alike.
+        inside the classes maps the network and its Byzantine set onto
+        themselves, so a set and its image under one are quora alike.
         """
         # Twins agree on this key, so only classes sharing it are compared.
         buckets: dict[tuple[int, int, int, int], list[list[int]]] = {}
@@ -278,20 +280,20 @@ class _QuorumView:
 
     @cached_property
     def honest_table(self) -> tuple[list[list[int]], list[int], int]:
-        """The twin classes of top's honest members, their radices and their closed table.
+        """The twin classes of the honest nodes, their radices and their closed table.
 
         Bit ``v`` of the table is set when count vector ``v`` over the
         classes holds a quorum (:func:`_quorum_table`, then
         :func:`_close_upward`). :func:`_minimal_quota_quora` reads its
-        minimal vectors, and a split scan of the whole of top its vectors
-        that count no Byzantine member.
+        minimal vectors, and a split scan of every node its vectors that
+        count no Byzantine member.
 
         Raises:
             BudgetExceededError: when the table exceeds
                 ``network.DEFAULT_MAX_SEARCH_STATES`` count vectors.
         """
         max_states = network.DEFAULT_MAX_SEARCH_STATES
-        classes = self.classes_within(self.top & self.honest_mask)
+        classes = self.classes_within(self.honest_mask)
         radix = [len(members) + 1 for members in classes]
         size = prod(radix)
         if size > max_states:
@@ -327,44 +329,46 @@ def max_quorum_within(net: Network, s) -> frozenset[NodeId]:
 def _iter_generated_quora(view: _QuorumView, counted: int):
     """Yield ``(q, rest)`` for each quorum ``q`` grown from a seed's singleton.
 
-    The seeds are the ``counted`` members of the largest quorum ``top``,
-    or all of top when ``counted`` is 0; they go in bit order, and the
-    search from a seed never adds an earlier seed. Every inclusion-minimal
-    quorum inside top that holds a seed and at most half of top's counted
-    members is produced, from the seed of its lowest seed member: from any
-    partial set, the first member still lacking a contained coalition
-    branches over its coalitions. With ``counted`` 0, that is every
-    minimal quorum, grown once, from its lowest member. States are
-    memoized, so each partial set expands once, and a state over the half
-    bound is dropped unexpanded.
+    The seeds are the ``counted`` nodes, or every node when ``counted`` is
+    0; they go in bit order, and the search from a seed never adds an
+    earlier seed. Every inclusion-minimal quorum that holds a seed and at
+    most half of the counted nodes is produced, from the seed of its
+    lowest seed member: from any partial set, the first member still
+    lacking a contained coalition branches over its coalitions. With
+    ``counted`` 0, that is every minimal quorum, grown once, from its
+    lowest member. States are memoized, so each partial set expands once,
+    and a state over the half bound is dropped unexpanded. Growing a set
+    keeps its members' coalitions, so each child carries the parent's
+    members below the branching one as ``known`` and skips them when it
+    looks for its own first lacking member.
 
-    ``rest`` is ``view.max_quorum(top & ~(q & counted))`` whenever that
+    ``rest`` is ``view.max_quorum(full & ~(q & counted))`` whenever that
     holds a counted node, and 0 otherwise. Each state carries
-    ``max_quorum(top & ~(p & counted))`` for an ancestor ``p`` (or for no
-    members at all, at a seed), which contains the state's own, because
-    the greatest fixpoint only shrinks as the set it searches shrinks. It
-    is shrunk to the state's own complement by removing the state's
-    counted members and re-queueing only their users, at a quorum and at a
-    state with two or more children to push; a lone child inherits it
-    unshrunk and removes the parent's members with its own. A ``rest``
-    without a counted node keeps none in any descendant, so with
-    ``counted`` non-zero a state with two or more children whose ``rest``
-    shrinks to 0 is dropped and pushes none of them: every quorum grown
-    below it would come with ``rest`` 0. Every ancestor of a quorum with
-    a non-zero ``rest`` has one too, so the first such quorum is the one
-    produced without the drop. A lone child's ``rest`` may travel
-    unshrunk to a quorum whose own is 0, which is yielded with 0. With
-    ``counted`` 0, no ``rest`` is ever computed and nothing is dropped.
+    ``max_quorum(full & ~(p & counted))`` for an ancestor ``p`` (or
+    ``full``, the whole node set and a quorum, at a seed), which contains
+    the state's own, because the greatest fixpoint only shrinks as the
+    set it searches shrinks. It is shrunk to the state's own complement
+    by removing the state's counted members and re-queueing only their
+    users, at a quorum and at a state with two or more children to push;
+    a lone child inherits it unshrunk and removes the parent's members
+    with its own. A ``rest`` without a counted node keeps none in any
+    descendant, so with ``counted`` non-zero a state with two or more
+    children whose ``rest`` shrinks to 0 is dropped and pushes none of
+    them: every quorum grown below it would come with ``rest`` 0. Every
+    ancestor of a quorum with a non-zero ``rest`` has one too, so the
+    first such quorum is the one produced without the drop. A lone
+    child's ``rest`` may travel unshrunk to a quorum whose own is 0,
+    which is yielded with 0. With ``counted`` 0, no ``rest`` is ever
+    computed and nothing is dropped.
 
     Raises:
         BudgetExceededError: when the search visits more states than
             ``network.DEFAULT_MAX_SEARCH_STATES``, read when the search starts.
     """
     max_states = network.DEFAULT_MAX_SEARCH_STATES
-    slices, users = view.rule_masks, view.users
-    top = view.top
-    seeds = top & counted if counted else top
-    max_size = (top & counted).bit_count() // 2
+    slices, users, full = view.rule_masks, view.users, view.full
+    seeds = counted or full
+    max_size = counted.bit_count() // 2
 
     def shrink(rest: int, q: int) -> int:
         gone = rest & q & counted
@@ -380,14 +384,13 @@ def _iter_generated_quora(view: _QuorumView, counted: int):
         return rest if rest & counted else 0
 
     visited: set[int] = set()
-    room = top
-    alive = top if top & counted else 0
+    room = full
     while seeds:
         seed = seeds & -seeds
         seeds ^= seed
-        stack = [(seed, alive)]
+        stack = [(seed, 0, full if counted else 0)]
         while stack:
-            q, rest = stack.pop()
+            q, known, rest = stack.pop()
             if q in visited:
                 continue
             if (q & counted).bit_count() > max_size:
@@ -398,7 +401,7 @@ def _iter_generated_quora(view: _QuorumView, counted: int):
                     f"quorum search exceeded {max_states} states"
                 )
             unsat = 0
-            m = q
+            m = q & ~known
             while m:
                 low = m & -m
                 m ^= low
@@ -411,6 +414,7 @@ def _iter_generated_quora(view: _QuorumView, counted: int):
             if not unsat:
                 yield q, shrink(rest, q)
                 continue
+            known = q & (unsat - 1)
             children = [
                 child
                 for smask in slices[unsat.bit_length() - 1]
@@ -420,7 +424,7 @@ def _iter_generated_quora(view: _QuorumView, counted: int):
                 rest = shrink(rest, q)
                 if counted and not rest:
                     continue
-            stack.extend((child, rest) for child in children)
+            stack.extend((child, known, rest) for child in children)
         room &= ~seed
 
 
@@ -546,20 +550,20 @@ def _complement(table: int, size: int) -> int:
 def _minimal_quota_quora(view: _QuorumView) -> list[tuple[int, ...]]:
     """Bit positions of every inclusion-minimal quorum of a quota network, unsorted.
 
-    A Byzantine member of the largest quorum ``top`` is a quorum alone, so
-    it forms exactly one minimal quorum, and every other one lies among
-    the honest members of ``top``, a union of twin classes. Whether a set
-    of them is a quorum, and whether it is a minimal one, depends only on
-    its count vector over those classes: :func:`_quorum_table` sets the
-    quorum vectors and :func:`_close_upward` closes them upward, so bit
-    ``v`` of ``H`` is set when a quorum vector lies at or below ``v``. The
+    A Byzantine node is a quorum alone, so it forms exactly one minimal
+    quorum, and every other one lies among the honest nodes, a union of
+    twin classes. Whether a set of them is a quorum, and whether it is a
+    minimal one, depends only on its count vector over those classes:
+    :func:`_quorum_table` sets the quorum vectors and :func:`_close_upward`
+    closes them upward, so bit ``v`` of ``H`` is set when a quorum vector
+    lies at or below ``v``. The
     minimal quorum vectors are the minimal elements of ``H``, ``H & ~OR_j
     ((H << stride_j) & digit_j >= 1)``: those none of whose one-digit
     decrements is in ``H``. If ``v`` is in ``H`` and is no quorum vector,
     the quorum vector below ``v`` lies at or below one of its decrements.
     Every member choice of a minimal vector is a minimal quorum. ``H`` is
     the view's :attr:`~_QuorumView.honest_table`, which a split scan of
-    the whole of ``top`` may have built already.
+    every node may have built already.
 
     Raises:
         BudgetExceededError: when the table exceeds
@@ -573,7 +577,7 @@ def _minimal_quota_quora(view: _QuorumView) -> list[tuple[int, ...]]:
     for r in radix:
         minimal &= ~(table << stride) | _digit_in(size, stride, r, 0, 1)
         stride *= r
-    byzantine = view.top & view.byz_mask
+    byzantine = view.byz_mask
     quora = [(b,) for b in range(len(view.order)) if (byzantine >> b) & 1]
     # picks[v]: the classes a minimal vector draws on, with their counts.
     picks, listed = [], len(quora)
@@ -610,8 +614,8 @@ def minimal_quora(net: Network, *, view: _QuorumView | None = None) -> tuple[fro
     ``network.DEFAULT_MAX_SEARCH_STATES``, bounds the partial sets the
     search visits and, charged before the filter runs, the candidates
     times the nodes. Quota networks read them off the closed table over
-    the count vectors of the twin classes of the largest quorum's honest
-    members (:func:`_minimal_quota_quora`): the minimal vectors are those
+    the count vectors of the honest nodes' twin classes
+    (:func:`_minimal_quota_quora`): the minimal vectors are those
     in it with no one-digit decrement in it. The table and its minimal
     vectors take a bit per vector, and the state budget bounds the
     table's vectors and the quora listed. ``view``, the view of ``net``
@@ -659,10 +663,11 @@ _Found = tuple[int, tuple[int, int] | None]
 def _scan_split(view: _QuorumView, counted: int) -> _Found:
     """First split of the ``counted`` nodes into two disjoint quora (quota networks).
 
-    The pool is ``counted``, and the base is top's other members,
-    Byzantine nodes that every candidate keeps on both sides. The lowest
-    pool node (the pivot) always sits on side one; split code ``c`` puts
-    the k-th other pool node on side one when bit k of ``c`` is set.
+    The pool is ``counted``, and the base is every other node: none for
+    the plain check, and for the honest one the Byzantine nodes, which
+    every candidate keeps on both sides. The lowest pool node (the pivot)
+    always sits on side one; split code ``c`` puts the k-th other pool
+    node on side one when bit k of ``c`` is set.
     Returns (splits covered, witness): the largest quorum of each side for
     the lowest code where both keep a pool node, and that code + 1, or all
     2^(|pool| - 1) splits and no witness.
@@ -678,7 +683,7 @@ def _scan_split(view: _QuorumView, counted: int) -> _Found:
     position down, ANDing the violations with the vectors whose digit
     keeps that position's bit clear whenever a violation remains.
     Byzantine classes take the highest digits, so the vectors that count
-    none of them are the lowest. When ``counted`` is all of top, the base
+    none of them are the lowest. When ``counted`` is every node, the base
     is empty, those vectors are the view's
     :attr:`~_QuorumView.honest_table`, and every higher one holds a
     Byzantine member, a quorum alone: ``has`` is that table with every
@@ -689,7 +694,7 @@ def _scan_split(view: _QuorumView, counted: int) -> _Found:
             ``network.DEFAULT_MAX_SEARCH_STATES`` vectors.
     """
     max_states = network.DEFAULT_MAX_SEARCH_STATES
-    pool, base = counted, view.top & ~counted
+    pool, base = counted, view.full & ~counted
     bits = [b for b in range(len(view.order)) if (pool >> b) & 1]
     # Classes lie wholly inside or outside the pool, since permutations
     # inside classes keep it; the pivot is the lowest member of its class.
@@ -701,7 +706,7 @@ def _scan_split(view: _QuorumView, counted: int) -> _Found:
             f"a split table of {size} count vectors exceeds {max_states} states"
         )
     strides = [prod(radix[:j]) for j in range(len(radix))]
-    if counted == view.top:
+    if counted == view.full:
         _, honest_radix, honest = view.honest_table
         has = honest | ((1 << size) - (1 << prod(honest_radix)))
     else:
@@ -731,19 +736,19 @@ def _scan_split(view: _QuorumView, counted: int) -> _Found:
 
 
 def _first_disjoint(view: _QuorumView, counted: int) -> _Found:
-    """Grow quora inside top until one leaves room for a counted-disjoint quorum.
+    """Grow quora until one leaves room for a counted-disjoint quorum.
 
-    Quora grow from the singletons of top's ``counted`` nodes, each
-    search never adding a node of an earlier seed, and states with more
-    than half of top's counted nodes are dropped. That is exact: of two
-    quora whose counted parts are disjoint, the one with at most half of
-    top's counted nodes holds no seed below its lowest counted member, so
+    Quora grow from the singletons of the ``counted`` nodes, each search
+    never adding a node of an earlier seed, and states with more than
+    half of the counted nodes are dropped. That is exact: of two quora
+    whose counted parts are disjoint, the one with at most half of the
+    counted nodes holds no seed below its lowest counted member, so
     the search from that seed generates a quorum inside it (every state
     on the way is one of its subsets), and the other quorum fits in that
     quorum's complement.
 
     Each generated quorum ``q`` comes with the largest quorum of
-    ``top & ~(q & counted)`` when that holds a counted node, which the
+    ``full & ~(q & counted)`` when that holds a counted node, which the
     search carries down from state to state
     (:func:`_iter_generated_quora`). Returns (quora examined, witness):
     the first such pair and the index of ``q`` in generation order + 1,
@@ -766,8 +771,8 @@ def _check_qi(
 ) -> QuorumReport:
     """The plain (``honest`` false) or honest check behind the public entry points.
 
-    ``counted`` is top, or every honest node; slices networks grow quora
-    (:func:`_first_disjoint`) and quota networks scan splits
+    ``counted`` is every node, or every honest node; slices networks grow
+    quora (:func:`_first_disjoint`) and quota networks scan splits
     (:func:`_scan_split`). Only the node budget is checked here; each
     engine charges its own work to the state budget.
     """
@@ -776,8 +781,8 @@ def _check_qi(
             f"{len(net.nodes)} nodes exceeds the quorum-intersection budget of {max_nodes}"
         )
     view = _view_of(net, view)
-    counted = view.honest_mask if honest else view.top
-    if not (view.top & counted):
+    counted = view.honest_mask if honest else view.full
+    if not counted:
         return QuorumReport(True, None, 0)
     search = _first_disjoint if isinstance(net, TrustNetwork) else _scan_split
     examined, witness = search(view, counted)

@@ -83,12 +83,11 @@ def test_quorum_table_and_closure_match_brute_force():
     seen = {"radix above 2": 0, "base": 0, "Byzantine first": 0, "Byzantine class moved": 0}
     for net in twin_rich(307, 60):
         view = _QuorumView(net)
-        top = view.top
         cases = [
             (view.classes_within(view.full), 0),
             # Byzantine classes last, as the split scan orders them.
-            (sorted(view.classes_within(top), key=lambda m: (view.byz_mask >> m[0]) & 1), 0),
-            (view.classes_within(view.honest_mask), top & view.byz_mask),
+            (sorted(view.classes_within(view.full), key=lambda m: (view.byz_mask >> m[0]) & 1), 0),
+            (view.classes_within(view.honest_mask), view.full & view.byz_mask),
         ]
         for classes, base in cases:
             if not classes:

@@ -304,6 +304,17 @@ class TestAsFraction:
         with pytest.raises(TypeError, match=message):
             as_fraction(value)
 
+    def test_a_zero_denominator_is_a_value_error(self):
+        trust = {"a": frozenset("ab"), "b": frozenset("ab")}
+        calls = (
+            lambda: as_fraction("1/0"),
+            lambda: QuotaNetwork(("a", "b"), frozenset(), trust, {"a": "1/0", "b": "3/4"}),
+            lambda: GenParams(4, 3, "1/0"),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="zero denominator in '1/0'"):
+                call()
+
 
 class TestObservedSet:
     def test_split_group_two_sees_three_zeros(self):

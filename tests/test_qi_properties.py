@@ -21,6 +21,8 @@ split, slices ``minimal_quora`` must equal the oracle's and, on the
 Unsatisfiable reductions of 10 and 16 variables, and the slice addition
 that restores the first, must be decided within a few hundred and 1,377
 states, and one of 20 variables within the default state budget.
+Every valid network these checks generate is its own largest quorum,
+which is why the searches pool every node and need no largest quorum.
 
 The quota split scan works up to twin symmetry, so it is also checked on
 networks with large twin classes: the twin classes against brute-force
@@ -29,10 +31,10 @@ with witnesses past split code 64 check the scan bit by bit, uniform
 cliques of up to 100 nodes check it against the closed form, and a
 twin-free pool of 20 nodes bounds its memory. ``minimal_quora`` of a
 quota network reads the same table over the twin classes of the honest
-members of the largest quorum. It is checked against the minimal sets
-of every quorum on networks with and without twins of up to 14 nodes,
-against the closed form of a uniform clique at 16, 18 and 40 nodes, for
-its memory on a twin-free 20-node ring, and for its listing budget.
+nodes. It is checked against the minimal sets of every quorum on
+networks with and without twins of up to 14 nodes, against the closed
+form of a uniform clique at 16, 18 and 40 nodes, for its memory on a
+twin-free 20-node ring, and for its listing budget.
 """
 
 import functools
@@ -60,9 +62,11 @@ from quorumlens import (
     expand_quota_network,
     max_quorum_within,
     minimal_quora,
+    network_violations,
     parse_dimacs,
     random_quota_network,
     slice_addition_instance,
+    with_veto_slices,
 )
 from quorumlens.quorum import _iter_generated_quora, _QuorumView
 
@@ -253,7 +257,7 @@ def test_the_cut_keeps_the_verdict_and_witness_of_the_uncut_search():
 
 def test_generated_quora_carry_the_largest_quorum_of_their_complement():
     # Each generated quorum q comes with rest, the largest quorum of
-    # top & ~(q & counted) whenever that holds a counted node, carried
+    # full & ~(q & counted) whenever that holds a counted node, carried
     # down the search; a rest without one travels as 0. Restarting the
     # fixpoint from a quorum minus a set needs only that set's users.
     rng = random.Random(227)
@@ -271,12 +275,11 @@ def test_generated_quora_carry_the_largest_quorum_of_their_complement():
     seen = {"live": 0, "dead": 0, "byzantine in q": 0}
     for net in [*slice_nets(233, 80), *reductions, *byzantine]:
         view = _QuorumView(net)
-        top = view.top
         for counted in (view.full, view.honest_mask):
             quora = _iter_generated_quora(view, counted)
             for q, rest in itertools.islice(quora, 300):
                 removed = q & counted
-                expected = view.max_quorum(top & ~removed)
+                expected = view.max_quorum(view.full & ~removed)
                 assert bool(rest & counted) == bool(expected & counted), (net, q)
                 if rest & counted:
                     assert rest == expected, (net, q)
@@ -288,7 +291,7 @@ def test_generated_quora_carry_the_largest_quorum_of_their_complement():
                 for k in range(len(view.order)):
                     if (removed >> k) & 1:
                         users |= view.users[k]
-                assert view.max_quorum(top & ~removed, users) == expected, (net, q)
+                assert view.max_quorum(view.full & ~removed, users) == expected, (net, q)
     assert min(seen.values()) >= 20, seen
     assert max(len(net.nodes) for net in reductions) > 64
 
@@ -435,6 +438,29 @@ def test_slices_minimal_quora_match_the_oracle():
         expected = tuple(oracles.generated_minimal_quora(net))
         assert minimal_quora(net) == expected
     assert max(len(net.nodes) for net in reductions) >= 31
+
+
+@pytest.mark.filterwarnings("ignore::quorumlens.QuotaRangeWarning")
+def test_every_valid_network_is_its_own_largest_quorum():
+    # Every node of a valid network has a winning rule that the whole node
+    # set meets, so the searches pool every node (every honest node, for
+    # the honest check) and need no largest quorum of the network.
+    kinds = {
+        "seeded quota": generated_nets(151, 60, 3, 14),
+        "random quota": quota_nets(157, 60),
+        "random explicit": slice_nets(163, 80),
+        "CNF reductions": [cnf_to_network(cnf) for cnf in [*cnfs(167, 20), *fixed_cnfs(WIDE_CNFS)]],
+        "expansions": [expand_quota_network(net) for net in generated_nets(173, 20, 3, 8)],
+        "vetoed copies": [with_veto_slices(net) for net in slice_nets(179, 30)],
+    }
+    seen = dict.fromkeys(kinds, 0)
+    for kind, networks in kinds.items():
+        for net in networks:
+            if network_violations(net):
+                continue
+            assert oracles.largest_quorum_within(net, net.nodes) == frozenset(net.nodes), net
+            seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_largest_quorum_within_matches_the_oracle():
@@ -594,7 +620,7 @@ def test_minimal_quora_of_an_expanded_18_node_clique():
 
 def test_minimal_quora_table_memory():
     # A ring has no twins, so the table holds all 2 ** 20 count vectors of
-    # the 20-node largest quorum, a bit each; the minimal vectors are read
+    # its 20 honest nodes, a bit each; the minimal vectors are read
     # off a string of a character per vector. An int64 array of the vectors
     # alone would take 8 bytes per vector.
     k = 20

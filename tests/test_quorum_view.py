@@ -2,19 +2,20 @@
 
 ``quorumlens qi`` hands one ``_QuorumView`` to its check and to its
 minimal-quora display, and the view builds the closed table over the
-honest members of the largest quorum once, for whichever of the two
-reads it first. Every report must equal the one built from standalone
-library calls on a freshly loaded network: verdict, witness,
-``quora_examined`` and ``minimal_quora`` in order, ``null`` past the
-display's 14-node limit. The networks are seeded quota networks of 6 to
-16 nodes over the three topologies with 0 to 2 Byzantine nodes, with
-and without twins, and explicit-slice networks. They cover views whose
+honest nodes once, for whichever of the two reads it first. Every report
+must equal the one built from standalone library calls on a freshly
+loaded network: verdict, witness, ``quora_examined`` and
+``minimal_quora`` in order, ``null`` past the display's 14-node limit.
+The networks are seeded quota networks of 6 to 16 nodes over the three
+topologies with 0 to 2 Byzantine nodes, with and without twins, and
+explicit-slice networks. They cover views whose
 table is shared: every plain check, whose scan reads the view's table
 and sets every vector that counts a Byzantine member, and honest checks
-without Byzantine nodes. They also cover honest checks whose largest
-quorum holds a Byzantine node, where the table is not shared. The
-minimal quora read off a view, shared table or not, are also pinned to
-the minimal sets of every quorum on networks of up to 10 nodes.
+without Byzantine nodes. They also cover honest checks of networks with
+a Byzantine node, where the table is not shared. The minimal quora read
+off a view, shared table or not, are also pinned to the minimal sets of
+every quorum on networks of up to 10 nodes. A network with a node that
+no quorum can hold is refused by every entry point.
 """
 
 import io
@@ -38,6 +39,7 @@ from quorumlens import (
     find_fork,
     find_strong_fork,
     load_network,
+    max_quorum_within,
     minimal_quora,
     random_quota_network,
     save_network,
@@ -150,14 +152,13 @@ def test_qi_reports_equal_the_standalone_calls(tmp_path):
     seen = {
         "shared, no Byzantine node": 0,
         "shared, Byzantine nodes": 0,
-        "honest, Byzantine top": 0,
+        "honest, Byzantine nodes": 0,
         "over the display limit": 0,
         "slices": 0,
     }
     for k, net in enumerate(networks):
         path = tmp_path / f"net{k}.json"
         save_network(net, path)
-        top = oracles.largest_quorum_within(net, net.nodes)
         for honest in (False, True):
             out = io.StringIO()
             with redirect_stdout(out):
@@ -177,8 +178,8 @@ def test_qi_reports_equal_the_standalone_calls(tmp_path):
             elif shares_table(net, honest):
                 kind = "Byzantine nodes" if net.byzantine else "no Byzantine node"
                 seen[f"shared, {kind}"] += 1
-            elif honest and top & net.byzantine:
-                seen["honest, Byzantine top"] += 1
+            elif honest and net.byzantine:
+                seen["honest, Byzantine nodes"] += 1
     assert min(seen.values()) >= 10, seen
     assert {len(net.byzantine) for net in networks} == {0, 1, 2}
 
@@ -244,8 +245,36 @@ def test_a_node_missing_from_a_per_node_map_is_refused():
             assert caught.value.args == (message,), (call, net)
 
 
+def test_a_network_with_nodes_no_quorum_can_hold_is_refused():
+    # Unvalidated networks: c, d and e have no slices, and c's quota of
+    # 5/4 asks for more trustees than it has, so a and b lose c too. No
+    # quorum holds those nodes, and a slices search over every node would
+    # take {a, b} and {c, d, e} for two disjoint quora.
+    slices = {"a": (frozenset("ab"),), "b": (frozenset("ab"),), "c": (), "d": (), "e": ()}
+    quota = {"a": Fraction(3, 4), "b": Fraction(3, 4), "c": Fraction(5, 4)}
+    five, three = tuple("abcde"), tuple("abc")
+    cases = (
+        (TrustNetwork(five, frozenset(), dict.fromkeys(five, frozenset(five)), slices), "c, d, e"),
+        (QuotaNetwork(three, frozenset(), dict.fromkeys(three, frozenset(three)), quota), "a, b, c"),
+    )
+    calls = (
+        check_quorum_intersection,
+        check_qi_honest,
+        minimal_quora,
+        find_fork,
+        find_strong_fork,
+        lambda net: max_quorum_within(net, net.nodes),
+    )
+    for net, lost in cases:
+        for call in calls:
+            with pytest.raises(ValueError) as caught:
+                answer = call(net)
+                pytest.fail(f"answered {answer} on {net}")
+            assert caught.value.args == (f"nodes that no quorum can hold: {lost}",), (call, net)
+
+
 def test_the_plain_split_table_is_the_padded_honest_table():
-    # A vector that counts a Byzantine member of top holds a quorum, so the
+    # A vector that counts a Byzantine member holds a quorum, so the
     # plain scan's table, Byzantine classes last, is the honest table with
     # every higher vector set.
     networks = [
@@ -256,8 +285,10 @@ def test_the_plain_split_table_is_the_padded_honest_table():
     assert len(networks) >= 30
     for net in networks:
         view = _QuorumView(net)
-        assert view.top & view.byz_mask == view.byz_mask
-        classes = sorted(view.classes_within(view.top), key=lambda m: (view.byz_mask >> m[0]) & 1)
+        # Each Byzantine node is a quorum alone.
+        byzantine = [1 << k for k in range(len(view.order)) if (view.byz_mask >> k) & 1]
+        assert all(view.max_quorum(b) == b for b in byzantine), net
+        classes = sorted(view.classes_within(view.full), key=lambda m: (view.byz_mask >> m[0]) & 1)
         radix = [len(members) + 1 for members in classes]
         size = math.prod(radix)
         honest_classes, honest_radix, honest = view.honest_table
